@@ -18,7 +18,12 @@ use nrpm_linalg::ThreadBudget;
 use nrpm_nn::Network;
 use nrpm_registry::cache::JOURNAL_FILE;
 use nrpm_registry::checkpoints::VerifyIssue;
-use nrpm_registry::{hex16, CheckpointRegistry, Journal, ResultCache, SwapJournal};
+use nrpm_registry::rollout::{RolloutRecord, ROLLOUT_JOURNAL_FILE};
+use nrpm_registry::swap::SWAP_JOURNAL_FILE;
+use nrpm_registry::{
+    hex16, CheckpointRegistry, Journal, JournalError, RecoveryReport, ResultCache, SwapJournal,
+    SwapRecord,
+};
 use nrpm_serve::adapt::AdaptOptions;
 use nrpm_serve::client::{Client, RetryPolicy, RetryingClient};
 use nrpm_serve::server::{ServeOptions, Server};
@@ -1994,7 +1999,30 @@ fn open_registry(dir: &Path, must_exist: bool) -> Result<CheckpointRegistry, Cli
     CheckpointRegistry::open(dir).map_err(|e| in_dir(dir, e))
 }
 
-/// `nrpm registry stats`: checkpoints, refs, and cache-journal occupancy.
+/// A read-only scan of one crash-safe log in a registry directory.
+type LogScan = fn(&Path) -> Result<RecoveryReport, JournalError>;
+
+/// Every crash-safe log a registry directory may hold: its label in CLI
+/// output, its file name, and its read-only scan.
+const LOGS: [(&str, &str, LogScan); 3] = [
+    (
+        "cache journal",
+        JOURNAL_FILE,
+        Journal::<(u64, AdaptiveOutcome)>::verify,
+    ),
+    (
+        "swap journal",
+        SWAP_JOURNAL_FILE,
+        Journal::<SwapRecord>::verify,
+    ),
+    (
+        "rollout journal",
+        ROLLOUT_JOURNAL_FILE,
+        Journal::<RolloutRecord>::verify,
+    ),
+];
+
+/// `nrpm registry stats`: checkpoints, refs, and the occupancy of every log.
 fn registry_stats(dir: &Path) -> Result<String, CliError> {
     let registry = open_registry(dir, true)?;
     let objects = registry.list().map_err(|e| in_dir(dir, e))?;
@@ -2005,15 +2033,17 @@ fn registry_stats(dir: &Path) -> Result<String, CliError> {
     for (name, hash) in refs {
         let _ = writeln!(out, "ref:           {name} -> {}", hex16(hash));
     }
-    let journal = dir.join(JOURNAL_FILE);
-    if journal.exists() {
-        let bytes = std::fs::metadata(&journal)
-            .map_err(|e| in_dir(dir, e))?
-            .len();
-        let report = Journal::<AdaptiveOutcome>::verify(&journal).map_err(|e| in_dir(dir, e))?;
+    for (label, file, scan) in LOGS {
+        let path = dir.join(file);
+        if !path.exists() {
+            let _ = writeln!(out, "{label}: none");
+            continue;
+        }
+        let bytes = std::fs::metadata(&path).map_err(|e| in_dir(dir, e))?.len();
+        let report = scan(&path).map_err(|e| in_dir(dir, e))?;
         let _ = writeln!(
             out,
-            "cache journal: {} records, {} bytes{}",
+            "{label}: {} records, {} bytes{}",
             report.records,
             bytes,
             if report.repaired {
@@ -2022,15 +2052,13 @@ fn registry_stats(dir: &Path) -> Result<String, CliError> {
                 ""
             }
         );
-    } else {
-        let _ = writeln!(out, "cache journal: none");
     }
     Ok(out)
 }
 
 /// `nrpm registry verify`: read-only integrity sweep over checkpoint
-/// objects, refs, and the cache journal. Damage exits 4 without touching
-/// anything on disk.
+/// objects, refs, and every log (cache, swap, rollout). Damage exits 4
+/// without touching anything on disk.
 fn registry_verify(dir: &Path) -> Result<String, CliError> {
     let registry = open_registry(dir, true)?;
     let outcome = registry.verify().map_err(|e| in_dir(dir, e))?;
@@ -2051,21 +2079,26 @@ fn registry_verify(dir: &Path) -> Result<String, CliError> {
             }
         })
         .collect();
-    let journal = dir.join(JOURNAL_FILE);
     let mut cached = 0usize;
-    if journal.exists() {
-        match Journal::<AdaptiveOutcome>::verify(&journal) {
+    for (label, file, scan) in LOGS {
+        let path = dir.join(file);
+        if !path.exists() {
+            continue;
+        }
+        match scan(&path) {
             Ok(report) => {
-                cached = report.records;
+                if file == JOURNAL_FILE {
+                    cached = report.records;
+                }
                 if report.repaired {
                     problems.push(format!(
-                        "cache journal: torn tail, {} trailing bytes need truncation \
+                        "{label}: torn tail, {} trailing bytes need truncation \
                          (recovered on the next open)",
                         report.truncated_bytes
                     ));
                 }
             }
-            Err(e) => problems.push(format!("cache journal: {e}")),
+            Err(e) => problems.push(format!("{label}: {e}")),
         }
     }
     if problems.is_empty() {
@@ -2090,7 +2123,7 @@ fn registry_gc(dir: &Path, cache_capacity: usize, dry_run: bool) -> Result<Strin
     let registry = open_registry(dir, true)?;
     let mut pins = std::collections::HashSet::new();
     let mut journal_present = false;
-    if dir.join(nrpm_registry::swap::SWAP_JOURNAL_FILE).exists() {
+    if dir.join(SWAP_JOURNAL_FILE).exists() {
         let (journal, _recovery) = SwapJournal::open(dir).map_err(|e| {
             CliError::io(format!("{}: cannot read swap journal: {e}", dir.display()))
         })?;
@@ -2936,6 +2969,40 @@ mod tests {
             "rollback target collected — a post-gc rollback would have nothing to restore"
         );
         assert!(registry.get(stray).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn verify_flags_a_torn_swap_journal_without_touching_it() {
+        let dir = std::env::temp_dir().join("nrpm_cli_torn_swaps_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        CheckpointRegistry::open(&dir).unwrap();
+        {
+            let (mut journal, _) = SwapJournal::open(&dir).unwrap();
+            let seq = journal.begin(0x2, 0x1).unwrap();
+            journal.commit(seq).unwrap();
+        }
+        assert!(registry_verify(&dir).unwrap().contains("registry clean"));
+
+        // A crash mid-append: the last record loses its tail.
+        let path = dir.join(SWAP_JOURNAL_FILE);
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 4]).unwrap();
+        let torn = std::fs::read(&path).unwrap();
+
+        let err = registry_verify(&dir).unwrap_err();
+        assert_eq!(err.code, 4, "{}", err.message);
+        assert!(
+            err.message.contains("swap journal: torn tail"),
+            "{}",
+            err.message
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), torn, "verify must not write");
+        let stats = registry_stats(&dir).unwrap();
+        assert!(
+            stats.contains("swap journal: 1 records") && stats.contains("pending repair"),
+            "{stats}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

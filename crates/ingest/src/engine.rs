@@ -38,7 +38,7 @@
 //! `applied_line`.
 
 use crate::journal::{
-    IngestCheckpoint, IngestCounters, IngestJournal, IngestRecovery, JournalError, ResumeContext,
+    IngestCheckpoint, IngestCounters, IngestJournal, IngestRecovery, ResumeContext,
 };
 use crate::source::{FollowChunk, FollowSource, PushRecord, PushSource};
 use crate::window::{HeldRecord, WindowOptions, WindowSet};
@@ -46,7 +46,7 @@ use nrpm_core::adaptive::{AdaptiveModeler, AdaptiveOptions, ModelerChoice};
 use nrpm_core::sanitize::{sanitize, SanitizeOptions};
 use nrpm_extrap::{parse_directive, Directive, LineFramer, MeasurementSet};
 use nrpm_nn::Network;
-use nrpm_registry::CheckpointRegistry;
+use nrpm_registry::{CheckpointRegistry, JournalError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;

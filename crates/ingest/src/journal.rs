@@ -5,10 +5,9 @@
 //! resume reading the followed log (`resume_offset`), which lines were
 //! already fully applied (`applied_line`), the parser context in force at
 //! the resume point, and the cumulative counters. Each checkpoint is one
-//! appended line — `json payload TAB fnv16 checksum` — fsynced, exactly
-//! like the registry's [`SwapJournal`](nrpm_registry::SwapJournal): a crash
-//! leaves at worst one torn trailing line, which [`IngestJournal::open`]
-//! truncates away. Recovery then reads the *last* intact checkpoint.
+//! JSON record in the registry's crash-safe [`Journal`] (`ingest.log`),
+//! fsynced before [`IngestJournal::checkpoint`] returns. Recovery reads
+//! the log's intact prefix, and the *last* checkpoint in it wins.
 //!
 //! # Exactly-once accounting
 //!
@@ -23,12 +22,9 @@
 //! pre-crash counts were never journaled.
 
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use nrpm_core::fingerprint::bytes_hash;
-use nrpm_registry::{hex16, parse_hex16};
+use nrpm_registry::{Journal, JournalError, Record};
 
 /// File name of the ingest journal inside an ingest state directory.
 pub const INGEST_JOURNAL_FILE: &str = "ingest.log";
@@ -115,39 +111,21 @@ pub struct IngestRecovery {
     pub resume: Option<IngestCheckpoint>,
 }
 
-/// Errors of the ingest journal.
-#[derive(Debug)]
-pub enum JournalError {
-    /// An underlying filesystem operation failed.
-    Io(std::io::Error),
-    /// A checkpoint failed to serialize (should be unreachable).
-    Serialize(String),
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "ingest journal I/O error: {e}"),
-            JournalError::Serialize(e) => write!(f, "ingest journal serialize error: {e}"),
-        }
+impl Record for IngestCheckpoint {
+    fn encode(&self) -> Result<String, JournalError> {
+        serde_json::to_string(self).map_err(|e| JournalError::Codec(e.to_string()))
     }
-}
 
-impl std::error::Error for JournalError {}
-
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        JournalError::Io(e)
+    fn decode(payload: &str) -> Option<Self> {
+        serde_json::from_str(payload).ok()
     }
 }
 
 /// The append-only ingest checkpoint journal.
 #[derive(Debug)]
 pub struct IngestJournal {
-    path: PathBuf,
-    file: File,
+    log: Journal<IngestCheckpoint>,
     last: Option<IngestCheckpoint>,
-    appended: usize,
 }
 
 impl IngestJournal {
@@ -155,38 +133,15 @@ impl IngestJournal {
     /// and compacting history down to the last checkpoint when the file has
     /// grown past the threshold. Returns the journal and what recovery saw.
     pub fn open(dir: &Path) -> Result<(IngestJournal, IngestRecovery), JournalError> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(INGEST_JOURNAL_FILE);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(&path)?;
-
-        let mut contents = String::new();
-        file.read_to_string(&mut contents)?;
-        let mut recovery = IngestRecovery::default();
-        let mut valid_end = 0u64;
-        for line in contents.split_inclusive('\n') {
-            let Some(cp) = parse_line(line.trim_end_matches('\n')) else {
-                break;
-            };
-            recovery.checkpoints_read += 1;
-            recovery.resume = Some(cp);
-            valid_end += line.len() as u64;
-        }
-        let total = contents.len() as u64;
-        if valid_end < total {
-            recovery.truncated_bytes = total - valid_end;
-            file.set_len(valid_end)?;
-            file.seek(SeekFrom::End(0))?;
-        }
-
+        let (log, mut checkpoints, report) = Journal::open(dir.join(INGEST_JOURNAL_FILE))?;
+        let recovery = IngestRecovery {
+            checkpoints_read: report.records,
+            truncated_bytes: report.truncated_bytes,
+            resume: checkpoints.pop(),
+        };
         let mut journal = IngestJournal {
-            path,
-            file,
+            log,
             last: recovery.resume.clone(),
-            appended: 0,
         };
         if recovery.checkpoints_read > COMPACT_THRESHOLD {
             journal.compact()?;
@@ -196,13 +151,9 @@ impl IngestJournal {
 
     /// Appends one checkpoint, fsynced before returning.
     pub fn checkpoint(&mut self, cp: &IngestCheckpoint) -> Result<(), JournalError> {
-        let payload =
-            serde_json::to_string(cp).map_err(|e| JournalError::Serialize(e.to_string()))?;
-        let line = format!("{payload}\t{}\n", hex16(bytes_hash(payload.as_bytes())));
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()?;
+        self.log.append(cp)?;
+        self.log.sync()?;
         self.last = Some(cp.clone());
-        self.appended += 1;
         Ok(())
     }
 
@@ -214,39 +165,17 @@ impl IngestJournal {
     /// Rewrites the journal to hold only the last checkpoint (tmp + rename,
     /// so a crash mid-compaction leaves either the old or the new file).
     pub fn compact(&mut self) -> Result<(), JournalError> {
-        let Some(last) = self.last.clone() else {
-            return Ok(());
-        };
-        let payload =
-            serde_json::to_string(&last).map_err(|e| JournalError::Serialize(e.to_string()))?;
-        let line = format!("{payload}\t{}\n", hex16(bytes_hash(payload.as_bytes())));
-        let tmp = self.path.with_extension("log.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(line.as_bytes())?;
-            f.sync_data()?;
+        if let Some(last) = &self.last {
+            self.log.rewrite(std::slice::from_ref(last))?;
         }
-        std::fs::rename(&tmp, &self.path)?;
-        self.file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
         Ok(())
     }
-}
-
-/// Parses one `payload TAB fnv16` journal line, `None` on any damage.
-fn parse_line(line: &str) -> Option<IngestCheckpoint> {
-    let (payload, checksum) = line.rsplit_once('\t')?;
-    if parse_hex16(checksum)? != bytes_hash(payload.as_bytes()) {
-        return None;
-    }
-    serde_json::from_str(payload).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -276,59 +205,33 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_survive_reopen() {
-        let dir = tmpdir("reopen");
-        {
-            let (mut j, rec) = IngestJournal::open(&dir).unwrap();
-            assert_eq!(rec.checkpoints_read, 0);
-            j.checkpoint(&cp(100, 5)).unwrap();
-            j.checkpoint(&cp(250, 12)).unwrap();
-        }
-        let (j, rec) = IngestJournal::open(&dir).unwrap();
-        assert_eq!(rec.checkpoints_read, 2);
-        assert_eq!(rec.truncated_bytes, 0);
-        assert_eq!(j.latest(), Some(&cp(250, 12)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_and_previous_checkpoint_wins() {
-        let dir = tmpdir("torn");
-        {
-            let (mut j, _) = IngestJournal::open(&dir).unwrap();
-            j.checkpoint(&cp(100, 5)).unwrap();
-        }
-        // Simulate a crash mid-append: garbage half-line at the end.
+    fn a_torn_final_newline_drops_the_record_and_later_checkpoints_win() {
+        let dir = tmpdir("torn-newline");
         let path = dir.join(INGEST_JOURNAL_FILE);
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"resume_offset\":999").unwrap();
-        drop(f);
-        let (j, rec) = IngestJournal::open(&dir).unwrap();
-        assert_eq!(rec.checkpoints_read, 1);
-        assert!(rec.truncated_bytes > 0);
-        assert_eq!(j.latest().unwrap().resume_offset, 100);
-        // The torn bytes are gone from disk.
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert!(contents.ends_with('\n'));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupted_checksum_invalidates_the_line() {
-        let dir = tmpdir("checksum");
         {
             let (mut j, _) = IngestJournal::open(&dir).unwrap();
             j.checkpoint(&cp(100, 5)).unwrap();
             j.checkpoint(&cp(200, 9)).unwrap();
         }
-        let path = dir.join(INGEST_JOURNAL_FILE);
-        let contents = std::fs::read_to_string(&path).unwrap();
-        // Flip one payload byte of the second line, keeping its checksum.
-        let flipped = contents.replacen("\"resume_offset\":200", "\"resume_offset\":201", 1);
-        std::fs::write(&path, flipped).unwrap();
+        // A crash between writing the second line and its newline.
+        let full = std::fs::read(&path).unwrap();
+        let first_line = full.iter().position(|&b| b == b'\n').unwrap() + 1;
+        std::fs::write(&path, &full[..full.len() - 1]).unwrap();
+
+        let (mut j, rec) = IngestJournal::open(&dir).unwrap();
+        assert_eq!(rec.checkpoints_read, 1, "an unterminated line is torn");
+        assert_eq!(rec.truncated_bytes, (full.len() - 1 - first_line) as u64);
+        assert_eq!(rec.resume, Some(cp(100, 5)));
+        assert_eq!(j.latest(), Some(&cp(100, 5)));
+        j.checkpoint(&cp(300, 13)).unwrap();
+        j.checkpoint(&cp(400, 17)).unwrap();
+        drop(j);
+
         let (j, rec) = IngestJournal::open(&dir).unwrap();
-        assert_eq!(rec.checkpoints_read, 1, "damaged line rejected");
-        assert_eq!(j.latest().unwrap().resume_offset, 100);
+        assert_eq!(rec.checkpoints_read, 3);
+        assert_eq!(rec.truncated_bytes, 0);
+        assert_eq!(j.latest(), Some(&cp(400, 17)));
+        assert_eq!(rec.resume, Some(cp(400, 17)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -33,9 +33,10 @@ pub mod window;
 
 pub use engine::{EngineError, FireReport, IngestEngine, IngestOptions, INGEST_CANDIDATE_REF};
 pub use journal::{
-    IngestCheckpoint, IngestCounters, IngestJournal, IngestRecovery, JournalError, ResumeContext,
+    IngestCheckpoint, IngestCounters, IngestJournal, IngestRecovery, ResumeContext,
     INGEST_JOURNAL_FILE,
 };
+pub use nrpm_registry::JournalError;
 pub use source::{parse_push_record, FollowChunk, FollowSource, PushRecord, PushSource};
 pub use window::{
     HeldRecord, InsertOutcome, Rejection, ResumeAnchor, Window, WindowOptions, WindowSet,

@@ -16,8 +16,10 @@ use serde::{Deserialize, Serialize};
 use crate::journal::{Journal, JournalError, RecoveryReport};
 use crate::lru::{LruStats, ShardedLru};
 
-/// File name of the cache journal inside its directory.
-pub const JOURNAL_FILE: &str = "cache.journal";
+/// File name of the cache journal inside its directory. Builds that
+/// wrote a binary `cache.journal` are not read: that file is left alone
+/// and the cache starts empty.
+pub const JOURNAL_FILE: &str = "cache.log";
 
 /// Compact once the journal holds this many records per cache slot.
 const COMPACT_FACTOR: usize = 4;
@@ -38,7 +40,7 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct ResultCache<V> {
     lru: ShardedLru<V>,
-    journal: Option<Mutex<Journal<V>>>,
+    journal: Option<Mutex<Journal<(u64, V)>>>,
     recovery: RecoveryReport,
 }
 
@@ -85,11 +87,9 @@ impl<V: Clone + Serialize + Deserialize> ResultCache<V> {
             let mut journal = journal
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-            journal.append(key, &value)?;
+            journal.append(&(key, value))?;
             if journal.records() > COMPACT_FACTOR * self.lru.capacity().max(1) {
-                let entries = self.lru.entries();
-                let refs: Vec<(u64, &V)> = entries.iter().map(|(k, v)| (*k, v)).collect();
-                journal.compact(&refs)?;
+                journal.rewrite(&self.lru.entries())?;
             }
         }
         Ok(())
@@ -99,12 +99,10 @@ impl<V: Clone + Serialize + Deserialize> ResultCache<V> {
     /// memory-only).
     pub fn compact(&self) -> Result<(), JournalError> {
         if let Some(journal) = &self.journal {
-            let entries = self.lru.entries();
-            let refs: Vec<(u64, &V)> = entries.iter().map(|(k, v)| (*k, v)).collect();
             journal
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .compact(&refs)?;
+                .rewrite(&self.lru.entries())?;
         }
         Ok(())
     }
@@ -152,17 +150,7 @@ impl<V: Clone + Serialize + Deserialize> ResultCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "nrpm-cache-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::tmp_dir;
 
     #[test]
     fn memory_only_cache_does_not_touch_disk() {
@@ -175,7 +163,7 @@ mod tests {
 
     #[test]
     fn persistent_cache_survives_reopen() {
-        let dir = tmp_dir("reopen");
+        let dir = tmp_dir("cache-reopen");
         {
             let cache: ResultCache<Vec<f64>> = ResultCache::persistent(8, 2, &dir).unwrap();
             cache.insert(1, vec![1.0]).unwrap();
@@ -190,27 +178,8 @@ mod tests {
     }
 
     #[test]
-    fn reopen_after_torn_write_repairs_and_serves_the_prefix() {
-        let dir = tmp_dir("torn");
-        {
-            let cache: ResultCache<Vec<f64>> = ResultCache::persistent(8, 2, &dir).unwrap();
-            cache.insert(1, vec![1.0]).unwrap();
-            cache.insert(2, vec![2.0]).unwrap();
-        }
-        let journal = dir.join(JOURNAL_FILE);
-        let bytes = std::fs::read(&journal).unwrap();
-        std::fs::write(&journal, &bytes[..bytes.len() - 4]).unwrap();
-
-        let cache: ResultCache<Vec<f64>> = ResultCache::persistent(8, 2, &dir).unwrap();
-        assert_eq!(cache.get(1), Some(vec![1.0]));
-        assert_eq!(cache.get(2), None);
-        assert!(cache.stats().recovery.repaired);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn journal_is_compacted_once_it_outgrows_the_cache() {
-        let dir = tmp_dir("autocompact");
+        let dir = tmp_dir("cache-autocompact");
         let cache: ResultCache<u64> = ResultCache::persistent(4, 1, &dir).unwrap();
         for i in 0..200u64 {
             cache.insert(i, i).unwrap();
@@ -229,7 +198,7 @@ mod tests {
 
     #[test]
     fn explicit_compact_shrinks_to_the_resident_set() {
-        let dir = tmp_dir("compact");
+        let dir = tmp_dir("cache-compact");
         let cache: ResultCache<u64> = ResultCache::persistent(2, 1, &dir).unwrap();
         cache.insert(1, 1).unwrap();
         cache.insert(2, 2).unwrap();

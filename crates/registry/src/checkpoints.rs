@@ -395,17 +395,8 @@ impl CheckpointRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tmp_dir;
     use nrpm_nn::NetworkConfig;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "nrpm-ckpt-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn tiny_network(seed: u64) -> Network {
         Network::new(&NetworkConfig::new(&[3, 4, 2]), seed)
@@ -413,7 +404,7 @@ mod tests {
 
     #[test]
     fn put_get_round_trips_and_is_idempotent() {
-        let dir = tmp_dir("roundtrip");
+        let dir = tmp_dir("ckpt-roundtrip");
         let registry = CheckpointRegistry::open(&dir).unwrap();
         let network = tiny_network(7);
         let hash = registry.put(&network).unwrap();
@@ -426,7 +417,7 @@ mod tests {
 
     #[test]
     fn distinct_networks_get_distinct_hashes() {
-        let dir = tmp_dir("distinct");
+        let dir = tmp_dir("ckpt-distinct");
         let registry = CheckpointRegistry::open(&dir).unwrap();
         let a = registry.put(&tiny_network(1)).unwrap();
         let b = registry.put(&tiny_network(2)).unwrap();
@@ -437,7 +428,7 @@ mod tests {
 
     #[test]
     fn refs_point_resolve_and_validate() {
-        let dir = tmp_dir("refs");
+        let dir = tmp_dir("ckpt-refs");
         let registry = CheckpointRegistry::open(&dir).unwrap();
         let hash = registry.put(&tiny_network(3)).unwrap();
         registry.set_ref("default", hash).unwrap();
@@ -463,7 +454,7 @@ mod tests {
 
     #[test]
     fn verify_flags_tampered_objects_and_dangling_refs() {
-        let dir = tmp_dir("verify");
+        let dir = tmp_dir("ckpt-verify");
         let registry = CheckpointRegistry::open(&dir).unwrap();
         let good = registry.put(&tiny_network(4)).unwrap();
         let victim = registry.put(&tiny_network(5)).unwrap();
@@ -493,7 +484,7 @@ mod tests {
 
     #[test]
     fn gc_keeps_referenced_objects_only() {
-        let dir = tmp_dir("gc");
+        let dir = tmp_dir("ckpt-gc");
         let registry = CheckpointRegistry::open(&dir).unwrap();
         let keep = registry.put(&tiny_network(6)).unwrap();
         let drop_a = registry.put(&tiny_network(7)).unwrap();
@@ -512,7 +503,7 @@ mod tests {
 
     #[test]
     fn gc_with_pins_keeps_pinned_unreferenced_objects() {
-        let dir = tmp_dir("gc-pins");
+        let dir = tmp_dir("ckpt-gc-pins");
         let registry = CheckpointRegistry::open(&dir).unwrap();
         let reffed = registry.put(&tiny_network(9)).unwrap();
         let pinned = registry.put(&tiny_network(10)).unwrap();
@@ -529,7 +520,7 @@ mod tests {
 
     #[test]
     fn gc_plan_lists_doomed_hashes_without_deleting() {
-        let dir = tmp_dir("gc-plan");
+        let dir = tmp_dir("ckpt-gc-plan");
         let registry = CheckpointRegistry::open(&dir).unwrap();
         let reffed = registry.put(&tiny_network(12)).unwrap();
         let pinned = registry.put(&tiny_network(13)).unwrap();
@@ -550,7 +541,7 @@ mod tests {
 
     #[test]
     fn export_writes_loadable_checkpoint_bytes() {
-        let dir = tmp_dir("export");
+        let dir = tmp_dir("ckpt-export");
         let registry = CheckpointRegistry::open(&dir).unwrap();
         let network = tiny_network(15);
         let hash = registry.put(&network).unwrap();
@@ -567,8 +558,8 @@ mod tests {
 
     #[test]
     fn sync_to_copies_once_and_verifies_hash() {
-        let src_dir = tmp_dir("sync-src");
-        let dest_dir = tmp_dir("sync-dest");
+        let src_dir = tmp_dir("ckpt-sync-src");
+        let dest_dir = tmp_dir("ckpt-sync-dest");
         let src = CheckpointRegistry::open(&src_dir).unwrap();
         let dest = CheckpointRegistry::open(&dest_dir).unwrap();
         let hash = src.put(&tiny_network(16)).unwrap();

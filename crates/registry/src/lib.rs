@@ -7,8 +7,9 @@
 //!
 //! * [`lru`] — a sharded in-memory LRU keyed by the canonical fingerprints
 //!   of [`nrpm_core::fingerprint`], with hit/miss/eviction counters;
-//! * [`journal`] — an append-only, checksummed on-disk record log with
-//!   torn-tail crash recovery and atomic-rename compaction;
+//! * [`journal`] — the crash-safe append log: checksummed lines, torn-tail
+//!   recovery, atomic-rename rewrite. The cache, swap, rollout and ingest
+//!   journals are folds over its records;
 //! * [`cache`] — the two combined: [`cache::ResultCache`] memoizes
 //!   `fingerprint → outcome` across restarts;
 //! * [`checkpoints`] — a content-addressed store of trained networks with
@@ -41,7 +42,19 @@ pub mod swap;
 
 pub use cache::{CacheStats, ResultCache};
 pub use checkpoints::{hex16, parse_hex16, CheckpointRegistry, RegistryError, VerifyOutcome};
-pub use journal::{Journal, JournalError, RecoveryReport};
+pub use journal::{Journal, JournalError, Record, RecoveryReport};
 pub use lru::{LruStats, ShardedLru};
 pub use singleflight::{Joined, SingleFlight};
-pub use swap::{SwapJournal, SwapPhase, SwapRecord, SwapRecovery};
+pub use swap::{SwapJournal, SwapPhase, SwapRecord};
+
+/// A fresh (removed, not yet created) scratch directory for one test.
+#[cfg(test)]
+fn tmp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "nrpm-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}

@@ -5,8 +5,8 @@
 //! target checkpoint into its registry, hot-swap, health-verify, readmit —
 //! and a crash anywhere in that walk must not strand the fleet serving a
 //! mix of epochs: replicated reads would then disagree forever. This
-//! journal records the walk with the same append-only, checksummed-line
-//! machinery as the swap journal ([`crate::swap`]):
+//! journal records the walk in the same crash-safe [`Journal`] as the swap
+//! journal ([`crate::swap`]):
 //!
 //! ```text
 //! begin    rollout to target T is starting (incumbent I still serves)
@@ -15,22 +15,19 @@
 //! aborted  the rollout was called off
 //! ```
 //!
-//! Each record is one line — `payload TAB fnv16-checksum` — appended and
-//! fsynced; a crash leaves at worst one torn trailing line, truncated by
-//! [`RolloutJournal::open`]. Recovery is a fold over the survivors: a
-//! `begin` without `done`/`aborted` is a [`PendingRollout`], carrying
-//! exactly which shards already landed on the target — the cluster
-//! launcher completes such a rollout by distributing the *target* (not the
-//! operator's stale `--model` argument) to every shard, restoring a
-//! single-epoch fleet before any request is routed.
+//! Records are fsynced one by one into `rollouts.log`;
+//! [`RolloutJournal::open`] gets back its intact prefix. Recovery is a fold
+//! over those records: a `begin` without `done`/`aborted` is a
+//! [`PendingRollout`], carrying exactly which shards already landed on the
+//! target — the cluster launcher completes such a rollout by distributing
+//! the *target* (not the operator's stale `--model` argument) to every
+//! shard, restoring a single-epoch fleet before any request is routed.
 
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::checkpoints::{hex16, parse_hex16};
-use nrpm_core::fingerprint::bytes_hash;
+use crate::journal::{Journal, JournalError, Record, RecoveryReport};
 
 /// File name of the rollout journal inside a registry directory.
 pub const ROLLOUT_JOURNAL_FILE: &str = "rollouts.log";
@@ -86,19 +83,19 @@ pub struct RolloutRecord {
     pub shard: u32,
 }
 
-impl RolloutRecord {
-    fn payload(&self) -> String {
-        format!(
+impl Record for RolloutRecord {
+    fn encode(&self) -> Result<String, JournalError> {
+        Ok(format!(
             "{} {} {} {} {}",
             self.seq,
             self.phase.as_str(),
             hex16(self.target),
             hex16(self.incumbent),
             self.shard
-        )
+        ))
     }
 
-    fn parse_payload(payload: &str) -> Option<RolloutRecord> {
+    fn decode(payload: &str) -> Option<RolloutRecord> {
         let mut parts = payload.split(' ');
         let seq = parts.next()?.parse().ok()?;
         let phase = RolloutPhase::parse(parts.next()?)?;
@@ -132,83 +129,37 @@ pub struct PendingRollout {
     pub done: Vec<u32>,
 }
 
-/// What [`RolloutJournal::open`] found and repaired.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RolloutRecovery {
-    /// Intact records read back.
-    pub records: usize,
-    /// Bytes truncated off a torn tail (0 for a clean journal).
-    pub truncated_bytes: u64,
-}
-
 /// The append-only rollout journal. See the [module docs](self).
 #[derive(Debug)]
 pub struct RolloutJournal {
-    path: PathBuf,
+    log: Journal<RolloutRecord>,
     records: Vec<RolloutRecord>,
-    next_seq: u64,
 }
 
 impl RolloutJournal {
     /// Opens (creating if absent) the journal under registry root `dir`,
-    /// truncating any torn trailing line a crash left behind.
-    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<(RolloutJournal, RolloutRecovery)> {
-        let path = dir.as_ref().join(ROLLOUT_JOURNAL_FILE);
-        std::fs::create_dir_all(dir.as_ref())?;
-        let mut records = Vec::new();
-        let mut recovery = RolloutRecovery::default();
-        if path.exists() {
-            let mut text = String::new();
-            File::open(&path)?.read_to_string(&mut text)?;
-            let mut good_bytes = 0usize;
-            for line in text.split_inclusive('\n') {
-                let complete = line.ends_with('\n');
-                match (complete, parse_line(line.trim_end_matches('\n'))) {
-                    (true, Some(record)) => {
-                        records.push(record);
-                        good_bytes += line.len();
-                    }
-                    // Appends are ordered: nothing behind a torn or corrupt
-                    // record can be trusted.
-                    _ => break,
-                }
-            }
-            let total = text.len() as u64;
-            if (good_bytes as u64) < total {
-                recovery.truncated_bytes = total - good_bytes as u64;
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(good_bytes as u64)?;
-                file.sync_data()?;
-            }
-        }
-        recovery.records = records.len();
-        let next_seq = records.iter().map(|r| r.seq + 1).max().unwrap_or(0);
-        Ok((
-            RolloutJournal {
-                path,
-                records,
-                next_seq,
-            },
-            recovery,
-        ))
+    /// truncating any torn tail a crash left behind.
+    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<(RolloutJournal, RecoveryReport)> {
+        let (log, records, recovery) = Journal::open(dir.as_ref().join(ROLLOUT_JOURNAL_FILE))?;
+        Ok((RolloutJournal { log, records }, recovery))
+    }
+
+    /// The sequence number the next new rollout gets.
+    fn next_seq(&self) -> u64 {
+        self.records.iter().map(|r| r.seq + 1).max().unwrap_or(0)
     }
 
     fn append(&mut self, record: RolloutRecord) -> std::io::Result<()> {
-        let payload = record.payload();
-        let line = format!("{payload}\t{}\n", hex16(bytes_hash(payload.as_bytes())));
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        file.write_all(line.as_bytes())?;
-        file.sync_data()?;
+        self.log.append(&record)?;
+        self.log.sync()?;
         self.records.push(record);
         Ok(())
     }
 
-    fn base(&self, seq: u64) -> std::io::Result<RolloutRecord> {
-        self.records
+    /// Appends `phase` (and `shard`) for the existing rollout `seq`.
+    fn advance(&mut self, seq: u64, phase: RolloutPhase, shard: u32) -> std::io::Result<()> {
+        let base = self
+            .records
             .iter()
             .rev()
             .find(|r| r.seq == seq)
@@ -218,7 +169,12 @@ impl RolloutJournal {
                     std::io::ErrorKind::InvalidInput,
                     format!("rollout journal: unknown rollout seq {seq}"),
                 )
-            })
+            })?;
+        self.append(RolloutRecord {
+            phase,
+            shard,
+            ..base
+        })
     }
 
     /// Declares a rollout from `incumbent` to `target`. Returns its
@@ -234,8 +190,7 @@ impl RolloutJournal {
                 ),
             ));
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.next_seq();
         self.append(RolloutRecord {
             seq,
             phase: RolloutPhase::Begin,
@@ -249,32 +204,17 @@ impl RolloutJournal {
     /// Records that `shard` now serves rollout `seq`'s target (synced,
     /// swapped, and verified over the wire).
     pub fn record_shard(&mut self, seq: u64, shard: u32) -> std::io::Result<()> {
-        let base = self.base(seq)?;
-        self.append(RolloutRecord {
-            phase: RolloutPhase::Shard,
-            shard,
-            ..base
-        })
+        self.advance(seq, RolloutPhase::Shard, shard)
     }
 
     /// Records that every shard serves rollout `seq`'s target.
     pub fn finish(&mut self, seq: u64) -> std::io::Result<()> {
-        let base = self.base(seq)?;
-        self.append(RolloutRecord {
-            phase: RolloutPhase::Done,
-            shard: 0,
-            ..base
-        })
+        self.advance(seq, RolloutPhase::Done, 0)
     }
 
     /// Calls rollout `seq` off.
     pub fn abort(&mut self, seq: u64) -> std::io::Result<()> {
-        let base = self.base(seq)?;
-        self.append(RolloutRecord {
-            phase: RolloutPhase::Aborted,
-            shard: 0,
-            ..base
-        })
+        self.advance(seq, RolloutPhase::Aborted, 0)
     }
 
     /// The rollout a crash interrupted, if any: begun, some shards
@@ -337,33 +277,16 @@ impl RolloutJournal {
     }
 }
 
-fn parse_line(line: &str) -> Option<RolloutRecord> {
-    let (payload, check) = line.rsplit_once('\t')?;
-    if parse_hex16(check)? != bytes_hash(payload.as_bytes()) {
-        return None;
-    }
-    RolloutRecord::parse_payload(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "nrpm-rollout-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::tmp_dir;
 
     #[test]
     fn full_walk_completes_and_survives_reopen() {
-        let dir = tmp_dir("walk");
+        let dir = tmp_dir("rollout-walk");
         let (mut journal, recovery) = RolloutJournal::open(&dir).unwrap();
-        assert_eq!(recovery, RolloutRecovery::default());
+        assert_eq!(recovery, RecoveryReport::default());
 
         let seq = journal.begin(0xA1B2, 0xBB).unwrap();
         journal.record_shard(seq, 0).unwrap();
@@ -381,7 +304,7 @@ mod tests {
 
     #[test]
     fn crash_mid_walk_is_pending_with_the_landed_shards() {
-        let dir = tmp_dir("crash");
+        let dir = tmp_dir("rollout-crash");
         let (mut journal, _) = RolloutJournal::open(&dir).unwrap();
         let seq = journal.begin(0x2, 0x1).unwrap();
         journal.record_shard(seq, 0).unwrap();
@@ -398,7 +321,7 @@ mod tests {
 
     #[test]
     fn only_one_rollout_may_be_pending() {
-        let dir = tmp_dir("single");
+        let dir = tmp_dir("rollout-single");
         let (mut journal, _) = RolloutJournal::open(&dir).unwrap();
         let seq = journal.begin(0x2, 0x1).unwrap();
         assert!(journal.begin(0x3, 0x1).is_err());
@@ -409,31 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_truncated_on_open() {
-        let dir = tmp_dir("torn");
-        let (mut journal, _) = RolloutJournal::open(&dir).unwrap();
-        let seq = journal.begin(0xAA, 0xBB).unwrap();
-        journal.finish(seq).unwrap();
-        drop(journal);
-
-        let path = dir.join(ROLLOUT_JOURNAL_FILE);
-        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-        file.write_all(b"1 begin deadbeef").unwrap();
-        drop(file);
-
-        let (journal, recovery) = RolloutJournal::open(&dir).unwrap();
-        assert_eq!(recovery.records, 2);
-        assert!(recovery.truncated_bytes > 0);
-        assert_eq!(journal.completed_hash(), Some(0xAA));
-
-        let (_, recovery) = RolloutJournal::open(&dir).unwrap();
-        assert_eq!(recovery.truncated_bytes, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn live_hashes_pin_completed_and_pending() {
-        let dir = tmp_dir("live");
+        let dir = tmp_dir("rollout-live");
         let (mut journal, _) = RolloutJournal::open(&dir).unwrap();
         let a = journal.begin(0x2, 0x1).unwrap();
         journal.finish(a).unwrap();
@@ -448,7 +348,7 @@ mod tests {
 
     #[test]
     fn advancing_an_unknown_seq_is_an_error() {
-        let dir = tmp_dir("unknown");
+        let dir = tmp_dir("rollout-unknown");
         let (mut journal, _) = RolloutJournal::open(&dir).unwrap();
         assert!(journal.record_shard(7, 0).is_err());
         assert!(journal.finish(7).is_err());

@@ -14,11 +14,10 @@
 //! rolled_back the post-swap watchdog reverted from X back to Y
 //! ```
 //!
-//! Each record is one line — `payload TAB fnv16-checksum` — appended and
-//! fsynced, so a crash leaves at worst one torn trailing line, which
-//! [`SwapJournal::open`] truncates away. Recovery is then a pure fold over
-//! the surviving records: the serving checkpoint is the candidate of the
-//! last `committed`/`rolled_back` record, and any swap still pending
+//! Records live in a crash-safe [`Journal`] (`swaps.log`), fsynced one by
+//! one; [`SwapJournal::open`] gets back its intact prefix. Recovery is then
+//! a pure fold over those records: the serving checkpoint is the candidate
+//! of the last `committed`/`rolled_back` record, and any swap still pending
 //! (`intent`/`validated` without a terminal record) is resolved by
 //! [`SwapJournal::recover_pending`], which aborts it — a half-finished swap
 //! must never win over the last committed state.
@@ -30,12 +29,10 @@
 //! must not collect.
 
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::checkpoints::{hex16, parse_hex16};
-use nrpm_core::fingerprint::bytes_hash;
+use crate::journal::{Journal, JournalError, Record, RecoveryReport};
 
 /// File name of the swap journal inside a registry directory.
 pub const SWAP_JOURNAL_FILE: &str = "swaps.log";
@@ -97,18 +94,18 @@ pub struct SwapRecord {
     pub incumbent: u64,
 }
 
-impl SwapRecord {
-    fn payload(&self) -> String {
-        format!(
+impl Record for SwapRecord {
+    fn encode(&self) -> Result<String, JournalError> {
+        Ok(format!(
             "{} {} {} {}",
             self.seq,
             self.phase.as_str(),
             hex16(self.candidate),
             hex16(self.incumbent)
-        )
+        ))
     }
 
-    fn parse_payload(payload: &str) -> Option<SwapRecord> {
+    fn decode(payload: &str) -> Option<SwapRecord> {
         let mut parts = payload.split(' ');
         let seq = parts.next()?.parse().ok()?;
         let phase = SwapPhase::parse(parts.next()?)?;
@@ -126,94 +123,49 @@ impl SwapRecord {
     }
 }
 
-/// What [`SwapJournal::open`] found and repaired.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SwapRecovery {
-    /// Intact records read back.
-    pub records: usize,
-    /// Bytes truncated off a torn tail (0 for a clean journal).
-    pub truncated_bytes: u64,
-}
-
 /// The append-only swap journal. See the [module docs](self).
 #[derive(Debug)]
 pub struct SwapJournal {
-    path: PathBuf,
+    log: Journal<SwapRecord>,
     records: Vec<SwapRecord>,
-    next_seq: u64,
 }
 
 impl SwapJournal {
     /// Opens (creating if absent) the journal under registry root `dir`,
-    /// truncating any torn trailing line a crash left behind.
-    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<(SwapJournal, SwapRecovery)> {
-        let path = dir.as_ref().join(SWAP_JOURNAL_FILE);
-        std::fs::create_dir_all(dir.as_ref())?;
-        let mut records = Vec::new();
-        let mut recovery = SwapRecovery::default();
-        if path.exists() {
-            let mut text = String::new();
-            File::open(&path)?.read_to_string(&mut text)?;
-            let mut good_bytes = 0usize;
-            for line in text.split_inclusive('\n') {
-                let complete = line.ends_with('\n');
-                match (complete, parse_line(line.trim_end_matches('\n'))) {
-                    (true, Some(record)) => {
-                        records.push(record);
-                        good_bytes += line.len();
-                    }
-                    // A torn or corrupt line invalidates everything after
-                    // it — appends are ordered, so nothing behind a bad
-                    // record can be trusted.
-                    _ => break,
-                }
-            }
-            let total = text.len() as u64;
-            if (good_bytes as u64) < total {
-                recovery.truncated_bytes = total - good_bytes as u64;
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(good_bytes as u64)?;
-                file.sync_data()?;
-            }
-        }
-        recovery.records = records.len();
-        let next_seq = records.iter().map(|r| r.seq + 1).max().unwrap_or(0);
-        Ok((
-            SwapJournal {
-                path,
-                records,
-                next_seq,
-            },
-            recovery,
-        ))
+    /// truncating any torn tail a crash left behind.
+    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<(SwapJournal, RecoveryReport)> {
+        let (log, records, recovery) = Journal::open(dir.as_ref().join(SWAP_JOURNAL_FILE))?;
+        Ok((SwapJournal { log, records }, recovery))
+    }
+
+    /// The sequence number the next new swap gets.
+    fn next_seq(&self) -> u64 {
+        self.records.iter().map(|r| r.seq + 1).max().unwrap_or(0)
     }
 
     fn append(&mut self, record: SwapRecord) -> std::io::Result<()> {
-        let payload = record.payload();
-        let line = format!("{payload}\t{}\n", hex16(bytes_hash(payload.as_bytes())));
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        file.write_all(line.as_bytes())?;
-        file.sync_data()?;
+        self.log.append(&record)?;
+        self.log.sync()?;
         self.records.push(record);
         Ok(())
+    }
+
+    /// Appends the first record of a new sequence number and returns it.
+    fn start(&mut self, phase: SwapPhase, candidate: u64, incumbent: u64) -> std::io::Result<u64> {
+        let seq = self.next_seq();
+        self.append(SwapRecord {
+            seq,
+            phase,
+            candidate,
+            incumbent,
+        })?;
+        Ok(seq)
     }
 
     /// Phase one: declares the intent to swap `candidate` in for
     /// `incumbent`. Returns the swap's sequence number.
     pub fn begin(&mut self, candidate: u64, incumbent: u64) -> std::io::Result<u64> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.append(SwapRecord {
-            seq,
-            phase: SwapPhase::Intent,
-            candidate,
-            incumbent,
-        })?;
-        Ok(seq)
+        self.start(SwapPhase::Intent, candidate, incumbent)
     }
 
     fn advance(&mut self, seq: u64, phase: SwapPhase) -> std::io::Result<()> {
@@ -252,15 +204,7 @@ impl SwapJournal {
     /// [`Self::committed_hash`] is `to` and [`Self::previous_hash`] is
     /// `from`.
     pub fn record_rollback(&mut self, to: u64, from: u64) -> std::io::Result<u64> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.append(SwapRecord {
-            seq,
-            phase: SwapPhase::RolledBack,
-            candidate: to,
-            incumbent: from,
-        })?;
-        Ok(seq)
+        self.start(SwapPhase::RolledBack, to, from)
     }
 
     /// Aborts every swap whose latest record is non-terminal — the crash
@@ -290,25 +234,25 @@ impl SwapJournal {
             .collect()
     }
 
-    /// The serving checkpoint according to the journal: the candidate of
-    /// the last `committed` or `rolled_back` record. `None` before the
-    /// first commit.
-    pub fn committed_hash(&self) -> Option<u64> {
+    /// The last `committed` or `rolled_back` record.
+    fn last_transition(&self) -> Option<&SwapRecord> {
         self.records
             .iter()
             .rev()
             .find(|r| matches!(r.phase, SwapPhase::Committed | SwapPhase::RolledBack))
-            .map(|r| r.candidate)
+    }
+
+    /// The serving checkpoint according to the journal: the candidate of
+    /// the last `committed` or `rolled_back` record. `None` before the
+    /// first commit.
+    pub fn committed_hash(&self) -> Option<u64> {
+        self.last_transition().map(|r| r.candidate)
     }
 
     /// The rollback target: the incumbent of the last `committed` or
     /// `rolled_back` record.
     pub fn previous_hash(&self) -> Option<u64> {
-        self.records
-            .iter()
-            .rev()
-            .find(|r| matches!(r.phase, SwapPhase::Committed | SwapPhase::RolledBack))
-            .map(|r| r.incumbent)
+        self.last_transition().map(|r| r.incumbent)
     }
 
     /// The pin set for garbage collection: the serving checkpoint, the
@@ -332,33 +276,16 @@ impl SwapJournal {
     }
 }
 
-fn parse_line(line: &str) -> Option<SwapRecord> {
-    let (payload, check) = line.rsplit_once('\t')?;
-    if parse_hex16(check)? != bytes_hash(payload.as_bytes()) {
-        return None;
-    }
-    SwapRecord::parse_payload(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "nrpm-swap-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::tmp_dir;
 
     #[test]
     fn full_two_phase_swap_commits() {
-        let dir = tmp_dir("commit");
+        let dir = tmp_dir("swap-commit");
         let (mut journal, recovery) = SwapJournal::open(&dir).unwrap();
-        assert_eq!(recovery, SwapRecovery::default());
+        assert_eq!(recovery, RecoveryReport::default());
         assert_eq!(journal.committed_hash(), None);
 
         let seq = journal.begin(0xA, 0xB).unwrap();
@@ -380,7 +307,7 @@ mod tests {
 
     #[test]
     fn crash_mid_swap_recovers_to_last_committed() {
-        let dir = tmp_dir("pending");
+        let dir = tmp_dir("swap-pending");
         let (mut journal, _) = SwapJournal::open(&dir).unwrap();
         let first = journal.begin(0x1, 0x0).unwrap();
         journal.commit(first).unwrap();
@@ -405,60 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_truncated_on_open() {
-        let dir = tmp_dir("torn");
-        let (mut journal, _) = SwapJournal::open(&dir).unwrap();
-        let seq = journal.begin(0xAA, 0xBB).unwrap();
-        journal.commit(seq).unwrap();
-        drop(journal);
-
-        // Simulate a crash mid-append: half a line, no newline.
-        let path = dir.join(SWAP_JOURNAL_FILE);
-        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-        file.write_all(b"2 intent deadbeef").unwrap();
-        drop(file);
-
-        let (journal, recovery) = SwapJournal::open(&dir).unwrap();
-        assert_eq!(recovery.records, 2);
-        assert!(recovery.truncated_bytes > 0);
-        assert_eq!(journal.committed_hash(), Some(0xAA));
-
-        // The truncation is durable: a second open finds a clean file.
-        let (_, recovery) = SwapJournal::open(&dir).unwrap();
-        assert_eq!(recovery.truncated_bytes, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_middle_record_invalidates_the_rest() {
-        let dir = tmp_dir("middle");
-        let (mut journal, _) = SwapJournal::open(&dir).unwrap();
-        let a = journal.begin(0x1, 0x0).unwrap();
-        journal.commit(a).unwrap();
-        let b = journal.begin(0x2, 0x1).unwrap();
-        journal.commit(b).unwrap();
-        drop(journal);
-
-        // Flip a byte inside the third record (b's intent).
-        let path = dir.join(SWAP_JOURNAL_FILE);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        let offset: usize = lines[..2].iter().map(|l| l.len() + 1).sum();
-        let mut bytes = text.into_bytes();
-        bytes[offset] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let (journal, recovery) = SwapJournal::open(&dir).unwrap();
-        assert_eq!(recovery.records, 2);
-        assert!(recovery.truncated_bytes > 0);
-        // Only the first swap survives.
-        assert_eq!(journal.committed_hash(), Some(0x1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn rollback_restores_the_previous_hash() {
-        let dir = tmp_dir("rollback");
+        let dir = tmp_dir("swap-rollback");
         let (mut journal, _) = SwapJournal::open(&dir).unwrap();
         let seq = journal.begin(0x2, 0x1).unwrap();
         journal.mark_validated(seq).unwrap();
@@ -476,7 +351,7 @@ mod tests {
 
     #[test]
     fn live_hashes_pin_serving_previous_and_pending() {
-        let dir = tmp_dir("live");
+        let dir = tmp_dir("swap-live");
         let (mut journal, _) = SwapJournal::open(&dir).unwrap();
         let a = journal.begin(0x2, 0x1).unwrap();
         journal.commit(a).unwrap();
@@ -492,7 +367,7 @@ mod tests {
 
     #[test]
     fn aborted_swaps_never_become_live() {
-        let dir = tmp_dir("abort");
+        let dir = tmp_dir("swap-abort");
         let (mut journal, _) = SwapJournal::open(&dir).unwrap();
         let seq = journal.begin(0x9, 0x1).unwrap();
         journal.abort(seq).unwrap();
@@ -504,7 +379,7 @@ mod tests {
 
     #[test]
     fn advancing_an_unknown_seq_is_an_error() {
-        let dir = tmp_dir("unknown");
+        let dir = tmp_dir("swap-unknown");
         let (mut journal, _) = SwapJournal::open(&dir).unwrap();
         assert!(journal.commit(7).is_err());
         let _ = std::fs::remove_dir_all(&dir);
