@@ -18,7 +18,7 @@ use nrpm_linalg::ThreadBudget;
 use nrpm_nn::Network;
 use nrpm_registry::cache::JOURNAL_FILE;
 use nrpm_registry::checkpoints::VerifyIssue;
-use nrpm_registry::rollout::{RolloutRecord, ROLLOUT_JOURNAL_FILE};
+use nrpm_registry::rollout::{RolloutJournal, RolloutRecord, ROLLOUT_JOURNAL_FILE};
 use nrpm_registry::swap::SWAP_JOURNAL_FILE;
 use nrpm_registry::{
     hex16, CheckpointRegistry, Journal, JournalError, RecoveryReport, ResultCache, SwapJournal,
@@ -2117,29 +2117,45 @@ fn registry_verify(dir: &Path) -> Result<String, CliError> {
 /// `nrpm registry gc`: drop checkpoints no ref points at and rewrite the
 /// cache journal down to its live entries. Checkpoints named by the swap
 /// journal — the serving one, the previous (rollback-target) one, and any
-/// pending swap's candidate — are pinned even without a ref, so a crash or
-/// rollback can never land on a collected hash.
+/// pending swap's candidate — and by the rollout journal — the last
+/// completed target and both sides of a pending rollout — are pinned even
+/// without a ref, so a crash, rollback or resumed rollout can never land
+/// on a collected hash.
 fn registry_gc(dir: &Path, cache_capacity: usize, dry_run: bool) -> Result<String, CliError> {
     let registry = open_registry(dir, true)?;
+    type LiveHashes = fn(&Path) -> std::io::Result<std::collections::HashSet<u64>>;
+    // Every journal that can name a checkpoint no ref points at: a swap's
+    // serving and rollback targets, an interrupted rollout's target and
+    // incumbent. Their union is pinned.
+    let journals: [(&str, &str, LiveHashes); 2] = [
+        ("swap", SWAP_JOURNAL_FILE, |d| {
+            Ok(SwapJournal::open(d)?.0.live_hashes())
+        }),
+        ("rollout", ROLLOUT_JOURNAL_FILE, |d| {
+            Ok(RolloutJournal::open(d)?.0.live_hashes())
+        }),
+    ];
     let mut pins = std::collections::HashSet::new();
-    let mut journal_present = false;
-    if dir.join(SWAP_JOURNAL_FILE).exists() {
-        let (journal, _recovery) = SwapJournal::open(dir).map_err(|e| {
-            CliError::io(format!("{}: cannot read swap journal: {e}", dir.display()))
-        })?;
-        pins = journal.live_hashes();
-        journal_present = true;
-    }
     let mut out = String::new();
-    if journal_present {
-        let _ = writeln!(out, "swap-journal pinned checkpoints: {}", pins.len());
+    for (name, file, live_hashes) in journals {
+        if !dir.join(file).exists() {
+            continue;
+        }
+        let live = live_hashes(dir).map_err(|e| {
+            CliError::io(format!(
+                "{}: cannot read {name} journal: {e}",
+                dir.display()
+            ))
+        })?;
+        let _ = writeln!(out, "{name}-journal pinned checkpoints: {}", live.len());
         if dry_run {
-            let mut pinned: Vec<u64> = pins.iter().copied().collect();
+            let mut pinned: Vec<u64> = live.iter().copied().collect();
             pinned.sort_unstable();
             for hash in pinned {
-                let _ = writeln!(out, "pinned checkpoint {}", hex16(hash));
+                let _ = writeln!(out, "pinned checkpoint {} ({name} journal)", hex16(hash));
             }
         }
+        pins.extend(live);
     }
     if dry_run {
         let doomed = registry.gc_plan(&pins).map_err(|e| in_dir(dir, e))?;
@@ -2969,6 +2985,62 @@ mod tests {
             "rollback target collected — a post-gc rollback would have nothing to restore"
         );
         assert!(registry.get(stray).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_pins_the_target_of_an_interrupted_rollout() {
+        use nrpm_core::preprocess::NUM_INPUTS;
+        use nrpm_nn::NetworkConfig;
+
+        let dir = std::env::temp_dir().join("nrpm_cli_gc_rollout_pins_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+
+        let net = |seed| {
+            Network::new(
+                &NetworkConfig::new(&[NUM_INPUTS, 16, nrpm_extrap::NUM_CLASSES]),
+                seed,
+            )
+        };
+        let registry = CheckpointRegistry::open(&dir).unwrap();
+        let incumbent = registry.put(&net(1)).unwrap();
+        registry.set_ref("default", incumbent).unwrap();
+        let target = registry.put(&net(2)).unwrap();
+        let stray = registry.put(&net(3)).unwrap();
+        {
+            // A rollout that began and never finished: no `Done` record,
+            // and no ref names its target.
+            let (mut journal, _) = RolloutJournal::open(&dir).unwrap();
+            journal.begin(target, incumbent).unwrap();
+        }
+
+        let planned = registry_gc(&dir, 16, true).unwrap();
+        assert!(
+            planned.contains("rollout-journal pinned checkpoints: 2"),
+            "{planned}"
+        );
+        assert!(
+            planned.contains(&format!(
+                "pinned checkpoint {} (rollout journal)",
+                hex16(target)
+            )),
+            "{planned}"
+        );
+        assert!(
+            !planned.contains("swap-journal"),
+            "no swap journal: {planned}"
+        );
+
+        let swept = registry_gc(&dir, 16, false).unwrap();
+        assert!(swept.contains("checkpoints removed: 1"), "{swept}");
+        assert!(registry.get(target).is_ok(), "rollout target collected");
+        assert!(registry.get(incumbent).is_ok());
+        assert!(registry.get(stray).is_err());
+        assert!(
+            !dir.join(SWAP_JOURNAL_FILE).exists(),
+            "gc must not create journals"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -565,7 +565,6 @@ impl DnnModeler {
         let classified = self.classify_lines_batch(&lines);
 
         // Phase 3: per-set candidate combination and coefficient fitting.
-        let exponents = exponent_set();
         let results = plans
             .into_iter()
             .zip(sets)
@@ -573,18 +572,10 @@ impl DnnModeler {
                 let range = plan?;
                 let mut per_param = Vec::with_capacity(range.len());
                 for idx in range {
-                    let probs = match &classified.probabilities[idx] {
-                        Ok(p) => p,
+                    match &classified.probabilities[idx] {
+                        Ok(probs) => per_param.push(self.candidate_pairs(probs)),
                         Err(e) => return Err(e.clone()),
-                    };
-                    let mut pairs: Vec<ExponentPair> = top_k_classes(probs, self.opts.top_k)
-                        .into_iter()
-                        .map(|class| exponents.pair(class))
-                        .collect();
-                    if !pairs.contains(&ExponentPair::CONSTANT) {
-                        pairs.push(ExponentPair::CONSTANT);
                     }
-                    per_param.push(pairs);
                 }
                 combine_candidate_pairs(
                     set,
@@ -632,12 +623,16 @@ impl DnnModeler {
     /// Full modeling run: classify each parameter's line, construct the
     /// combined hypothesis space from the top-k predictions, fit the
     /// coefficients by regression, select by cross-validated SMAPE.
+    ///
+    /// All `m` lines are classified in one f64 forward pass (never the int8
+    /// snapshot); rows of a matmul accumulate independently, so each row is
+    /// bitwise what [`Self::class_probabilities`] returns for its line.
     pub fn model(&self, set: &MeasurementSet) -> Result<ModelingResult, ModelError> {
         let m = set.num_params();
         if m == 0 {
             return Err(ModelError::NoParameters);
         }
-        let mut per_param = Vec::with_capacity(m);
+        let mut inputs = Vec::with_capacity(m * NUM_INPUTS);
         for l in 0..m {
             // Classify the primary line (smallest fixed coordinates) — the
             // same rationale as the regression modeler's ranking: on lines
@@ -652,21 +647,40 @@ impl DnnModeler {
                     required: self.opts.min_points,
                 });
             }
-            let mut pairs = self.predict_pairs_over_lines(std::slice::from_ref(&line))?;
-            // The constant pair must always be reachable: if the network is
-            // confident about growth but the data is flat, the combination
-            // step would otherwise be forced into a spurious term.
-            if !pairs.contains(&ExponentPair::CONSTANT) {
-                pairs.push(ExponentPair::CONSTANT);
-            }
-            per_param.push(pairs);
+            let xs: Vec<f64> = line.iter().map(|(x, _)| *x).collect();
+            let ys: Vec<f64> = line.iter().map(|(_, y)| *y).collect();
+            inputs.extend(
+                encode_line_with(&xs, &ys, self.opts.encoding).map_err(map_preprocess_error)?,
+            );
         }
+        let probs = self
+            .network
+            .predict_proba(&Matrix::from_vec(m, NUM_INPUTS, inputs))
+            .expect("input dimension is NUM_INPUTS by construction");
+        let per_param: Vec<Vec<ExponentPair>> =
+            (0..m).map(|l| self.candidate_pairs(probs.row(l))).collect();
         combine_candidate_pairs(
             set,
             &per_param,
             self.opts.aggregation,
             self.opts.tie_tolerance,
         )
+    }
+
+    /// The top-k pairs of one line's class probabilities, plus the constant
+    /// pair: it must always be reachable, or a network confident about
+    /// growth on flat data would force the combination step into a
+    /// spurious term.
+    fn candidate_pairs(&self, probs: &[f64]) -> Vec<ExponentPair> {
+        let exponents = exponent_set();
+        let mut pairs: Vec<ExponentPair> = top_k_classes(probs, self.opts.top_k)
+            .into_iter()
+            .map(|class| exponents.pair(class))
+            .collect();
+        if !pairs.contains(&ExponentPair::CONSTANT) {
+            pairs.push(ExponentPair::CONSTANT);
+        }
+        pairs
     }
 }
 
@@ -907,6 +921,62 @@ mod tests {
         assert_eq!(batch.forward_passes, 0);
         assert_eq!(batch.rows, 0);
         assert!(batch.probabilities.iter().all(|p| p.is_err()));
+    }
+
+    #[test]
+    fn one_pass_model_matches_per_line_classification() {
+        let modeler = shared_modeler();
+        let axis = [4.0, 8.0, 16.0, 32.0, 64.0];
+        let grid = |m: usize| -> MeasurementSet {
+            let mut set = MeasurementSet::new(m);
+            for flat in 0..axis.len().pow(m as u32) {
+                let point: Vec<f64> = (0..m)
+                    .map(|l| axis[flat / axis.len().pow(l as u32) % axis.len()])
+                    .collect();
+                let value = 2.0 + point[0] * point[0] + point.iter().skip(1).sum::<f64>().sqrt();
+                set.add(&point, value);
+            }
+            set
+        };
+        for m in 1..=3 {
+            let set = grid(m);
+            let per_param: Vec<Vec<ExponentPair>> = (0..m)
+                .map(|l| {
+                    let line = set.line(l, modeler.opts.aggregation);
+                    let xs: Vec<f64> = line.iter().map(|(x, _)| *x).collect();
+                    let ys: Vec<f64> = line.iter().map(|(_, y)| *y).collect();
+                    modeler.candidate_pairs(&modeler.class_probabilities(&xs, &ys).unwrap())
+                })
+                .collect();
+            let expected = combine_candidate_pairs(
+                &set,
+                &per_param,
+                modeler.opts.aggregation,
+                modeler.opts.tie_tolerance,
+            )
+            .unwrap();
+            let got = modeler.model(&set).unwrap();
+            assert_eq!(
+                format!("{:?}", got.model),
+                format!("{:?}", expected.model),
+                "m = {m}"
+            );
+            assert_eq!(got.cv_smape.to_bits(), expected.cv_smape.to_bits());
+            assert_eq!(got.fit_smape.to_bits(), expected.fit_smape.to_bits());
+        }
+
+        // Errors keep the per-line order: line 0's encoding error comes
+        // before line 1's shortage of points.
+        let mut set = MeasurementSet::new(2);
+        for &x in &axis {
+            set.add(&[x, 4.0], 7.0);
+        }
+        assert!(matches!(
+            modeler.model(&set),
+            Err(ModelError::TooFewPoints { param: 1, .. })
+        ));
+        set.add(&[128.0, 4.0], f64::NAN);
+        assert_eq!(modeler.model(&set).unwrap_err(), ModelError::NonFiniteData);
     }
 
     #[test]

@@ -3,11 +3,20 @@
 //! Given a hypothesis structure, the coefficients `c_0, …, c_h` are found by
 //! linear least squares on the design matrix whose columns are the constant
 //! `1` and each term's factor product evaluated at the measurement points.
+//! A hypothesis is evaluated over its point set once ([`Design`]): the full
+//! fit, the pruned refit, the in-sample SMAPE and every leave-one-out fold
+//! solve from those rows.
 
-use crate::metrics::{cross_validation_smape, smape};
+use crate::metrics::{smape, smape_term};
 use crate::search::Hypothesis;
 use crate::{Model, ModelError, Term};
 use nrpm_linalg::{lstsq, Matrix};
+
+/// Maximum number of held-out folds of the leave-one-out cross-validation.
+/// Leave-one-out is exact up to this size; for larger sets (e.g. a
+/// 125-point Kripke grid) evenly spaced holds give an indistinguishable
+/// selection signal at a fraction of the cost.
+pub const MAX_CV_FOLDS: usize = 40;
 
 /// Constraints applied after the raw least-squares fit.
 ///
@@ -68,62 +77,180 @@ pub struct FittedHypothesis {
     pub hypothesis: Hypothesis,
 }
 
-/// Evaluates each term's factor product at `point` into `row[1..]`,
-/// with `row[0] = 1` for the constant.
-fn design_row(hypothesis: &Hypothesis, point: &[f64], row: &mut [f64]) {
-    row[0] = 1.0;
-    for (k, factors) in hypothesis.terms.iter().enumerate() {
-        row[k + 1] = factors.iter().map(|f| f.evaluate(point)).product();
+/// One hypothesis evaluated over one point set, the input of every solve
+/// that scores it.
+///
+/// The coefficients are fitted by *relative* least squares: each equation
+/// is scaled by `1/|y|`, so the solver minimizes relative residuals rather
+/// than absolute ones. This matters whenever the measured values span
+/// several orders of magnitude (a `x2³` term over `x2 ∈ [10, 50]` spans
+/// 125×): plain least squares is dominated by the largest points and leaves
+/// the constant term unidentified to within the *absolute* noise of the top
+/// of the range — producing models with absurd constants (±10¹⁰) whose
+/// relative error at the small points, and hence their SMAPE, explodes.
+/// Relative weighting aligns the fit criterion with the SMAPE selection
+/// criterion. For clean, exactly representable data both criteria give the
+/// exact solution.
+///
+/// A solve names the term columns it uses (`cols`, indices into the
+/// hypothesis' terms) and optionally one held-out row, so the pruned refit
+/// and the cross-validation folds reuse the rows evaluated here.
+struct Design {
+    /// Number of non-constant terms of the hypothesis.
+    terms: usize,
+    /// Row-major `n × terms`: each term's factor product at each point.
+    products: Vec<f64>,
+    /// Row-major `n × (1 + terms)`: the point's weight (the constant
+    /// column), then each product times it.
+    weighted: Vec<f64>,
+    /// The measured values.
+    values: Vec<f64>,
+    /// Each value times its point's weight.
+    weighted_values: Vec<f64>,
+}
+
+impl Design {
+    fn new(hypothesis: &Hypothesis, points: &[(Vec<f64>, f64)]) -> Self {
+        let terms = hypothesis.terms.len();
+        let n = points.len();
+        let mut design = Design {
+            terms,
+            products: Vec::with_capacity(n * terms),
+            weighted: Vec::with_capacity(n * (terms + 1)),
+            values: Vec::with_capacity(n),
+            weighted_values: Vec::with_capacity(n),
+        };
+        for (point, value) in points {
+            let weight = if value.abs() > f64::MIN_POSITIVE {
+                1.0 / value.abs()
+            } else {
+                1.0
+            };
+            design.weighted.push(weight);
+            for factors in &hypothesis.terms {
+                let product: f64 = factors.iter().map(|f| f.evaluate(point)).product();
+                design.products.push(product);
+                design.weighted.push(product * weight);
+            }
+            design.values.push(*value);
+            design.weighted_values.push(value * weight);
+        }
+        design
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The coefficients (constant first) fitted to every row but `skip`
+    /// over the term columns `cols`. `None` when there are fewer rows than
+    /// coefficients or the system is rank deficient or non-finite — the
+    /// caller skips the hypothesis, mirroring Extra-P's behaviour of
+    /// dropping degenerate candidates.
+    fn solve(&self, cols: &[usize], skip: Option<usize>) -> Option<Vec<f64>> {
+        let k = 1 + cols.len();
+        let rows = self.len() - usize::from(skip.is_some());
+        if rows < k {
+            return None;
+        }
+        let mut a = Vec::with_capacity(rows * k);
+        let mut y = Vec::with_capacity(rows);
+        for r in (0..self.len()).filter(|&r| Some(r) != skip) {
+            let row = &self.weighted[r * (self.terms + 1)..][..self.terms + 1];
+            a.push(row[0]);
+            a.extend(cols.iter().map(|&c| row[c + 1]));
+            y.push(self.weighted_values[r]);
+        }
+        lstsq(&Matrix::from_vec(rows, k, a), &y).ok()
+    }
+
+    /// The model's prediction at row `r`, `c_0 + Σ c_t · product_t`, summed
+    /// in [`Model::evaluate`]'s order so it is bitwise the same value.
+    fn predict(&self, r: usize, cols: &[usize], coeffs: &[f64]) -> f64 {
+        let products = &self.products[r * self.terms..][..self.terms];
+        coeffs[0]
+            + cols
+                .iter()
+                .zip(&coeffs[1..])
+                .map(|(&c, &coefficient)| coefficient * products[c])
+                .sum::<f64>()
+    }
+
+    /// In-sample SMAPE of the fit `coeffs` over `cols`.
+    fn fit_smape(&self, cols: &[usize], coeffs: &[f64]) -> f64 {
+        let predicted: Vec<f64> = (0..self.len())
+            .map(|r| self.predict(r, cols, coeffs))
+            .collect();
+        smape(&self.values, &predicted)
+    }
+
+    /// Leave-one-out cross-validation SMAPE of the fit over `cols`: each
+    /// fold refits without its held-out row and predicts it. Folds that do
+    /// not fit, or predict a non-finite value, are skipped; `None` when none
+    /// is left. Beyond [`MAX_CV_FOLDS`] points an evenly spaced subset of
+    /// holds is used.
+    ///
+    /// Also `None` as soon as the score provably exceeds `bound`: the
+    /// partial sum over the folds so far, averaged over *all* folds, is a
+    /// lower bound of the final score, because every SMAPE term is
+    /// non-negative and rounding is monotone.
+    fn cross_validate(&self, cols: &[usize], bound: f64) -> Option<f64> {
+        let n = self.len();
+        if n < 2 {
+            return None;
+        }
+        let folds = n.min(MAX_CV_FOLDS);
+        let mut sum = 0.0;
+        let mut scored = 0usize;
+        for fold in 0..folds {
+            let hold = if n <= MAX_CV_FOLDS {
+                fold
+            } else {
+                fold * (n - 1) / (MAX_CV_FOLDS - 1)
+            };
+            let Some(coeffs) = self.solve(cols, Some(hold)) else {
+                continue;
+            };
+            let predicted = self.predict(hold, cols, &coeffs);
+            if predicted.is_finite() {
+                sum += smape_term(self.values[hold], predicted);
+                scored += 1;
+                if 100.0 * sum / folds as f64 > bound {
+                    return None;
+                }
+            }
+        }
+        (scored > 0).then(|| 100.0 * sum / scored as f64)
     }
 }
 
-/// Fits the coefficients of `hypothesis` to `points` by *relative* least
-/// squares: each equation is scaled by `1/|y|`, so the solver minimizes
-/// relative residuals rather than absolute ones.
-///
-/// This matters whenever the measured values span several orders of
-/// magnitude (a `x2³` term over `x2 ∈ [10, 50]` spans 125×): plain least
-/// squares is dominated by the largest points and leaves the constant term
-/// unidentified to within the *absolute* noise of the top of the range —
-/// producing models with absurd constants (±10¹⁰) whose relative error at
-/// the small points, and hence their SMAPE, explodes. Relative weighting
-/// aligns the fit criterion with the SMAPE selection criterion. For clean,
-/// exactly representable data both criteria give the exact solution.
-///
-/// Returns `None` when the system is rank deficient or otherwise unsolvable
-/// — the caller simply skips the hypothesis, mirroring Extra-P's behaviour
-/// of dropping degenerate candidates.
-pub fn fit_coefficients(hypothesis: &Hypothesis, points: &[(Vec<f64>, f64)]) -> Option<Model> {
-    let n = points.len();
-    let k = hypothesis.num_coefficients();
-    if n < k {
-        return None;
-    }
-    let mut design = Matrix::zeros(n, k);
-    let mut y = Vec::with_capacity(n);
-    for (r, (point, value)) in points.iter().enumerate() {
-        design_row(hypothesis, point, design.row_mut(r));
-        let weight = if value.abs() > f64::MIN_POSITIVE {
-            1.0 / value.abs()
-        } else {
-            1.0
-        };
-        for cell in design.row_mut(r) {
-            *cell *= weight;
-        }
-        y.push(value * weight);
-    }
-    if !design.all_finite() {
-        return None;
-    }
-    let coeffs = lstsq(&design, &y).ok()?;
-    let terms: Vec<Term> = hypothesis
+/// The model of `hypothesis` with coefficients `coeffs` (constant first).
+fn model_of(hypothesis: &Hypothesis, coeffs: &[f64]) -> Model {
+    let terms = hypothesis
         .terms
         .iter()
-        .zip(coeffs.iter().skip(1))
+        .zip(&coeffs[1..])
         .map(|(factors, &c)| Term::new(c, factors.clone()))
         .collect();
-    Some(Model::new(hypothesis.num_params, coeffs[0], terms))
+    Model::new(hypothesis.num_params, coeffs[0], terms)
+}
+
+/// Fits the coefficients of `hypothesis` to `points` by relative least
+/// squares (each equation scaled by `1/|y|`), without constraints or
+/// scores. Returns `None` when the system is rank deficient or otherwise
+/// unsolvable.
+pub fn fit_coefficients(hypothesis: &Hypothesis, points: &[(Vec<f64>, f64)]) -> Option<Model> {
+    let design = Design::new(hypothesis, points);
+    let cols: Vec<usize> = (0..design.terms).collect();
+    Some(model_of(hypothesis, &design.solve(&cols, None)?))
+}
+
+/// In-sample SMAPE of [`fit_coefficients`]' fit, or `None` when it fails.
+pub(crate) fn fit_smape(hypothesis: &Hypothesis, points: &[(Vec<f64>, f64)]) -> Option<f64> {
+    let design = Design::new(hypothesis, points);
+    let cols: Vec<usize> = (0..design.terms).collect();
+    let coeffs = design.solve(&cols, None)?;
+    Some(design.fit_smape(&cols, &coeffs))
 }
 
 /// Fits a hypothesis and scores it with in-sample SMAPE and leave-one-out
@@ -141,76 +268,114 @@ pub fn fit_hypothesis_constrained(
     points: &[(Vec<f64>, f64)],
     constraints: FitConstraints,
 ) -> Result<FittedHypothesis, ModelError> {
-    let raw = fit_coefficients(hypothesis, points).ok_or(ModelError::NoViableHypothesis)?;
+    fit_bounded(hypothesis, points, constraints, f64::INFINITY)
+}
+
+/// [`fit_hypothesis_constrained`] that gives up (with
+/// [`ModelError::NoViableHypothesis`]) once the CV-SMAPE provably exceeds
+/// `cv_bound`.
+fn fit_bounded(
+    hypothesis: &Hypothesis,
+    points: &[(Vec<f64>, f64)],
+    constraints: FitConstraints,
+    cv_bound: f64,
+) -> Result<FittedHypothesis, ModelError> {
+    let design = Design::new(hypothesis, points);
+    let mut cols: Vec<usize> = (0..design.terms).collect();
+    let mut coeffs = design
+        .solve(&cols, None)
+        .ok_or(ModelError::NoViableHypothesis)?;
 
     // Prune terms whose largest contribution over the measured points is
     // negligible relative to the function values, and refit the reduced
     // structure so the remaining coefficients stay least-squares optimal.
-    let (hypothesis, model) = if constraints.prune_relative_threshold > 0.0 && !raw.terms.is_empty()
-    {
-        let scale = points
-            .iter()
-            .map(|(p, _)| raw.evaluate(p).abs())
+    if constraints.prune_relative_threshold > 0.0 && design.terms > 0 {
+        let n = design.len();
+        let scale = (0..n)
+            .map(|r| design.predict(r, &cols, &coeffs).abs())
             .fold(0.0_f64, f64::max)
             .max(f64::MIN_POSITIVE);
-        let keep: Vec<bool> = raw
-            .terms
-            .iter()
-            .map(|t| {
-                let max_contribution = points
-                    .iter()
-                    .map(|(p, _)| t.evaluate(p).abs())
+        let keep: Vec<usize> = (0..design.terms)
+            .filter(|&t| {
+                let max_contribution = (0..n)
+                    .map(|r| (coeffs[t + 1] * design.products[r * design.terms + t]).abs())
                     .fold(0.0_f64, f64::max);
                 max_contribution / scale >= constraints.prune_relative_threshold
             })
             .collect();
-        if keep.iter().all(|&k| k) {
-            (hypothesis.clone(), raw)
-        } else {
-            let reduced = Hypothesis {
-                num_params: hypothesis.num_params,
-                terms: hypothesis
-                    .terms
-                    .iter()
-                    .zip(keep.iter())
-                    .filter(|(_, &k)| k)
-                    .map(|(t, _)| t.clone())
-                    .collect(),
-            };
-            let model = fit_coefficients(&reduced, points).ok_or(ModelError::NoViableHypothesis)?;
-            (reduced, model)
+        if keep.len() < design.terms {
+            coeffs = design
+                .solve(&keep, None)
+                .ok_or(ModelError::NoViableHypothesis)?;
+            cols = keep;
         }
-    } else {
-        (hypothesis.clone(), raw)
-    };
+    }
 
     // Negativity is checked *after* pruning: an exactly-constant function
     // fits a superfluous term's coefficient to ±1e-15, whose sign is noise
     // — pruning removes it, leaving only meaningful coefficients to judge.
-    if !constraints.allow_negative_terms && model.terms.iter().any(|t| t.coefficient < 0.0) {
+    if !constraints.allow_negative_terms && coeffs[1..].iter().any(|&c| c < 0.0) {
         return Err(ModelError::NoViableHypothesis);
     }
 
-    let actual: Vec<f64> = points.iter().map(|(_, v)| *v).collect();
-    let predicted: Vec<f64> = points.iter().map(|(p, _)| model.evaluate(p)).collect();
-    let fit_smape = smape(&actual, &predicted);
-
-    let cv_smape = cross_validation_smape(points, |train| {
-        let m = fit_coefficients(&hypothesis, train)?;
-        Some(Box::new(move |x: &[f64]| m.evaluate(x)) as Box<dyn Fn(&[f64]) -> f64>)
-    })
-    .ok_or(ModelError::NoViableHypothesis)?;
-
+    let fit_smape = design.fit_smape(&cols, &coeffs);
+    let cv_smape = design
+        .cross_validate(&cols, cv_bound)
+        .ok_or(ModelError::NoViableHypothesis)?;
     if !fit_smape.is_finite() || !cv_smape.is_finite() {
         return Err(ModelError::NoViableHypothesis);
     }
 
+    let hypothesis = Hypothesis {
+        num_params: hypothesis.num_params,
+        terms: cols.iter().map(|&c| hypothesis.terms[c].clone()).collect(),
+    };
     Ok(FittedHypothesis {
-        model,
+        model: model_of(&hypothesis, &coeffs),
         fit_smape,
         cv_smape,
         hypothesis,
     })
+}
+
+/// Fits candidate hypotheses one at a time and picks the winner exactly as
+/// [`select_best`] over all of them would, but with bounded
+/// cross-validation: a candidate's folds stop once its CV-SMAPE provably
+/// exceeds `best + max(tie_tolerance, 0)`, where `best` is the lowest
+/// CV-SMAPE fitted so far. Such a candidate is neither the minimum nor
+/// within the tie tolerance of it, so `select_best` would filter it out.
+pub(crate) struct Selection<'a> {
+    points: &'a [(Vec<f64>, f64)],
+    tie_tolerance: f64,
+    best_cv: f64,
+    candidates: Vec<FittedHypothesis>,
+}
+
+impl<'a> Selection<'a> {
+    /// An empty selection over `points`.
+    pub(crate) fn new(points: &'a [(Vec<f64>, f64)], tie_tolerance: f64) -> Self {
+        Selection {
+            points,
+            tie_tolerance,
+            best_cv: f64::INFINITY,
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Fits `hypothesis` with the default [`FitConstraints`] and keeps it
+    /// if it can still win.
+    pub(crate) fn offer(&mut self, hypothesis: &Hypothesis) {
+        let bound = self.best_cv + self.tie_tolerance.max(0.0);
+        if let Ok(fitted) = fit_bounded(hypothesis, self.points, FitConstraints::default(), bound) {
+            self.best_cv = self.best_cv.min(fitted.cv_smape);
+            self.candidates.push(fitted);
+        }
+    }
+
+    /// The winner, as [`select_best`] picks it.
+    pub(crate) fn best(self) -> Option<FittedHypothesis> {
+        select_best(self.candidates, self.tie_tolerance)
+    }
 }
 
 /// Selects the best fitted hypothesis from `candidates` by cross-validation

@@ -35,6 +35,8 @@ mod data;
 mod error;
 mod exponents;
 mod fit;
+#[cfg(test)]
+mod fit_equivalence;
 mod fraction;
 mod io;
 mod metrics;
@@ -46,13 +48,15 @@ mod single;
 pub use data::{Measurement, MeasurementSet};
 pub use error::{ModelError, Severity};
 pub use exponents::{exponent_set, ExponentPair, ExponentSet, NUM_CLASSES};
-pub use fit::{fit_hypothesis, fit_hypothesis_constrained, FitConstraints, FittedHypothesis};
+pub use fit::{
+    fit_coefficients, fit_hypothesis, fit_hypothesis_constrained, FitConstraints, FittedHypothesis,
+};
 pub use fraction::Fraction;
 pub use io::{
     parse_directive, parse_text, parse_text_file, parse_text_with_tail, write_text, Directive,
     LineFramer, NamedMeasurements, ParseError, TailPolicy,
 };
-pub use metrics::{cross_validation_smape, smape, Aggregation};
+pub use metrics::{smape, Aggregation};
 pub use model::{exponent_distance, lead_order_distance, Model, Term, TermFactor};
 pub use multi::{
     combine_candidate_pairs, combine_hypotheses, rank_pairs_on_line, rank_pairs_on_lines,

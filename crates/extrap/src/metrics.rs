@@ -1,4 +1,4 @@
-//! SMAPE, cross-validation, and repetition aggregation.
+//! SMAPE and repetition aggregation.
 
 use nrpm_linalg::stats;
 use serde::{Deserialize, Serialize};
@@ -52,74 +52,19 @@ pub fn smape(actual: &[f64], predicted: &[f64]) -> f64 {
     let sum: f64 = actual
         .iter()
         .zip(predicted.iter())
-        .map(|(&a, &p)| {
-            let denom = a.abs() + p.abs();
-            if denom == 0.0 {
-                0.0
-            } else {
-                2.0 * (p - a).abs() / denom
-            }
-        })
+        .map(|(&a, &p)| smape_term(a, p))
         .sum();
     100.0 * sum / actual.len() as f64
 }
 
-/// Maximum number of held-out folds evaluated by
-/// [`cross_validation_smape`]. Leave-one-out is exact up to this size; for
-/// larger sets (e.g. a 125-point Kripke grid) evenly spaced holds give an
-/// indistinguishable selection signal at a fraction of the cost.
-pub const MAX_CV_FOLDS: usize = 40;
-
-/// Leave-one-out cross-validation SMAPE of a fit procedure.
-///
-/// `fit` receives the training subset (all points except the held-out one)
-/// and must return a predictor; the predictor is evaluated on the held-out
-/// point. Points where fitting fails are skipped; if every fold fails,
-/// `None` is returned. Beyond [`MAX_CV_FOLDS`] points, an evenly spaced
-/// subset of holds is used.
-///
-/// This is the model-selection workhorse shared by the regression and DNN
-/// modelers ("we identify the model that fits the data best using
-/// cross-validation and the SMAPE metric").
-pub fn cross_validation_smape<F>(points: &[(Vec<f64>, f64)], mut fit: F) -> Option<f64>
-where
-    F: FnMut(&[(Vec<f64>, f64)]) -> Option<Box<dyn Fn(&[f64]) -> f64>>,
-{
-    if points.len() < 2 {
-        return None;
-    }
-    let n = points.len();
-    let holds: Vec<usize> = if n <= MAX_CV_FOLDS {
-        (0..n).collect()
+/// One pair's share of [`smape`] before averaging:
+/// `2·|p − a| / (|p| + |a|)`, zero when both are zero. Never negative.
+pub(crate) fn smape_term(actual: f64, predicted: f64) -> f64 {
+    let denom = actual.abs() + predicted.abs();
+    if denom == 0.0 {
+        0.0
     } else {
-        (0..MAX_CV_FOLDS)
-            .map(|k| k * (n - 1) / (MAX_CV_FOLDS - 1))
-            .collect()
-    };
-    let mut actual = Vec::with_capacity(holds.len());
-    let mut predicted = Vec::with_capacity(holds.len());
-    let mut train: Vec<(Vec<f64>, f64)> = Vec::with_capacity(n - 1);
-    for &hold in &holds {
-        train.clear();
-        train.extend(
-            points
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != hold)
-                .map(|(_, p)| p.clone()),
-        );
-        if let Some(predictor) = fit(&train) {
-            let p = predictor(&points[hold].0);
-            if p.is_finite() {
-                actual.push(points[hold].1);
-                predicted.push(p);
-            }
-        }
-    }
-    if actual.is_empty() {
-        None
-    } else {
-        Some(smape(&actual, &predicted))
+        2.0 * (predicted - actual).abs() / denom
     }
 }
 
@@ -166,51 +111,5 @@ mod tests {
         assert_eq!(Aggregation::Mean.apply(&vals), 2.0);
         assert_eq!(Aggregation::Minimum.apply(&vals), 1.0);
         assert_eq!(Aggregation::default(), Aggregation::Median);
-    }
-
-    #[test]
-    fn loocv_perfect_linear_fit_scores_zero() {
-        // y = 2x fitted by a "mean-slope" estimator: slope = mean(y/x).
-        let pts: Vec<(Vec<f64>, f64)> = (1..=5).map(|i| (vec![i as f64], 2.0 * i as f64)).collect();
-        let score = cross_validation_smape(&pts, |train| {
-            let slope = train.iter().map(|(x, y)| y / x[0]).sum::<f64>() / train.len() as f64;
-            Some(Box::new(move |x: &[f64]| slope * x[0]) as Box<dyn Fn(&[f64]) -> f64>)
-        })
-        .unwrap();
-        assert!(score < 1e-9);
-    }
-
-    #[test]
-    fn loocv_detects_overfitting_prone_predictors() {
-        // A predictor that always returns the training mean extrapolates
-        // poorly on a growing series -> clearly nonzero CV error.
-        let pts: Vec<(Vec<f64>, f64)> = (1..=5).map(|i| (vec![i as f64], (i * i) as f64)).collect();
-        let score = cross_validation_smape(&pts, |train| {
-            let mean = train.iter().map(|(_, y)| *y).sum::<f64>() / train.len() as f64;
-            Some(Box::new(move |_: &[f64]| mean) as Box<dyn Fn(&[f64]) -> f64>)
-        })
-        .unwrap();
-        assert!(score > 30.0, "score = {score}");
-    }
-
-    #[test]
-    fn loocv_requires_two_points_and_tolerates_failed_folds() {
-        let one = vec![(vec![1.0], 1.0)];
-        assert!(cross_validation_smape(&one, |_| None::<Box<dyn Fn(&[f64]) -> f64>>).is_none());
-
-        let pts: Vec<(Vec<f64>, f64)> = (1..=4).map(|i| (vec![i as f64], i as f64)).collect();
-        // All folds fail -> None.
-        assert!(cross_validation_smape(&pts, |_| None::<Box<dyn Fn(&[f64]) -> f64>>).is_none());
-        // Only some folds fail -> Some.
-        let mut call = 0;
-        let score = cross_validation_smape(&pts, |_| {
-            call += 1;
-            if call == 1 {
-                None
-            } else {
-                Some(Box::new(|x: &[f64]| x[0]) as Box<dyn Fn(&[f64]) -> f64>)
-            }
-        });
-        assert!(score.unwrap() < 1e-9);
     }
 }

@@ -10,7 +10,7 @@
 //! and `c0 + c1·g1·g2` (multiplicative); for `m = 3` there are five
 //! structures.
 
-use crate::fit::{fit_hypothesis, select_best, FittedHypothesis};
+use crate::fit::{fit_hypothesis, fit_smape, Selection};
 use crate::search::{single_parameter_hypotheses, Hypothesis};
 use crate::single::{validate, SingleParameterOptions};
 use crate::{ExponentPair, MeasurementSet, ModelError, ModelingResult, TermFactor};
@@ -88,6 +88,27 @@ pub(crate) fn set_partitions(n: usize) -> Vec<Vec<Vec<usize>>> {
     result
 }
 
+/// The hypothesis one set partition makes of per-parameter pairs:
+/// parameters in the same group multiply into one term, groups add up, and
+/// constant pairs contribute no factor.
+fn partition_hypothesis(partition: &[Vec<usize>], pairs: &[ExponentPair]) -> Hypothesis {
+    let terms = partition
+        .iter()
+        .map(|group| {
+            group
+                .iter()
+                .filter(|&&l| !pairs[l].is_constant())
+                .map(|&l| TermFactor::new(l, pairs[l]))
+                .collect::<Vec<_>>()
+        })
+        .filter(|factors| !factors.is_empty())
+        .collect();
+    Hypothesis {
+        num_params: pairs.len(),
+        terms,
+    }
+}
+
 /// Ranks the 43 single-parameter hypotheses on a `(x, y)` line and returns
 /// the top `k` exponent pairs (best first). The constant behaviour is
 /// encoded as [`ExponentPair::CONSTANT`].
@@ -160,17 +181,12 @@ pub fn combine_candidate_pairs(
 
     let partitions = set_partitions(m);
     let mut seen = HashSet::new();
-    let mut candidates: Vec<FittedHypothesis> = Vec::new();
+    let mut selection = Selection::new(&points, tie_tolerance);
 
     // Always consider the constant model.
-    let constant = Hypothesis {
-        num_params: m,
-        terms: Vec::new(),
-    };
+    let constant = Hypothesis::constant(m);
     seen.insert(constant.structure_key());
-    if let Ok(f) = fit_hypothesis(&constant, &points) {
-        candidates.push(f);
-    }
+    selection.offer(&constant);
 
     // Cartesian product over the candidate lists.
     let mut assignment = vec![0usize; m];
@@ -178,25 +194,9 @@ pub fn combine_candidate_pairs(
         let pairs: Vec<ExponentPair> = (0..m).map(|l| per_param[l][assignment[l]]).collect();
 
         for partition in &partitions {
-            let mut terms: Vec<Vec<TermFactor>> = Vec::new();
-            for group in partition {
-                let factors: Vec<TermFactor> = group
-                    .iter()
-                    .filter(|&&l| !pairs[l].is_constant())
-                    .map(|&l| TermFactor::new(l, pairs[l]))
-                    .collect();
-                if !factors.is_empty() {
-                    terms.push(factors);
-                }
-            }
-            let hyp = Hypothesis {
-                num_params: m,
-                terms,
-            };
+            let hyp = partition_hypothesis(partition, &pairs);
             if seen.insert(hyp.structure_key()) {
-                if let Ok(f) = fit_hypothesis(&hyp, &points) {
-                    candidates.push(f);
-                }
+                selection.offer(&hyp);
             }
         }
 
@@ -204,8 +204,7 @@ pub fn combine_candidate_pairs(
         let mut l = 0;
         loop {
             if l == m {
-                let best =
-                    select_best(candidates, tie_tolerance).ok_or(ModelError::NoViableHypothesis)?;
+                let best = selection.best().ok_or(ModelError::NoViableHypothesis)?;
                 return Ok(ModelingResult {
                     model: best.model,
                     cv_smape: best.cv_smape,
@@ -236,40 +235,14 @@ pub fn refine_pairs_globally(
     rounds: usize,
 ) -> Vec<ExponentPair> {
     use crate::exponent_set;
-    use crate::fit::fit_coefficients;
-    use crate::metrics::smape;
 
     let m = initial.len();
     let partitions = set_partitions(m);
-    let actual: Vec<f64> = points.iter().map(|(_, v)| *v).collect();
-
     let score_of = |pairs: &[ExponentPair]| -> f64 {
-        let mut best = f64::INFINITY;
-        for partition in &partitions {
-            let mut terms: Vec<Vec<TermFactor>> = Vec::new();
-            for group in partition {
-                let factors: Vec<TermFactor> = group
-                    .iter()
-                    .filter(|&&l| !pairs[l].is_constant())
-                    .map(|&l| TermFactor::new(l, pairs[l]))
-                    .collect();
-                if !factors.is_empty() {
-                    terms.push(factors);
-                }
-            }
-            let hyp = Hypothesis {
-                num_params: m,
-                terms,
-            };
-            if let Some(model) = fit_coefficients(&hyp, points) {
-                let predicted: Vec<f64> = points.iter().map(|(p, _)| model.evaluate(p)).collect();
-                let s = smape(&actual, &predicted);
-                if s < best {
-                    best = s;
-                }
-            }
-        }
-        best
+        partitions
+            .iter()
+            .filter_map(|partition| fit_smape(&partition_hypothesis(partition, pairs), points))
+            .fold(f64::INFINITY, |best, s| if s < best { s } else { best })
     };
 
     let mut current = initial.to_vec();

@@ -1,6 +1,6 @@
 //! The single-parameter regression modeler.
 
-use crate::fit::{fit_hypothesis, select_best};
+use crate::fit::Selection;
 use crate::search::single_parameter_hypotheses;
 use crate::{Aggregation, MeasurementSet, ModelError, ModelingResult};
 
@@ -75,12 +75,11 @@ pub fn model_points(
     }
     let tuples: Vec<(Vec<f64>, f64)> = points.iter().map(|&(x, y)| (vec![x], y)).collect();
 
-    let candidates: Vec<_> = single_parameter_hypotheses()
-        .iter()
-        .filter_map(|h| fit_hypothesis(h, &tuples).ok())
-        .collect();
-
-    let best = select_best(candidates, opts.tie_tolerance).ok_or(ModelError::NoViableHypothesis)?;
+    let mut selection = Selection::new(&tuples, opts.tie_tolerance);
+    for hypothesis in &single_parameter_hypotheses() {
+        selection.offer(hypothesis);
+    }
+    let best = selection.best().ok_or(ModelError::NoViableHypothesis)?;
     Ok(ModelingResult {
         model: best.model,
         cv_smape: best.cv_smape,
