@@ -9,7 +9,7 @@
 //! its exact old ring positions back. Every membership change bumps a
 //! `generation` counter that the standby router's state sync keys on.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -21,6 +21,7 @@ use nrpm_nn::Network;
 use nrpm_registry::rollout::RolloutJournal;
 use nrpm_registry::CheckpointRegistry;
 use nrpm_serve::client::{is_ok, Client, RetryPolicy};
+use nrpm_serve::line;
 use nrpm_serve::server::{ServeOptions, Server};
 use nrpm_serve::store::ModelStore;
 use serde::Value;
@@ -216,21 +217,21 @@ impl ClusterState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flips the drain flag; the loopback connect wakes the polling router
-    /// acceptor on platforms where nonblocking listeners are unavailable.
+    /// Flips the drain flag and wakes whichever router (primary or
+    /// promoted standby) is blocked accepting on the router address.
     pub(crate) fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect_timeout(&self.router_addr, Duration::from_secs(1));
-        }
+        line::stop(&self.shutdown, self.router_addr);
     }
 
-    /// `router_kill` test hook: see the field docs.
+    /// `router_kill` test hook: see the field docs. The wake makes the
+    /// router drop its listener, so a standby can bind the address.
     pub(crate) fn kill_router(&self) {
-        self.router_dead.store(true, Ordering::SeqCst);
+        line::stop(&self.router_dead, self.router_addr);
     }
 
-    pub(crate) fn router_dead(&self) -> bool {
-        self.router_dead.load(Ordering::SeqCst)
+    /// `true` once this router must stop: on drain, or after `router_kill`.
+    pub(crate) fn router_stopped(&self) -> bool {
+        self.draining() || self.router_dead.load(Ordering::SeqCst)
     }
 
     pub(crate) fn member(&self, id: u32) -> Option<Arc<ShardRuntime>> {
@@ -581,7 +582,7 @@ fn distribute_checkpoint(
 /// readmit a member whose lease is dead — liveness of the *join agent* is
 /// part of being servable.
 pub(crate) fn run_supervisor(state: &Arc<ClusterState>) {
-    while !state.draining() && !state.router_dead() {
+    while !state.router_stopped() {
         let now = Instant::now();
         for member in state.members_snapshot() {
             if member.note_lease_lapse(now) {

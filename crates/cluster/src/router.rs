@@ -23,20 +23,16 @@
 //! replication — which is what the affinity and divergence measurements
 //! in `cluster_bench` key on.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use nrpm_core::fingerprint::{mix64, set_fingerprint};
 use nrpm_registry::hex16;
-use nrpm_serve::protocol::{
-    error_line, nesting_exceeds, ok_line, ErrorKind, Request, MAX_JSON_DEPTH, MAX_LINE_BYTES,
-};
+use nrpm_serve::line::{self, serve_lines, Disposition, LineHandler, LineLimits};
+use nrpm_serve::protocol::{error_line, ok_line, parse_json, ErrorKind, Request, MAX_LINE_BYTES};
 use serde::Value;
-use serde_json;
 
 use crate::cluster::ClusterState;
 use crate::replicate::{forward, RouteScratch, ShardConns};
@@ -49,257 +45,137 @@ pub(crate) fn next_conn_id() -> u64 {
     CONN_COUNTER.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Accept loop: one reader thread per connection, reaped every poll tick,
-/// all joined when the drain flag flips (or the `router_kill` hook fires —
-/// which stops the router *without* draining the shards, the takeover
-/// drill's stand-in for a router-host crash).
+/// Serves the router protocol on the shared front end ([`line`]), with
+/// the shards' `max_conns`, read tick and I/O timeout and the shard
+/// protocol's frame cap, so the router is never the weaker link. It stops
+/// on drain or when the `router_kill` hook fires — which stops the router
+/// *without* draining the shards, the takeover drill's stand-in for a
+/// router-host crash.
 pub(crate) fn run_router(listener: TcpListener, state: &Arc<ClusterState>) {
-    let nonblocking = listener.set_nonblocking(true).is_ok();
-    let poll = state.opts.shard_opts.poll_interval;
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !state.draining() && !state.router_dead() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                connections.retain(|h| !h.is_finished());
-                let conn_state = Arc::clone(state);
-                let handle = thread::Builder::new()
-                    .name("nrpm-cluster-conn".into())
-                    .spawn(move || {
-                        let _ = serve_router_connection(stream, &conn_state);
-                    })
-                    .expect("spawn router connection thread");
-                connections.push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                connections.retain(|h| !h.is_finished());
-                thread::sleep(poll);
-            }
-            Err(_) => {
-                if !nonblocking {
-                    continue;
-                }
-                thread::sleep(poll);
-            }
-        }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
+    let limits = LineLimits::new(&state.opts.shard_opts, MAX_LINE_BYTES);
+    let conn_state = Arc::clone(state);
+    line::run_acceptor(
+        listener,
+        "nrpm-cluster-conn",
+        limits.max_conns,
+        || state.router_stopped(),
+        || {},
+        move |stream| {
+            let mut conn = RouterConnection {
+                state: &conn_state,
+                conns: ShardConns::new(),
+                scratch: RouteScratch::new(),
+            };
+            serve_lines(stream, &limits, &mut conn);
+        },
+    );
 }
 
-enum Disposition {
-    Respond(String),
-    RespondAndClose(String),
+/// One client connection to the router, with its own shard connections
+/// and routing scratch.
+struct RouterConnection<'a> {
+    state: &'a Arc<ClusterState>,
+    conns: ShardConns,
+    scratch: RouteScratch,
 }
 
-/// Reads newline-delimited requests off one client connection until EOF,
-/// error, stall, or drain — the same framing rules (`MAX_LINE_BYTES`,
-/// slowloris guard) as a shard connection, so the router is never the
-/// weaker link.
-fn serve_router_connection(
-    mut stream: TcpStream,
-    state: &Arc<ClusterState>,
-) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(state.opts.shard_opts.poll_interval))?;
-    stream.set_write_timeout(Some(state.opts.shard_opts.io_timeout))?;
-    let mut conns = ShardConns::new();
-    let mut scratch = RouteScratch::new();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let mut partial_since: Option<Instant> = None;
-    let mut scanned = 0usize;
-    loop {
-        while let Some(rel) = buf[scanned..].iter().position(|&b| b == b'\n') {
-            let pos = scanned + rel;
-            if pos > MAX_LINE_BYTES {
-                let response = error_line(
-                    None,
-                    ErrorKind::Usage,
-                    &format!("request exceeds {MAX_LINE_BYTES} bytes"),
-                );
-                stream.write_all(response.as_bytes())?;
-                stream.write_all(b"\n")?;
-                return Ok(());
-            }
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            scanned = 0;
-            partial_since = None;
-            let line = String::from_utf8_lossy(&line_bytes);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match handle_router_line(line, state, &mut conns, &mut scratch) {
-                Disposition::Respond(response) => {
-                    stream.write_all(response.as_bytes())?;
-                    stream.write_all(b"\n")?;
-                    stream.flush()?;
-                }
-                Disposition::RespondAndClose(response) => {
-                    stream.write_all(response.as_bytes())?;
-                    stream.write_all(b"\n")?;
-                    stream.flush()?;
-                    return Ok(());
-                }
-            }
-        }
-        scanned = buf.len();
-        if buf.len() > MAX_LINE_BYTES {
-            let response = error_line(
-                None,
-                ErrorKind::Usage,
-                &format!("request exceeds {MAX_LINE_BYTES} bytes"),
-            );
-            stream.write_all(response.as_bytes())?;
-            stream.write_all(b"\n")?;
-            return Ok(());
-        }
-        if buf.is_empty() {
-            partial_since = None;
-        } else if let Some(since) = partial_since {
-            if since.elapsed() >= state.opts.shard_opts.io_timeout {
-                let response = error_line(
-                    None,
-                    ErrorKind::Timeout,
-                    &format!(
-                        "request incomplete after {:?}; closing stalled connection",
-                        state.opts.shard_opts.io_timeout
-                    ),
-                );
-                let _ = stream.write_all(response.as_bytes());
-                let _ = stream.write_all(b"\n");
-                return Ok(());
-            }
-        } else {
-            partial_since = Some(Instant::now());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if state.draining() || state.router_dead() {
-                    return Ok(());
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn handle_router_line(
-    line: &str,
-    state: &Arc<ClusterState>,
-    conns: &mut ShardConns,
-    scratch: &mut RouteScratch,
-) -> Disposition {
-    // Admin commands are router-only vocabulary, handled before the shard
-    // protocol's parser (which would reject them as unknown commands).
-    if nesting_exceeds(line, MAX_JSON_DEPTH) {
-        return Disposition::Respond(error_line(
-            None,
-            ErrorKind::Parse,
-            &format!("JSON nesting exceeds {MAX_JSON_DEPTH} levels"),
-        ));
-    }
-    if let Ok(value) = serde_json::from_str::<Value>(line) {
+impl LineHandler for RouterConnection<'_> {
+    fn handle(&mut self, line: &str) -> Disposition {
+        let RouterConnection {
+            state,
+            conns,
+            scratch,
+        } = self;
+        // One parse serves both vocabularies: the router's admin commands
+        // are dispatched on the value before the shard protocol reads it
+        // (and would reject them as unknown commands).
+        let value = match parse_json(line) {
+            Ok(value) => value,
+            Err((kind, message)) => return Disposition::Respond(error_line(None, kind, &message)),
+        };
         if let Some(cmd) = value.get("cmd").and_then(Value::as_str) {
             if let Some(disposition) = handle_admin(cmd, &value, state) {
                 return disposition;
             }
         }
+        let request = match Request::from_value(&value) {
+            Ok(request) => request,
+            Err((kind, message)) => return Disposition::Respond(error_line(None, kind, &message)),
+        };
+        match request {
+            Request::Health => Disposition::Respond(ok_line(
+                None,
+                vec![
+                    ("service".into(), Value::Str("nrpm-cluster-router".into())),
+                    ("role".into(), Value::Str(state.role.into())),
+                    ("shards".into(), Value::U64(state.member_count() as u64)),
+                    ("routable".into(), Value::U64(state.routable_count() as u64)),
+                    ("draining".into(), Value::Bool(state.draining())),
+                ],
+            )),
+            Request::Stats => Disposition::Respond(ok_line(
+                None,
+                vec![("stats".into(), router_stats_value(state))],
+            )),
+            Request::Shutdown => {
+                state.begin_shutdown();
+                Disposition::RespondAndClose(ok_line(
+                    None,
+                    vec![("draining".into(), Value::Bool(true))],
+                ))
+            }
+            Request::Model { set, id, .. } => {
+                let key = set_fingerprint(&set);
+                Disposition::Respond(forward(state, conns, scratch, key, line, id.as_deref()))
+            }
+            Request::Batch { sets, id, .. } => {
+                // One batch stays whole: it routes by the combined
+                // fingerprint of its sets, so the shard-side batched forward
+                // pass is preserved at the cost of cross-set affinity.
+                let key = sets
+                    .iter()
+                    .fold(0u64, |acc, set| mix64(acc ^ set_fingerprint(set)));
+                Disposition::Respond(forward(state, conns, scratch, key, line, id.as_deref()))
+            }
+            Request::CrashWorker | Request::ForceAdapt | Request::AdaptFault { .. } => {
+                Disposition::Respond(error_line(
+                    None,
+                    ErrorKind::Usage,
+                    "this command is shard-local; the cluster router does not relay it",
+                ))
+            }
+        }
     }
-    let request = match Request::parse(line) {
-        Ok(request) => request,
-        Err((kind, message)) => return Disposition::Respond(error_line(None, kind, &message)),
-    };
-    match request {
-        Request::Health => Disposition::Respond(ok_line(
-            None,
-            vec![
-                ("service".into(), Value::Str("nrpm-cluster-router".into())),
-                ("role".into(), Value::Str(state.role.into())),
-                ("shards".into(), Value::U64(state.member_count() as u64)),
-                ("routable".into(), Value::U64(state.routable_count() as u64)),
-                ("draining".into(), Value::Bool(state.draining())),
-            ],
-        )),
-        Request::Stats => Disposition::Respond(ok_line(
-            None,
-            vec![("stats".into(), router_stats_value(state))],
-        )),
-        Request::Shutdown => {
-            state.begin_shutdown();
-            Disposition::RespondAndClose(ok_line(
-                None,
-                vec![("draining".into(), Value::Bool(true))],
-            ))
-        }
-        Request::Model {
-            ref set, ref id, ..
-        } => {
-            let key = set_fingerprint(set);
-            let id = id.clone();
-            Disposition::Respond(forward(state, conns, scratch, key, line, id.as_deref()))
-        }
-        Request::Batch {
-            ref sets, ref id, ..
-        } => {
-            // One batch stays whole: it routes by the combined fingerprint
-            // of its sets, so the shard-side batched forward pass is
-            // preserved at the cost of cross-set affinity.
-            let key = sets
-                .iter()
-                .fold(0u64, |acc, set| mix64(acc ^ set_fingerprint(set)));
-            let id = id.clone();
-            Disposition::Respond(forward(state, conns, scratch, key, line, id.as_deref()))
-        }
-        Request::CrashWorker | Request::ForceAdapt | Request::AdaptFault { .. } => {
-            Disposition::Respond(error_line(
-                None,
-                ErrorKind::Usage,
-                "this command is shard-local; the cluster router does not relay it",
-            ))
-        }
+
+    fn stopped(&self) -> bool {
+        self.state.router_stopped()
     }
 }
 
 /// Dispatches the `cluster_*` / `router_kill` admin vocabulary; `None`
 /// when `cmd` belongs to the ordinary shard protocol.
 fn handle_admin(cmd: &str, value: &Value, state: &Arc<ClusterState>) -> Option<Disposition> {
-    match cmd {
-        "cluster_join" => Some(Disposition::Respond(crate::join::handle_join(value, state))),
-        "cluster_heartbeat" => Some(Disposition::Respond(crate::join::handle_heartbeat(
-            value, state,
-        ))),
-        "cluster_sync" => Some(Disposition::Respond(crate::join::handle_sync(value, state))),
-        "cluster_rollout" => Some(Disposition::Respond(handle_rollout(value, state))),
-        "router_kill" => {
-            if !state.opts.debug_hooks {
-                return Some(Disposition::Respond(error_line(
-                    None,
-                    ErrorKind::Usage,
-                    "router_kill is a test hook; launch the cluster with debug hooks to use it",
-                )));
-            }
+    let reply = match cmd {
+        "cluster_join" => crate::join::handle_join(value, state),
+        "cluster_heartbeat" => crate::join::handle_heartbeat(value, state),
+        "cluster_sync" => crate::join::handle_sync(value, state),
+        "cluster_rollout" => handle_rollout(value, state),
+        "cluster_drain" | "cluster_kill" | "cluster_revive" => handle_membership(cmd, value, state),
+        "router_kill" if state.opts.debug_hooks => {
             state.kill_router();
-            Some(Disposition::RespondAndClose(ok_line(
+            return Some(Disposition::RespondAndClose(ok_line(
                 None,
                 vec![("router_killed".into(), Value::Bool(true))],
-            )))
+            )));
         }
-        "cluster_drain" | "cluster_kill" | "cluster_revive" => {
-            Some(Disposition::Respond(handle_membership(cmd, value, state)))
-        }
-        _ => None,
-    }
+        "router_kill" => error_line(
+            None,
+            ErrorKind::Usage,
+            "router_kill is a test hook; launch the cluster with debug hooks to use it",
+        ),
+        _ => return None,
+    };
+    Some(Disposition::Respond(reply))
 }
 
 /// Handles `cluster_drain` / `cluster_kill` / `cluster_revive`.

@@ -12,6 +12,8 @@ use nrpm_registry::{hex16, CheckpointRegistry};
 use nrpm_serve::client::{is_ok, Client, RetryPolicy, RetryingClient};
 use serde::Value;
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::thread;
@@ -369,5 +371,50 @@ fn router_rejects_shard_local_commands_and_bad_admin() {
         health.get("service").and_then(Value::as_str),
         Some("nrpm-cluster-router")
     );
+    join_within(cluster, Duration::from_secs(20));
+}
+
+/// The router sheds connections past the shards' `max_conns` at accept,
+/// exactly as a shard does: one `overloaded` line, then a close.
+#[test]
+fn router_sheds_connections_past_max_conns() {
+    let mut opts = ClusterOptions {
+        shards: 1,
+        ..fast_options()
+    };
+    opts.shard_opts.max_conns = 2;
+    let cluster = Cluster::launch(test_network(9), opts).unwrap();
+
+    // Both slots held by idle clients, each registered by a roundtrip.
+    let held: Vec<Client> = (0..2)
+        .map(|_| {
+            let mut client =
+                Client::connect(cluster.router_addr(), Duration::from_secs(10)).unwrap();
+            assert!(is_ok(&client.health().unwrap()));
+            client
+        })
+        .collect();
+
+    let extra = TcpStream::connect(cluster.router_addr()).unwrap();
+    extra
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(extra);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let response: Value = serde_json::from_str(line.trim()).unwrap();
+    assert_eq!(
+        response.get("kind").and_then(Value::as_str),
+        Some("overloaded"),
+        "{response:?}"
+    );
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "closed after one line"
+    );
+
+    drop(held);
     join_within(cluster, Duration::from_secs(20));
 }

@@ -29,6 +29,11 @@
 //! ← {"status":"ok"}
 //! ```
 //!
+//! The listener runs on the serving stack's shared front end
+//! ([`nrpm_serve::line`]): a line split across reads is reassembled, a line
+//! over `MAX_PUSH_LINE` (1 MiB) is answered with one `usage` error and a
+//! close, and connections past the cap are shed with `overloaded`.
+//!
 //! Push records carry no replayable byte offset; they are counted and
 //! windowed like file records but excluded from crash-safe resume (the
 //! network cannot be re-read). The queue between connection threads and the
@@ -37,13 +42,15 @@
 //!
 //! [`TailPolicy::HoldForMore`]: nrpm_extrap::TailPolicy
 
+use nrpm_serve::line::{self, serve_lines, Disposition, LineHandler, LineLimits};
+use nrpm_serve::server::ServeOptions;
 use serde::Value;
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::VecDeque;
+use std::io::{Read, Seek, SeekFrom};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Bound on records queued between push connections and the engine.
 const PUSH_BUFFER: usize = 1024;
@@ -175,10 +182,16 @@ pub struct PushRecord {
 #[derive(Debug)]
 pub struct PushSource {
     addr: SocketAddr,
-    queue: Arc<Mutex<std::collections::VecDeque<PushRecord>>>,
-    dropped: Arc<AtomicU64>,
-    received: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
+    state: Arc<PushState>,
+}
+
+/// State shared by the push connections and the [`PushSource`] handle.
+#[derive(Debug, Default)]
+struct PushState {
+    queue: Mutex<VecDeque<PushRecord>>,
+    dropped: AtomicU64,
+    received: AtomicU64,
+    stop: AtomicBool,
 }
 
 impl PushSource {
@@ -187,27 +200,23 @@ impl PushSource {
     pub fn bind(addr: &str) -> std::io::Result<PushSource> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let queue = Arc::new(Mutex::new(std::collections::VecDeque::new()));
-        let dropped = Arc::new(AtomicU64::new(0));
-        let received = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
+        let state = Arc::new(PushState::default());
+        let limits = LineLimits::new(&ServeOptions::default(), MAX_PUSH_LINE);
         {
-            let queue = Arc::clone(&queue);
-            let dropped = Arc::clone(&dropped);
-            let received = Arc::clone(&received);
-            let stop = Arc::clone(&stop);
+            let state = Arc::clone(&state);
             std::thread::spawn(move || {
-                accept_loop(listener, queue, dropped, received, stop);
+                let conn_state = Arc::clone(&state);
+                line::run_acceptor(
+                    listener,
+                    "nrpm-ingest-push",
+                    limits.max_conns,
+                    || state.stop.load(Ordering::SeqCst),
+                    || {},
+                    move |stream| serve_lines(stream, &limits, &mut &*conn_state),
+                );
             });
         }
-        Ok(PushSource {
-            addr,
-            queue,
-            dropped,
-            received,
-            stop,
-        })
+        Ok(PushSource { addr, state })
     }
 
     /// The bound address (useful with port `0`).
@@ -217,23 +226,24 @@ impl PushSource {
 
     /// Drains every queued record.
     pub fn drain(&self) -> Vec<PushRecord> {
-        let mut queue = self.queue.lock().unwrap_or_else(|p| p.into_inner());
+        let mut queue = self.state.queue.lock().unwrap_or_else(|p| p.into_inner());
         queue.drain(..).collect()
     }
 
     /// Records accepted over the wire so far.
     pub fn received(&self) -> u64 {
-        self.received.load(Ordering::Relaxed)
+        self.state.received.load(Ordering::Relaxed)
     }
 
     /// Records dropped because the engine fell behind the queue bound.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.state.dropped.load(Ordering::Relaxed)
     }
 
-    /// Stops the accept loop (existing connections close on their own).
+    /// Stops the accept loop and releases the listener; open connections
+    /// close at their next read tick.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        line::stop(&self.state.stop, self.addr);
     }
 }
 
@@ -243,86 +253,30 @@ impl Drop for PushSource {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    queue: Arc<Mutex<std::collections::VecDeque<PushRecord>>>,
-    dropped: Arc<AtomicU64>,
-    received: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let queue = Arc::clone(&queue);
-                let dropped = Arc::clone(&dropped);
-                let received = Arc::clone(&received);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let _ = serve_connection(stream, queue, dropped, received, stop);
-                });
+impl LineHandler for &PushState {
+    fn handle(&mut self, line: &str) -> Disposition {
+        let record = match parse_push_record(line) {
+            Ok(record) => record,
+            Err(msg) => {
+                return Disposition::Respond(format!(
+                    "{{\"status\":\"error\",\"kind\":\"bad_request\",\"message\":{}}}",
+                    serde_json::to_string(&msg).unwrap_or_else(|_| "\"\"".into())
+                ))
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        };
+        self.received.fetch_add(1, Ordering::Relaxed);
+        let mut queue = self.queue.lock().unwrap_or_else(|p| p.into_inner());
+        if queue.len() >= PUSH_BUFFER {
+            queue.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
+        queue.push_back(record);
+        Disposition::Respond(r#"{"status":"ok"}"#.into())
     }
-}
 
-fn serve_connection(
-    stream: TcpStream,
-    queue: Arc<Mutex<std::collections::VecDeque<PushRecord>>>,
-    dropped: Arc<AtomicU64>,
-    received: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    while !stop.load(Ordering::SeqCst) {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),
-            Ok(n) if n > MAX_PUSH_LINE => {
-                writer.write_all(b"{\"status\":\"error\",\"kind\":\"too_large\"}\n")?;
-            }
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                match parse_push_record(trimmed) {
-                    Ok(record) => {
-                        received.fetch_add(1, Ordering::Relaxed);
-                        let mut q = queue.lock().unwrap_or_else(|p| p.into_inner());
-                        if q.len() >= PUSH_BUFFER {
-                            q.pop_front();
-                            dropped.fetch_add(1, Ordering::Relaxed);
-                        }
-                        q.push_back(record);
-                        drop(q);
-                        writer.write_all(b"{\"status\":\"ok\"}\n")?;
-                    }
-                    Err(msg) => {
-                        let reply = format!(
-                            "{{\"status\":\"error\",\"kind\":\"bad_request\",\"message\":{}}}\n",
-                            serde_json::to_string(&msg).unwrap_or_else(|_| "\"\"".into())
-                        );
-                        writer.write_all(reply.as_bytes())?;
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
     }
-    Ok(())
 }
 
 fn numbers(v: &Value, key: &str) -> Result<Vec<f64>, String> {
@@ -384,6 +338,9 @@ pub fn parse_push_record(line: &str) -> Result<PushRecord, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     fn tmpfile(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -472,6 +429,39 @@ mod tests {
         assert_eq!(drained[0].point, vec![4.0]);
         assert_eq!(source.received(), 2);
         assert_eq!(source.dropped(), 0);
+        source.shutdown();
+    }
+
+    #[test]
+    fn push_lines_survive_read_ticks_and_over_cap_lines_are_refused() {
+        let source = PushSource::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(source.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+
+        // Half a record, then a pause spanning several read ticks: the
+        // first half must still be there when the rest arrives.
+        writer.write_all(b"{\"kernel\":\"mm\",\"poi").unwrap();
+        std::thread::sleep(Duration::from_millis(400));
+        writer.write_all(b"nt\":[4],\"values\":[1.0]}\n").unwrap();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply.trim(), r#"{"status":"ok"}"#);
+        assert_eq!(source.drain().len(), 1);
+
+        // A line with no newline is refused at the cap, not buffered on:
+        // one error line, then the connection closes.
+        writer.write_all(&vec![b'x'; MAX_PUSH_LINE + 1]).unwrap();
+        reply.clear();
+        reader.read_line(&mut reply).unwrap();
+        let refused: Value = serde_json::from_str(reply.trim()).unwrap();
+        assert_eq!(refused.get("kind").and_then(Value::as_str), Some("usage"));
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "closed");
+        assert!(source.drain().is_empty());
         source.shutdown();
     }
 }

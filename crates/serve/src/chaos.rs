@@ -19,6 +19,7 @@
 //! protocol stays in sync — a corrupted stream must degrade requests, not
 //! silently misattribute answers.
 
+use crate::line;
 use crate::util::stream_rng;
 use rand::{rngs::StdRng, Rng};
 use std::io::{Read, Write};
@@ -153,7 +154,6 @@ impl ChaosProxy {
     /// `upstream` with `opts`'s fault mix (enabled from the start).
     pub fn start(upstream: SocketAddr, opts: ChaosOptions) -> std::io::Result<ChaosProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(ProxyState {
             opts,
@@ -174,7 +174,17 @@ impl ChaosProxy {
             let state = Arc::clone(&state);
             thread::Builder::new()
                 .name("nrpm-chaos-acceptor".into())
-                .spawn(move || run_proxy_acceptor(listener, &state))
+                .spawn(move || {
+                    let session_state = Arc::clone(&state);
+                    line::run_acceptor(
+                        listener,
+                        "nrpm-chaos-session",
+                        usize::MAX,
+                        || state.stopping(),
+                        || {},
+                        move |client| run_session(client, &session_state),
+                    );
+                })
                 .expect("spawn chaos acceptor")
         };
         Ok(ChaosProxy {
@@ -222,7 +232,7 @@ impl ChaosProxy {
     /// Stops accepting, tears down live sessions, and joins every proxy
     /// thread. Idempotent.
     pub fn stop(&mut self) {
-        self.state.stop.store(true, Ordering::SeqCst);
+        line::stop(&self.state.stop, self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -232,34 +242,6 @@ impl ChaosProxy {
 impl Drop for ChaosProxy {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn run_proxy_acceptor(listener: TcpListener, state: &Arc<ProxyState>) {
-    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    while !state.stopping() {
-        match listener.accept() {
-            Ok((client, _)) => {
-                sessions.retain(|h| !h.is_finished());
-                let state = Arc::clone(state);
-                let handle = thread::Builder::new()
-                    .name("nrpm-chaos-session".into())
-                    .spawn(move || run_session(client, &state))
-                    .expect("spawn chaos session");
-                sessions.push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                sessions.retain(|h| !h.is_finished());
-                thread::sleep(POLL);
-            }
-            Err(_) => thread::sleep(POLL),
-        }
-    }
-    for session in sessions {
-        let _ = session.join();
     }
 }
 
@@ -291,7 +273,6 @@ fn run_session(client: TcpStream, state: &Arc<ProxyState>) {
 /// closes both sockets so the sibling pump exits too.
 fn pump(mut from: TcpStream, mut to: TcpStream, state: &Arc<ProxyState>, stream_id: u64) {
     let mut rng = stream_rng(state.opts.seed, stream_id);
-    from.set_nonblocking(false).ok(); // may be inherited from the listener
     from.set_read_timeout(Some(POLL)).ok();
     let mut chunk = [0u8; 4096];
     loop {

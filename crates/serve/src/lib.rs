@@ -13,7 +13,10 @@
 //! work with `overloaded` responses, deadlines propagate into the queue,
 //! a supervisor respawns crashed workers ([`server`]), clients retry with
 //! backoff + jitter behind a circuit breaker ([`client`]), and a
-//! socket-level fault injector ([`chaos`]) proves it all in tests.
+//! socket-level fault injector ([`chaos`]) proves it all in tests. Every
+//! TCP listener in the workspace — this server, the cluster router, the
+//! ingest push source, the chaos proxy — runs on one front end ([`line`]):
+//! a blocking acceptor with a connection cap and one newline framer.
 //!
 //! Repeated work is elided before it reaches the modeler: answers are
 //! memoized in an `nrpm-registry` result cache keyed by the canonical
@@ -48,6 +51,7 @@
 pub mod adapt;
 pub mod chaos;
 pub mod client;
+pub mod line;
 pub mod metrics;
 pub mod protocol;
 pub mod server;

@@ -4,6 +4,7 @@
 //! command takes a [`MetricsSnapshot`] — a plain serializable struct — so
 //! the wire format is decoupled from the atomic representation.
 
+use crate::protocol::ErrorKind;
 use nrpm_core::adaptive::ModelerChoice;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -77,25 +78,6 @@ pub enum RequestKind {
     Adapt,
 }
 
-/// Which error counter to bump — mirrors [`crate::protocol::ErrorKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorClass {
-    /// Unparseable request.
-    Parse,
-    /// Well-formed but unusable request.
-    Usage,
-    /// Recoverable modeling failure.
-    Recoverable,
-    /// Fatal modeling failure.
-    Fatal,
-    /// Deadline exceeded.
-    Timeout,
-    /// Shed because the admission queue or connection table was full.
-    Overloaded,
-    /// Refused because the server is draining.
-    ShuttingDown,
-}
-
 impl Metrics {
     /// Creates a zeroed registry.
     pub fn new() -> Self {
@@ -120,16 +102,16 @@ impl Metrics {
         self.responses_ok.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records an error response of the given class.
-    pub fn record_error(&self, class: ErrorClass) {
-        let counter = match class {
-            ErrorClass::Parse => &self.errors_parse,
-            ErrorClass::Usage => &self.errors_usage,
-            ErrorClass::Recoverable => &self.errors_recoverable,
-            ErrorClass::Fatal => &self.errors_fatal,
-            ErrorClass::Timeout => &self.errors_timeout,
-            ErrorClass::Overloaded => &self.shed,
-            ErrorClass::ShuttingDown => &self.errors_shutting_down,
+    /// Records an error response of the given kind.
+    pub fn record_error(&self, kind: ErrorKind) {
+        let counter = match kind {
+            ErrorKind::Parse => &self.errors_parse,
+            ErrorKind::Usage => &self.errors_usage,
+            ErrorKind::Recoverable => &self.errors_recoverable,
+            ErrorKind::Fatal => &self.errors_fatal,
+            ErrorKind::Timeout => &self.errors_timeout,
+            ErrorKind::Overloaded => &self.shed,
+            ErrorKind::ShuttingDown => &self.errors_shutting_down,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -438,8 +420,8 @@ mod tests {
         m.record_request(RequestKind::Model);
         m.record_request(RequestKind::Batch);
         m.record_ok();
-        m.record_error(ErrorClass::Parse);
-        m.record_error(ErrorClass::Timeout);
+        m.record_error(ErrorKind::Parse);
+        m.record_error(ErrorKind::Timeout);
         m.record_choice(ModelerChoice::Regression);
         m.record_choice(ModelerChoice::Dnn);
         m.record_batched_inference(1, 8, false);
@@ -465,7 +447,7 @@ mod tests {
         m.queue_enter();
         m.queue_enter();
         m.queue_exit();
-        m.record_error(ErrorClass::Overloaded);
+        m.record_error(ErrorKind::Overloaded);
         m.record_retry_observed();
         m.record_worker_restart();
         m.record_worker_restart();

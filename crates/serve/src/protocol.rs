@@ -19,8 +19,9 @@ use nrpm_core::adaptive::{AdaptiveOutcome, ModelerChoice};
 use nrpm_extrap::{MeasurementSet, ModelError, Severity};
 use serde::{Deserialize, Serialize, Value};
 
-/// Hard cap on the length of one request line; longer requests are rejected
-/// with a `too_large` error before any parsing happens.
+/// Hard cap on the length of one request line; a longer line is answered
+/// with one `usage` error before any parsing happens, and the connection
+/// is closed.
 pub const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Hard cap on JSON nesting depth. The vendored `serde_json` parser is
@@ -178,10 +179,8 @@ fn opt_point(v: &Value, key: &str) -> Result<Option<Vec<f64>>, String> {
 }
 
 /// `true` when `line`'s bracket nesting (outside string literals) exceeds
-/// `max` — a linear scan, safe to run on hostile input of any size. Public
-/// so other protocol front-ends (the cluster router) can apply the same
-/// guard before handing a line to the JSON parser.
-pub fn nesting_exceeds(line: &str, max: usize) -> bool {
+/// `max` — a linear scan, safe to run on hostile input of any size.
+fn nesting_exceeds(line: &str, max: usize) -> bool {
     let mut depth = 0usize;
     let mut in_string = false;
     let mut escaped = false;
@@ -211,19 +210,30 @@ pub fn nesting_exceeds(line: &str, max: usize) -> bool {
     false
 }
 
+/// Parses one request line into JSON, refusing nesting deeper than
+/// [`MAX_JSON_DEPTH`] before the (recursive) parser sees it. Front ends
+/// with a vocabulary of their own (the cluster router) inspect the value,
+/// then hand it to [`Request::from_value`].
+pub fn parse_json(line: &str) -> Result<Value, (ErrorKind, String)> {
+    if nesting_exceeds(line, MAX_JSON_DEPTH) {
+        return Err((
+            ErrorKind::Parse,
+            format!("JSON nesting exceeds {MAX_JSON_DEPTH} levels"),
+        ));
+    }
+    serde_json::from_str(line).map_err(|e| (ErrorKind::Parse, format!("invalid JSON: {e}")))
+}
+
 impl Request {
     /// Parses one request line. `Err((kind, message))` distinguishes JSON
     /// breakage ([`ErrorKind::Parse`]) from semantic misuse
     /// ([`ErrorKind::Usage`]).
     pub fn parse(line: &str) -> Result<Request, (ErrorKind, String)> {
-        if nesting_exceeds(line, MAX_JSON_DEPTH) {
-            return Err((
-                ErrorKind::Parse,
-                format!("JSON nesting exceeds {MAX_JSON_DEPTH} levels"),
-            ));
-        }
-        let value: Value = serde_json::from_str(line)
-            .map_err(|e| (ErrorKind::Parse, format!("invalid JSON: {e}")))?;
+        Request::from_value(&parse_json(line)?)
+    }
+
+    /// Reads a request out of an already parsed line (see [`parse_json`]).
+    pub fn from_value(value: &Value) -> Result<Request, (ErrorKind, String)> {
         if value.as_map().is_none() {
             return Err((ErrorKind::Parse, "request must be a JSON object".into()));
         }
@@ -241,11 +251,11 @@ impl Request {
                     .map_err(|e| usage(format!("bad `set`: {e}")))?;
                 Ok(Request::Model {
                     set,
-                    at: opt_point(&value, "at").map_err(usage)?,
-                    timeout_ms: opt_u64(&value, "timeout_ms").map_err(usage)?,
-                    id: opt_str(&value, "id").map_err(usage)?,
-                    attempt: opt_u64(&value, "attempt").map_err(usage)?,
-                    tenant: opt_str(&value, "tenant").map_err(usage)?,
+                    at: opt_point(value, "at").map_err(usage)?,
+                    timeout_ms: opt_u64(value, "timeout_ms").map_err(usage)?,
+                    id: opt_str(value, "id").map_err(usage)?,
+                    attempt: opt_u64(value, "attempt").map_err(usage)?,
+                    tenant: opt_str(value, "tenant").map_err(usage)?,
                 })
             }
             "batch" => {
@@ -266,9 +276,9 @@ impl Request {
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Request::Batch {
                     sets,
-                    timeout_ms: opt_u64(&value, "timeout_ms").map_err(usage)?,
-                    id: opt_str(&value, "id").map_err(usage)?,
-                    attempt: opt_u64(&value, "attempt").map_err(usage)?,
+                    timeout_ms: opt_u64(value, "timeout_ms").map_err(usage)?,
+                    id: opt_str(value, "id").map_err(usage)?,
+                    attempt: opt_u64(value, "attempt").map_err(usage)?,
                 })
             }
             "health" => Ok(Request::Health),
@@ -277,7 +287,7 @@ impl Request {
             "crash_worker" => Ok(Request::CrashWorker),
             "force_adapt" => Ok(Request::ForceAdapt),
             "adapt_fault" => {
-                let kind = opt_str(&value, "kind")
+                let kind = opt_str(value, "kind")
                     .map_err(usage)?
                     .ok_or_else(|| usage("`adapt_fault` needs a `kind` string".into()))?;
                 Ok(Request::AdaptFault { kind })

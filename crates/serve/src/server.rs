@@ -4,12 +4,11 @@
 //!
 //! ## Threading model
 //!
-//! - One **acceptor** thread owns the [`TcpListener`] (nonblocking, polled
-//!   every `poll_interval`) and spawns one reader thread per connection. On
-//!   every tick it reaps finished reader handles, so an idle server does
-//!   not accumulate parked `JoinHandle`s; past `max_conns` live
-//!   connections, new ones are shed with an `overloaded` response.
-//! - Each **connection** thread parses newline-delimited requests, answers
+//! - One **acceptor** thread owns the [`TcpListener`] and runs the shared
+//!   front end ([`crate::line`]): a blocking `accept()`, one connection
+//!   thread per client, finished threads reaped on every accept, and
+//!   connections past `max_conns` shed with an `overloaded` line.
+//! - Each **connection** thread is framed by [`serve_lines`]; it answers
 //!   `health`/`stats`/`shutdown` inline, and hands `model`/`batch` work to
 //!   the pool through a **bounded** [`mpsc::sync_channel`], waiting for the
 //!   reply with the request's deadline. A full queue sheds the request
@@ -29,14 +28,16 @@
 //! ## Graceful drain
 //!
 //! A `shutdown` request (or [`Server::request_shutdown`]) flips a shared
-//! flag; the polling acceptor notices within one tick, stops accepting, and
-//! joins its connection threads; connections finish the request in flight,
-//! refuse new modeling work with `shutting_down`, and close; the supervisor
+//! flag and wakes the acceptor with a loopback connect ([`line::stop`]);
+//! the acceptor stops accepting and joins its connection threads;
+//! connections finish the request in flight, refuse new modeling work with
+//! `shutting_down`, and close at their next read tick; the supervisor
 //! exits without respawning; dropping the last job sender lets every worker
 //! drain the queue and exit. [`Server::join`] observes the whole cascade.
 
 use crate::adapt::{AdaptFaultKind, AdaptOptions, AdaptState, Observation};
-use crate::metrics::{ErrorClass, Metrics, RequestKind};
+use crate::line::{self, serve_lines, Disposition, LineHandler, LineLimits};
+use crate::metrics::{Metrics, RequestKind};
 use crate::protocol::{
     batch_entry, error_line, ok_line, outcome_value, ErrorKind, Request, MAX_LINE_BYTES,
 };
@@ -46,8 +47,7 @@ use nrpm_core::fingerprint::ModelKey;
 use nrpm_extrap::MeasurementSet;
 use nrpm_registry::{hex16, Joined, ResultCache, SingleFlight};
 use serde::{Serialize, Value};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
@@ -72,9 +72,9 @@ pub struct ServeOptions {
     pub adapt: bool,
     /// Deadline applied when a request carries no `timeout_ms`.
     pub default_timeout: Duration,
-    /// How often blocked reads, the acceptor, and the supervisor wake up
-    /// to check the drain flag (and, for the acceptor, reap finished
-    /// connection threads).
+    /// How often blocked connection reads and the supervisor wake up to
+    /// check the drain flag. The acceptor blocks in `accept()` and is
+    /// woken on drain instead.
     pub poll_interval: Duration,
     /// Capacity of the admission queue. Once `queue_depth` jobs wait for a
     /// worker, further modeling requests are shed with an `overloaded`
@@ -156,13 +156,9 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flips the drain flag; the polling acceptor notices within one tick.
-    /// The loopback connect is a belt-and-braces wake for the rare platform
-    /// where the listener could not be switched to nonblocking mode.
+    /// Flips the drain flag and wakes the blocked acceptor.
     fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        }
+        line::stop(&self.shutdown, self.addr);
     }
 }
 
@@ -226,7 +222,7 @@ impl JobRequest {
 /// to single-flight followers without reparsing the wire line.
 struct Reply {
     line: String,
-    error: Option<ErrorClass>,
+    error: Option<ErrorKind>,
     outcome: Option<Arc<AdaptiveOutcome>>,
     /// Checkpoint hash of the exact weights that computed `outcome`, taken
     /// from the same store snapshot as the modeler. The connection thread
@@ -424,203 +420,50 @@ fn run_supervisor(
 }
 
 fn run_acceptor(listener: TcpListener, shared: &Arc<Shared>, job_tx: mpsc::SyncSender<Job>) {
-    // Nonblocking accept + a poll tick: the tick notices the drain flag and
-    // reaps finished reader threads even when no new connection ever
-    // arrives (the old reap-on-accept let handles pile up on idle servers).
-    let nonblocking = listener.set_nonblocking(true).is_ok();
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.draining() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                connections.retain(|h| !h.is_finished());
-                if connections.len() >= shared.opts.max_conns.max(1) {
-                    shed_connection(stream, shared);
-                    continue;
-                }
-                let shared_conn = Arc::clone(shared);
-                let job_tx = job_tx.clone();
-                let handle = thread::Builder::new()
-                    .name("nrpm-serve-conn".into())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &shared_conn, &job_tx);
-                    })
-                    .expect("spawn connection thread");
-                connections.push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                connections.retain(|h| !h.is_finished());
-                thread::sleep(shared.opts.poll_interval);
-            }
-            Err(_) => {
-                if !nonblocking {
-                    continue;
-                }
-                thread::sleep(shared.opts.poll_interval);
-            }
-        }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-    // `job_tx` drops here — with every connection gone this was the last
-    // sender, so the workers drain the queue and exit.
-}
-
-/// Refuses a connection over the cap: one `overloaded` line, then close.
-fn shed_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    shared.metrics.record_error(ErrorClass::Overloaded);
-    // The stream may inherit the listener's nonblocking mode; the write is
-    // best-effort either way, bounded so a hostile peer cannot stall the
-    // acceptor.
-    stream.set_nonblocking(false).ok();
-    stream
-        .set_write_timeout(Some(Duration::from_millis(500)))
-        .ok();
-    let line = error_line(
-        None,
-        ErrorKind::Overloaded,
-        &format!(
-            "connection table full ({} connections); retry with backoff",
-            shared.opts.max_conns
-        ),
+    let limits = LineLimits::new(&shared.opts, MAX_LINE_BYTES);
+    let conn_shared = Arc::clone(shared);
+    line::run_acceptor(
+        listener,
+        "nrpm-serve-conn",
+        limits.max_conns,
+        || shared.draining(),
+        || shared.metrics.record_error(ErrorKind::Overloaded),
+        move |stream| {
+            let mut conn = Connection {
+                shared: &conn_shared,
+                job_tx: &job_tx,
+            };
+            serve_lines(stream, &limits, &mut conn);
+        },
     );
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
+    // The last `job_tx` (inside the connection closure) dropped with the
+    // acceptor's connections, so the workers drain the queue and exit.
 }
 
-/// Reads newline-delimited requests off one connection until EOF, error,
-/// stall, or drain. Returns `Err` only on socket failures (the caller
-/// ignores it).
-fn serve_connection(
-    mut stream: TcpStream,
-    shared: &Arc<Shared>,
-    job_tx: &mpsc::SyncSender<Job>,
-) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?; // may be inherited from the listener
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(shared.opts.poll_interval))?;
-    stream.set_write_timeout(Some(shared.opts.io_timeout))?;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    // When the first byte of a request arrived (slowloris guard): cleared
-    // each time a complete line is consumed.
-    let mut partial_since: Option<Instant> = None;
-    // Prefix of `buf` already searched for a newline — only fresh bytes are
-    // scanned, keeping a large frame linear instead of quadratic.
-    let mut scanned = 0usize;
-    loop {
-        while let Some(rel) = buf[scanned..].iter().position(|&b| b == b'\n') {
-            let pos = scanned + rel;
-            if pos > MAX_LINE_BYTES {
-                // The line completed, but past the frame cap. Checking here
-                // (not only between reads below) makes the boundary exact:
-                // a frame of MAX_LINE_BYTES parses, one byte more is a
-                // structured usage error regardless of how the bytes fell
-                // into read chunks.
-                shared.metrics.record_error(ErrorClass::Usage);
-                let response = error_line(
-                    None,
-                    ErrorKind::Usage,
-                    &format!("request exceeds {MAX_LINE_BYTES} bytes"),
-                );
-                stream.write_all(response.as_bytes())?;
-                stream.write_all(b"\n")?;
-                return Ok(());
-            }
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            scanned = 0;
-            partial_since = None;
-            let line = String::from_utf8_lossy(&line_bytes);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match handle_line(line, shared, job_tx) {
-                Disposition::Respond(response) => {
-                    stream.write_all(response.as_bytes())?;
-                    stream.write_all(b"\n")?;
-                    stream.flush()?;
-                }
-                Disposition::RespondAndClose(response) => {
-                    stream.write_all(response.as_bytes())?;
-                    stream.write_all(b"\n")?;
-                    stream.flush()?;
-                    return Ok(());
-                }
-            }
-        }
-        scanned = buf.len();
-        if buf.len() > MAX_LINE_BYTES {
-            shared.metrics.record_error(ErrorClass::Usage);
-            let response = error_line(
-                None,
-                ErrorKind::Usage,
-                &format!("request exceeds {MAX_LINE_BYTES} bytes"),
-            );
-            stream.write_all(response.as_bytes())?;
-            stream.write_all(b"\n")?;
-            return Ok(());
-        }
-        // Slowloris guard: a request that trickles in without completing
-        // within `io_timeout` gets one timeout line, then the connection
-        // closes. Complete requests reset the clock above.
-        if buf.is_empty() {
-            partial_since = None;
-        } else if let Some(since) = partial_since {
-            if since.elapsed() >= shared.opts.io_timeout {
-                shared.metrics.record_error(ErrorClass::Timeout);
-                let response = error_line(
-                    None,
-                    ErrorKind::Timeout,
-                    &format!(
-                        "request incomplete after {:?}; closing stalled connection",
-                        shared.opts.io_timeout
-                    ),
-                );
-                let _ = stream.write_all(response.as_bytes());
-                let _ = stream.write_all(b"\n");
-                return Ok(());
-            }
-        } else {
-            partial_since = Some(Instant::now());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Idle poll tick: leave once a drain starts and nothing is
-                // buffered (a partially received request is abandoned too —
-                // its sender can no longer get an answer anyway).
-                if shared.draining() {
-                    return Ok(());
-                }
-            }
-            Err(e) => return Err(e),
-        }
+/// One client connection's view of the server.
+struct Connection<'a> {
+    shared: &'a Arc<Shared>,
+    job_tx: &'a mpsc::SyncSender<Job>,
+}
+
+impl LineHandler for Connection<'_> {
+    fn handle(&mut self, line: &str) -> Disposition {
+        handle_line(line, self.shared, self.job_tx)
     }
-}
 
-enum Disposition {
-    Respond(String),
-    RespondAndClose(String),
+    fn rejected(&mut self, kind: ErrorKind) {
+        self.shared.metrics.record_error(kind);
+    }
+
+    fn stopped(&self) -> bool {
+        self.shared.draining()
+    }
 }
 
 fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>) -> Disposition {
     let request = match Request::parse(line) {
         Ok(request) => request,
-        Err((kind, message)) => {
-            shared.metrics.record_error(match kind {
-                ErrorKind::Parse => ErrorClass::Parse,
-                _ => ErrorClass::Usage,
-            });
-            return Disposition::Respond(error_line(None, kind, &message));
-        }
+        Err((kind, message)) => return Disposition::Respond(refuse(shared, None, kind, &message)),
     };
     match request {
         Request::Health => {
@@ -653,8 +496,8 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
         }
         Request::CrashWorker => {
             if !shared.opts.debug_hooks {
-                shared.metrics.record_error(ErrorClass::Usage);
-                return Disposition::Respond(error_line(
+                return Disposition::Respond(refuse(
+                    shared,
                     None,
                     ErrorKind::Usage,
                     "crash_worker is a test hook; start the server with debug hooks to use it",
@@ -675,14 +518,12 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
                         vec![("crash_queued".into(), Value::Bool(true))],
                     ))
                 }
-                Err(_) => {
-                    shared.metrics.record_error(ErrorClass::Overloaded);
-                    Disposition::Respond(error_line(
-                        None,
-                        ErrorKind::Overloaded,
-                        "admission queue full; crash hook not queued",
-                    ))
-                }
+                Err(_) => Disposition::Respond(refuse(
+                    shared,
+                    None,
+                    ErrorKind::Overloaded,
+                    "admission queue full; crash hook not queued",
+                )),
             }
         }
         Request::Model {
@@ -712,29 +553,27 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
                         vec![("adapt_forced".into(), Value::Bool(true))],
                     ))
                 }
-                None => {
-                    shared.metrics.record_error(ErrorClass::Usage);
-                    Disposition::Respond(error_line(
-                        None,
-                        ErrorKind::Usage,
-                        "adaptation is disabled; start the server with adaptation enabled",
-                    ))
-                }
+                None => Disposition::Respond(refuse(
+                    shared,
+                    None,
+                    ErrorKind::Usage,
+                    "adaptation is disabled; start the server with adaptation enabled",
+                )),
             }
         }
         Request::AdaptFault { kind } => {
             shared.metrics.record_request(RequestKind::Adapt);
             if !shared.opts.debug_hooks {
-                shared.metrics.record_error(ErrorClass::Usage);
-                return Disposition::Respond(error_line(
+                return Disposition::Respond(refuse(
+                    shared,
                     None,
                     ErrorKind::Usage,
                     "adapt_fault is a test hook; start the server with debug hooks to use it",
                 ));
             }
             let Some(state) = &shared.adapt else {
-                shared.metrics.record_error(ErrorClass::Usage);
-                return Disposition::Respond(error_line(
+                return Disposition::Respond(refuse(
+                    shared,
                     None,
                     ErrorKind::Usage,
                     "adaptation is disabled; there is no engine to inject faults into",
@@ -752,17 +591,15 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
                         ],
                     ))
                 }
-                None => {
-                    shared.metrics.record_error(ErrorClass::Usage);
-                    Disposition::Respond(error_line(
-                        None,
-                        ErrorKind::Usage,
-                        &format!(
-                            "unknown adapt fault '{kind}'; expected kill_retrain, \
-                             corrupt_candidate, regress_swap, or kill_commit"
-                        ),
-                    ))
-                }
+                None => Disposition::Respond(refuse(
+                    shared,
+                    None,
+                    ErrorKind::Usage,
+                    &format!(
+                        "unknown adapt fault '{kind}'; expected kill_retrain, \
+                         corrupt_candidate, regress_swap, or kill_commit"
+                    ),
+                )),
             }
         }
         Request::Batch {
@@ -779,6 +616,12 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
             Disposition::Respond(dispatch_job(shared, job_tx, request, timeout_ms).line)
         }
     }
+}
+
+/// Records an error response of `kind` and builds its line.
+fn refuse(shared: &Shared, id: Option<&str>, kind: ErrorKind, message: &str) -> String {
+    shared.metrics.record_error(kind);
+    error_line(id, kind, message)
 }
 
 /// Builds the `stats` response body: the metrics snapshot, extended with
@@ -950,9 +793,9 @@ fn answer_model(
             model_and_cache(set, at, id).line
         }
         Joined::TimedOut => {
-            shared.metrics.record_error(ErrorClass::Timeout);
             shared.metrics.record_latency(started.elapsed());
-            error_line(
+            refuse(
+                shared,
                 id.as_deref(),
                 ErrorKind::Timeout,
                 &format!(
@@ -972,18 +815,16 @@ fn dispatch_job(
     timeout_ms: Option<u64>,
 ) -> Dispatched {
     let id = request.id();
-    let refused = |line: String| Dispatched {
-        line,
+    let refused = |kind: ErrorKind, message: &str| Dispatched {
+        line: refuse(shared, id.as_deref(), kind, message),
         outcome: None,
         served_hash: 0,
     };
     if shared.draining() {
-        shared.metrics.record_error(ErrorClass::ShuttingDown);
-        return refused(error_line(
-            id.as_deref(),
+        return refused(
             ErrorKind::ShuttingDown,
             "server is draining; no new modeling work accepted",
-        ));
+        );
     }
     let started = Instant::now();
     let timeout = timeout_ms
@@ -1002,30 +843,26 @@ fn dispatch_job(
             // Fail fast: the queue already holds `queue_depth` jobs, so
             // this request would only wait toward its own timeout while
             // delaying everyone behind it.
-            shared.metrics.record_error(ErrorClass::Overloaded);
-            return refused(error_line(
-                id.as_deref(),
+            return refused(
                 ErrorKind::Overloaded,
                 &format!(
                     "admission queue full ({} jobs); retry with backoff",
                     shared.opts.queue_depth.max(1)
                 ),
-            ));
+            );
         }
         Err(TrySendError::Disconnected(_)) => {
-            shared.metrics.record_error(ErrorClass::ShuttingDown);
-            return refused(error_line(
-                id.as_deref(),
+            return refused(
                 ErrorKind::ShuttingDown,
                 "worker pool is gone; server is shutting down",
-            ));
+            );
         }
     }
     match reply_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
         Ok(reply) => {
             match reply.error {
                 None => shared.metrics.record_ok(),
-                Some(class) => shared.metrics.record_error(class),
+                Some(kind) => shared.metrics.record_error(kind),
             }
             shared.metrics.record_latency(started.elapsed());
             Dispatched {
@@ -1037,22 +874,16 @@ fn dispatch_job(
         Err(RecvTimeoutError::Timeout) => {
             // The worker may still answer later; the receiver is dropped
             // here, so that late reply is discarded unrecorded.
-            shared.metrics.record_error(ErrorClass::Timeout);
             shared.metrics.record_latency(started.elapsed());
-            refused(error_line(
-                id.as_deref(),
+            refused(
                 ErrorKind::Timeout,
                 &format!("deadline of {timeout:?} exceeded"),
-            ))
+            )
         }
-        Err(RecvTimeoutError::Disconnected) => {
-            shared.metrics.record_error(ErrorClass::ShuttingDown);
-            refused(error_line(
-                id.as_deref(),
-                ErrorKind::ShuttingDown,
-                "worker dropped the request during shutdown",
-            ))
-        }
+        Err(RecvTimeoutError::Disconnected) => refused(
+            ErrorKind::ShuttingDown,
+            "worker dropped the request during shutdown",
+        ),
     }
 }
 
@@ -1105,7 +936,7 @@ fn run_worker(shared: &Arc<Shared>, job_rx: &Arc<Mutex<mpsc::Receiver<Job>>>) {
                         ErrorKind::Fatal,
                         &format!("internal modeling failure: {panic_message}"),
                     ),
-                    error: Some(ErrorClass::Fatal),
+                    error: Some(ErrorKind::Fatal),
                     outcome: None,
                     served_hash: 0,
                 }
@@ -1137,7 +968,7 @@ fn compute_reply(
                 ErrorKind::Timeout,
                 "deadline expired before a worker picked the request up",
             ),
-            error: Some(ErrorClass::Timeout),
+            error: Some(ErrorKind::Timeout),
             outcome: None,
             served_hash: 0,
         });
@@ -1197,15 +1028,15 @@ fn compute_reply(
                         served_hash,
                     }
                 }
-                Err(e) => Reply {
-                    line: error_line(id.as_deref(), ErrorKind::of_model_error(&e), &e.to_string()),
-                    error: Some(match ErrorKind::of_model_error(&e) {
-                        ErrorKind::Fatal => ErrorClass::Fatal,
-                        _ => ErrorClass::Recoverable,
-                    }),
-                    outcome: None,
-                    served_hash: 0,
-                },
+                Err(e) => {
+                    let kind = ErrorKind::of_model_error(&e);
+                    Reply {
+                        line: error_line(id.as_deref(), kind, &e.to_string()),
+                        error: Some(kind),
+                        outcome: None,
+                        served_hash: 0,
+                    }
+                }
             }
         }
         JobRequest::Batch { sets, id } => {

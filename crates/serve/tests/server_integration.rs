@@ -12,7 +12,7 @@ use nrpm_serve::store::ModelStore;
 use serde::Value;
 use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A correctly shaped (if untrained) network: the store only checks shape
 /// and weight sanity, and on clean data the regression modeler wins the
@@ -276,5 +276,33 @@ fn request_shutdown_drains_without_a_client() {
     let server = start_server(2);
     server.request_shutdown();
     assert!(server.draining());
+    join_within(server, Duration::from_secs(20));
+}
+
+/// The acceptor blocks in `accept()` rather than sleeping between polls:
+/// with a 5 s poll interval, a connection made while the server idles is
+/// still answered at once.
+#[test]
+fn a_new_connection_does_not_wait_for_a_poll_tick() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        test_store(),
+        ServeOptions {
+            workers: 1,
+            poll_interval: Duration::from_secs(5),
+            ..Default::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    thread::sleep(Duration::from_millis(100));
+
+    let started = Instant::now();
+    let mut client = connect(&server);
+    assert!(is_ok(&client.health().unwrap()));
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "health took {elapsed:?}");
+
+    drop(client);
+    server.request_shutdown();
     join_within(server, Duration::from_secs(20));
 }
