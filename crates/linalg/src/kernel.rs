@@ -472,38 +472,30 @@ mod x86 {
             let kc = KC.min(k - k0);
             let mut ir = 0;
             while ir < rows {
+                // The whole remainder up to the register tile is one tile,
+                // so a ragged row count streams `B` once, not once per
+                // power-of-two piece.
+                macro_rules! tile {
+                    ($cols:ident, $mrk:expr, $($m:literal)|+) => {
+                        match $mrk {
+                            $($m => $cols::<$m>(a, b, c, &mut apk, row0, ir, k0, kc, n),)+
+                            _ => unreachable!("row tile is clamped to the register tile"),
+                        }
+                    };
+                }
                 let rem = rows - ir;
                 match isa {
                     // SAFETY: `isa` is only Avx512/Avx2 when the CPU
                     // reported the matching features at dispatch time.
                     KernelIsa::Avx512 => unsafe {
-                        let take = if rem >= 8 {
-                            direct_cols_512::<8>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            8
-                        } else if rem >= 4 {
-                            direct_cols_512::<4>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            4
-                        } else if rem >= 2 {
-                            direct_cols_512::<2>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            2
-                        } else {
-                            direct_cols_512::<1>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            1
-                        };
-                        ir += take;
+                        let mrk = rem.min(8);
+                        tile!(direct_cols_512, mrk, 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8);
+                        ir += mrk;
                     },
                     KernelIsa::Avx2 => unsafe {
-                        let take = if rem >= 4 {
-                            direct_cols_256::<4>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            4
-                        } else if rem >= 2 {
-                            direct_cols_256::<2>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            2
-                        } else {
-                            direct_cols_256::<1>(a, b, c, &mut apk, row0, ir, k0, kc, n);
-                            1
-                        };
-                        ir += take;
+                        let mrk = rem.min(4);
+                        tile!(direct_cols_256, mrk, 1 | 2 | 3 | 4);
+                        ir += mrk;
                     },
                     KernelIsa::Scalar => unreachable!("scalar has its own stripe"),
                 }
@@ -1109,6 +1101,10 @@ mod tests {
         (1, 1, 1),
         (1, 11, 43),
         (3, 7, 2),
+        (3, 300, 40),
+        (5, 257, 17),
+        (6, 11, 33),
+        (7, 600, 47),
         (8, 8, 8),
         (16, 11, 256),
         (17, 300, 13),
@@ -1182,7 +1178,7 @@ mod tests {
     fn tuning_is_sane() {
         let t = kernel_tuning();
         assert!(t.mc >= MR);
-        assert!(t.nc >= NR && t.nc % NR == 0);
+        assert!(t.nc >= NR && t.nc.is_multiple_of(NR));
         assert!(t.direct_limit > SMALL_B_ELEMS);
         assert!(t.direct_min_m >= 1);
     }

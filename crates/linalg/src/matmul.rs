@@ -463,7 +463,7 @@ mod tests {
         assert_eq!(effective_threads(8, 512, 512, 512, MIN_FLOPS_PER_THREAD), 8);
         // Intermediate sizes get a partial fan-out.
         let mid = effective_threads(8, 128, 128, 128, MIN_FLOPS_PER_THREAD);
-        assert!(mid >= 1 && mid < 8, "got {mid}");
+        assert!((1..8).contains(&mid), "got {mid}");
         // Floor of one row per thread, and floor override for tests.
         assert_eq!(effective_threads(8, 2, 1000, 1000, 1), 2);
         assert_eq!(effective_threads(4, 16, 16, 16, 1), 4);

@@ -492,7 +492,7 @@ mod tests {
         assert_eq!(plan_workers(8, 3, 10_000_000), 3);
         // Intermediate work gets a partial fan-out.
         let w = plan_workers(8, 16, 1_000_000);
-        assert!(w >= 2 && w < 8, "got {w}");
+        assert!((2..8).contains(&w), "got {w}");
         // Degenerate inputs stay sane.
         assert_eq!(plan_workers(0, 0, 0), 1);
         assert_eq!(plan_workers(1, 100, usize::MAX), 1);

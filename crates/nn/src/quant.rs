@@ -27,6 +27,7 @@
 
 use crate::activation::{softmax_rows, Activation};
 use crate::network::{Network, NetworkError};
+use nrpm_linalg::qgemm::{self, testing::Int8Layout};
 use nrpm_linalg::{gemm_i8, Matrix, QuantizedGemmB};
 use std::fmt;
 
@@ -131,13 +132,23 @@ fn apply_f32(act: Activation, v: f32) -> f32 {
     }
 }
 
-/// `(v).round()` for values already clamped into i8 range, written as
-/// truncation of `v + copysign(0.5, v)` — exactly round-half-away-from-
-/// zero, but free of the scalar `roundf` call so the quantization loop
-/// vectorizes.
+/// `v` clamped to [-127, 127] and rounded half away from zero: the
+/// truncation of `y + copysign(0.5, y)`, with NaN mapped to 0 as the
+/// saturating cast maps it.
+///
+/// The conversion is what keeps the quantization loop vectorized. On the
+/// baseline x86-64 target `f32::trunc` is a libm call, and the saturating
+/// `as i32` cast expands to a scalar fix-up per element; either runs the
+/// loop one element at a time. After the clamp and the NaN select the value
+/// is in range, so the unchecked conversion is one `cvttps2dq` lane op.
 #[inline]
-fn round_away(v: f32) -> f32 {
-    (v + 0.5f32.copysign(v)).trunc()
+fn round_away(v: f32) -> i8 {
+    let y = v.clamp(-127.0, 127.0);
+    let t = y + 0.5f32.copysign(y);
+    let t = if t.is_nan() { 0.0 } else { t };
+    // SAFETY: `t` is finite and within [-127.5, 127.5], so its truncation
+    // is representable in `i32`.
+    unsafe { t.to_int_unchecked::<i32>() as i8 }
 }
 
 fn argmax(row: &[f64]) -> usize {
@@ -155,6 +166,23 @@ impl QuantizedNetwork {
     /// check accuracy — use [`QuantizedNetwork::validated`] for the gated
     /// construction serving relies on.
     pub fn quantize(net: &Network) -> Result<QuantizedNetwork, QuantError> {
+        Self::quantize_with(net, QuantizedGemmB::pack)
+    }
+
+    /// Test hook: [`QuantizedNetwork::quantize`] with every layer packed in
+    /// `layout` instead of the CPU's native one.
+    #[doc(hidden)]
+    pub fn quantize_forced(
+        net: &Network,
+        layout: Int8Layout,
+    ) -> Result<QuantizedNetwork, QuantError> {
+        Self::quantize_with(net, |q, k, n| qgemm::testing::pack_forced(q, k, n, layout))
+    }
+
+    fn quantize_with(
+        net: &Network,
+        pack: impl Fn(&[i8], usize, usize) -> QuantizedGemmB,
+    ) -> Result<QuantizedNetwork, QuantError> {
         net.validate()
             .map_err(|e| QuantError::Unsupported(e.to_string()))?;
         let layers = net
@@ -180,7 +208,7 @@ impl QuantizedNetwork {
                     }
                 }
                 QuantLayer {
-                    weights: QuantizedGemmB::pack(&q, k, n),
+                    weights: pack(&q, k, n),
                     w_scales: w_scales.into_iter().map(|s| s as f32).collect(),
                     biases: layer.biases.iter().map(|&b| b as f32).collect(),
                     activation: layer.activation,
@@ -264,7 +292,7 @@ impl QuantizedNetwork {
                 let scale = if maxabs > 0.0 { maxabs / 127.0 } else { 1.0 };
                 let inv = 1.0 / scale;
                 for (q, &v) in qrow.iter_mut().zip(row) {
-                    *q = round_away((v * inv).clamp(-127.0, 127.0)) as i8;
+                    *q = round_away(v * inv);
                 }
                 scales.push(scale);
             }
@@ -436,6 +464,65 @@ mod tests {
             QuantizedNetwork::validated(&net, &calib, &QuantGate::default()),
             Err(QuantError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn round_away_matches_truncating_the_half_offset_sum() {
+        // The quantizer's previous rounding, kept here as the oracle.
+        let trunc = |v: f32| {
+            let y = v.clamp(-127.0, 127.0);
+            (y + 0.5f32.copysign(y)).trunc() as i8
+        };
+        let step = 1.0f32 / 4096.0;
+        let grid = (-(127.5 / step) as i32..=(127.5 / step) as i32).map(|i| i as f32 * step);
+        let edges = (-128..=128).flat_map(|i: i32| {
+            let half = i as f32 + 0.5;
+            [half, half.next_down(), half.next_up()]
+        });
+        let specials = [
+            0.0,
+            -0.0,
+            0.49999997,
+            -0.49999997,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e30,
+            -1e30,
+        ];
+        for v in grid.chain(edges).chain(specials) {
+            assert_eq!(round_away(v), trunc(v), "at {v:?}");
+        }
+        assert_eq!(round_away(f32::NAN), 0);
+        assert_eq!(round_away(0.5), 1);
+        assert_eq!(round_away(-0.5), -1);
+        assert_eq!(round_away(127.5), 127);
+    }
+
+    #[test]
+    fn every_int8_layout_gives_bit_equal_paper_network_outputs() {
+        let net = Network::new(&NetworkConfig::paper(), 3);
+        let mut rng = StdRng::seed_from_u64(5);
+        let rows: Vec<Vec<f64>> = (0..9)
+            .map(|_| (0..11).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .collect();
+        let x = Matrix::from_row_vecs(&rows, 11).unwrap();
+        let raw = QuantizedNetwork::quantize_forced(&net, Int8Layout::Raw)
+            .unwrap()
+            .predict_proba(&x)
+            .unwrap();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let native = QuantizedNetwork::quantize(&net).unwrap();
+        assert_eq!(bits(&native.predict_proba(&x).unwrap()), bits(&raw));
+        for layout in qgemm::testing::supported_layouts() {
+            let q = QuantizedNetwork::quantize_forced(&net, layout).unwrap();
+            assert_eq!(
+                bits(&q.predict_proba(&x).unwrap()),
+                bits(&raw),
+                "{layout:?}"
+            );
+        }
     }
 
     #[test]
