@@ -5,62 +5,43 @@
 //!
 //! ```text
 //! cargo run -p nrpm-bench --release --bin noise_estimator_eval -- \
-//!     [--sets N] [--points P] [--reps R] [--seed S]
+//!     [--sets N] [--points P] [--reps R] [--seed S] [--noise L1,L2,...]
 //! ```
 
 use nrpm_bench::cli::Args;
+use nrpm_bench::estimator::{self, EstimatorSpec};
 use nrpm_bench::report::{pct, Table};
-use nrpm_core::noise::NoiseEstimate;
-use nrpm_extrap::MeasurementSet;
-use nrpm_linalg::stats;
-use nrpm_synth::{generate_eval_task, EvalTaskSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let args = Args::parse();
-    let sets: usize = args.get("sets", 200);
-    let points: usize = args.get("points", 25);
-    let reps: usize = args.get("reps", 5);
-    let seed: u64 = args.get("seed", 0x401);
-
-    let levels = args.get_f64_list("noise", &[0.02, 0.05, 0.10, 0.20, 0.30, 0.50, 0.75, 1.00]);
+    let defaults = EstimatorSpec::default();
+    let spec = EstimatorSpec {
+        sets: args.get("sets", defaults.sets),
+        points: args.get("points", defaults.points),
+        reps: args.get("reps", defaults.reps),
+        seed: args.get("seed", defaults.seed),
+        levels: args.get_f64_list("noise", &defaults.levels),
+    };
 
     println!("== Noise-estimator evaluation (pooled rrd heuristic) ==\n");
-    println!("{sets} synthetic sets per level, {points} points, {reps} repetitions\n");
+    println!(
+        "{} synthetic sets per level, {} points, {} repetitions\n",
+        spec.sets, spec.points, spec.reps
+    );
 
+    let levels = estimator::evaluate(&spec);
     let mut table = Table::new(&["injected", "mean estimate", "abs error", "rel error"]);
-    let mut all_rel_errors = Vec::new();
-
-    for &level in &levels {
-        let mut rng = StdRng::seed_from_u64(seed ^ (level * 1e6) as u64);
-        let mut estimates = Vec::with_capacity(sets);
-        for _ in 0..sets {
-            // Reuse the synthetic task generator: it builds a measurement
-            // grid with exactly the uniform multiplicative noise semantics
-            // of the paper.
-            let spec = EvalTaskSpec {
-                num_params: 1,
-                noise_level: level,
-                repetitions: reps,
-                points_per_param: points,
-                num_eval_points: 1,
-                family: nrpm_synth::NoiseFamily::Uniform,
-            };
-            let task = generate_eval_task(&spec, &mut rng);
-            let set: &MeasurementSet = &task.set;
-            estimates.push(NoiseEstimate::of(set).corrected_mean());
-        }
-        let mean_est = stats::mean(&estimates);
-        let abs_err = (mean_est - level).abs();
-        let rel_err = abs_err / level;
-        all_rel_errors.push(rel_err);
-        table.row(vec![pct(level), pct(mean_est), pct(abs_err), pct(rel_err)]);
+    for l in &levels {
+        table.row(vec![
+            pct(l.injected),
+            pct(l.mean_estimate),
+            pct(l.abs_error),
+            pct(l.rel_error),
+        ]);
     }
-
     table.print();
     println!(
         "\naverage relative prediction error: {} (paper: 4.93%)",
-        pct(stats::mean(&all_rel_errors))
+        pct(estimator::average_rel_error(&levels))
     );
 }

@@ -1,9 +1,11 @@
 //! Shared infrastructure of the experiment harness: a tiny CLI-flag parser,
-//! table rendering, and the synthetic sweep engine behind Fig. 3.
+//! table rendering, the synthetic sweep engine behind Fig. 3, and the
+//! Sec. IV-B noise-estimator evaluation.
 
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod estimator;
 pub mod regime;
 pub mod report;
 pub mod sweep;

@@ -142,6 +142,13 @@ impl AdaptiveModeler {
         AdaptiveModeler { opts, dnn }
     }
 
+    /// The modeler with domain adaptation switched `on` or off; the DNN,
+    /// its weights and snapshots are kept as they are.
+    pub fn with_domain_adaptation(mut self, on: bool) -> Self {
+        self.opts.use_domain_adaptation = on;
+        self
+    }
+
     /// The configured options.
     pub fn options(&self) -> &AdaptiveOptions {
         &self.opts

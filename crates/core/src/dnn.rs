@@ -17,12 +17,14 @@ use nrpm_extrap::{
 };
 use nrpm_linalg::Matrix;
 use nrpm_nn::{
-    top_k_classes, Dataset, Network, NetworkConfig, OptimizerKind, QuantGate, QuantReport,
-    QuantizedNetwork, TrainerOptions, ValidatedReport, ValidationOptions, WatchdogOptions,
+    top_k_classes, Dataset, Network, NetworkConfig, OptimizerKind, PackedNetwork, QuantGate,
+    QuantReport, QuantizedNetwork, TrainerOptions, ValidatedReport, ValidationOptions,
+    WatchdogOptions,
 };
 use nrpm_synth::{generate_training_samples_seeded, TrainingSample, TrainingSpec};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::sync::Arc;
 
 /// Options of the DNN modeler.
 #[derive(Debug, Clone)]
@@ -154,18 +156,67 @@ pub struct DnnBatch {
 
 /// The DNN modeler: a pretrained classifier plus the hypothesis-fitting
 /// pipeline shared with Extra-P.
+///
+/// The network and its inference snapshots sit behind `Arc`s, so a clone
+/// shares the weights (a server clones one warm modeler per worker) and a
+/// weight mutation copies the network on write, then rebuilds the
+/// snapshots.
 #[derive(Debug, Clone)]
 pub struct DnnModeler {
     opts: DnnOptions,
-    network: Network,
+    network: Arc<Network>,
     rng: StdRng,
+    /// Inference snapshots of `network`, rebuilt together after every
+    /// weight mutation.
+    snapshots: Arc<Snapshots>,
+}
+
+/// What the forward passes of a [`DnnModeler`] run on, built from one
+/// version of its network.
+#[derive(Debug)]
+struct Snapshots {
+    /// The f64 network with pre-packed weights: every f64 forward pass.
+    packed: PackedNetwork,
     /// The gated int8 snapshot plus its calibration report, present only
-    /// when `opts.quantize` is set and the gate accepted. Rebuilt after
-    /// every weight mutation.
+    /// when `opts.quantize` is set and the gate accepted.
     quant: Option<(QuantizedNetwork, QuantReport)>,
     /// The report of the last gate *rejection* (quantization requested but
-    /// serving fell back to f64). Cleared when the gate accepts.
+    /// serving fell back to f64).
     quant_rejection: Option<QuantReport>,
+}
+
+impl Snapshots {
+    /// Packs `network` for f64 inference and, when [`DnnOptions::quantize`]
+    /// is set, quantizes it behind the accuracy gate. The calibration
+    /// batch is synthesized from a seed derived only from `opts.seed` — it
+    /// never consumes the modeler's RNG, so enabling quantization cannot
+    /// perturb the training/adaptation RNG stream.
+    fn build(opts: &DnnOptions, network: &Network) -> Snapshots {
+        let mut snapshots = Snapshots {
+            packed: PackedNetwork::new(network),
+            quant: None,
+            quant_rejection: None,
+        };
+        if !opts.quantize {
+            return snapshots;
+        }
+        let spec = TrainingSpec {
+            samples_per_class: 4,
+            noise_range: (0.0, 0.4),
+            ..Default::default()
+        };
+        let samples =
+            generate_training_samples_seeded(&spec, opts.seed ^ 0x0CA1_1B8A, opts.train_threads);
+        let calib = dataset_from_samples_with(&samples, opts.encoding);
+        match QuantizedNetwork::validated(network, calib.inputs(), &opts.quant_gate) {
+            Ok((q, report)) => snapshots.quant = Some((q, report)),
+            Err(nrpm_nn::QuantError::GateRejected(report)) => {
+                snapshots.quant_rejection = Some(report);
+            }
+            Err(nrpm_nn::QuantError::Unsupported(_)) => {}
+        }
+        snapshots
+    }
 }
 
 impl DnnModeler {
@@ -197,15 +248,7 @@ impl DnnModeler {
                 &WatchdogOptions::default(),
             )
             .expect("pretraining dataset is compatible by construction");
-        let mut modeler = DnnModeler {
-            opts,
-            network,
-            rng,
-            quant: None,
-            quant_rejection: None,
-        };
-        modeler.refresh_quant();
-        modeler
+        DnnModeler::assemble(opts, network, rng)
     }
 
     /// Wraps an already-trained network (e.g. loaded from disk).
@@ -221,64 +264,44 @@ impl DnnModeler {
             "network must predict 43 classes"
         );
         let rng = StdRng::seed_from_u64(opts.seed);
-        let mut modeler = DnnModeler {
-            opts,
-            network,
-            rng,
-            quant: None,
-            quant_rejection: None,
-        };
-        modeler.refresh_quant();
-        modeler
+        DnnModeler::assemble(opts, network, rng)
     }
 
-    /// (Re)builds the quantized inference snapshot behind the accuracy
-    /// gate. Runs after construction and after every weight mutation; a
-    /// no-op unless [`DnnOptions::quantize`] is set. The calibration batch
-    /// is synthesized from a seed derived only from `opts.seed` — it never
-    /// consumes `self.rng`, so enabling quantization cannot perturb the
-    /// training/adaptation RNG stream.
-    fn refresh_quant(&mut self) {
-        self.quant = None;
-        self.quant_rejection = None;
-        if !self.opts.quantize {
-            return;
+    fn assemble(opts: DnnOptions, network: Network, rng: StdRng) -> Self {
+        let snapshots = Arc::new(Snapshots::build(&opts, &network));
+        DnnModeler {
+            opts,
+            network: Arc::new(network),
+            rng,
+            snapshots,
         }
-        let spec = TrainingSpec {
-            samples_per_class: 4,
-            noise_range: (0.0, 0.4),
-            ..Default::default()
-        };
-        let samples = generate_training_samples_seeded(
-            &spec,
-            self.opts.seed ^ 0x0CA1_1B8A,
-            self.opts.train_threads,
-        );
-        let calib = dataset_from_samples_with(&samples, self.opts.encoding);
-        match QuantizedNetwork::validated(&self.network, calib.inputs(), &self.opts.quant_gate) {
-            Ok((q, report)) => self.quant = Some((q, report)),
-            Err(nrpm_nn::QuantError::GateRejected(report)) => {
-                self.quant_rejection = Some(report);
-            }
-            Err(nrpm_nn::QuantError::Unsupported(_)) => {}
-        }
+    }
+
+    /// Retrains the network through `train` (copying it first if a clone
+    /// shares it), then rebuilds every inference snapshot from the new
+    /// weights. Every weight mutation goes through here, so no snapshot
+    /// can outlive the weights it was built from.
+    fn mutate_network<R>(&mut self, train: impl FnOnce(&mut Network) -> R) -> R {
+        let out = train(Arc::make_mut(&mut self.network));
+        self.snapshots = Arc::new(Snapshots::build(&self.opts, &self.network));
+        out
     }
 
     /// Whether batched inference currently runs on the int8 path.
     pub fn quantized(&self) -> bool {
-        self.quant.is_some()
+        self.snapshots.quant.is_some()
     }
 
     /// The calibration report of the active quantized snapshot, when the
     /// gate accepted.
     pub fn quant_report(&self) -> Option<&QuantReport> {
-        self.quant.as_ref().map(|(_, r)| r)
+        self.snapshots.quant.as_ref().map(|(_, r)| r)
     }
 
     /// The calibration report of the last gate rejection: quantization was
     /// requested, but inference fell back to the f64 reference.
     pub fn quant_rejection(&self) -> Option<&QuantReport> {
-        self.quant_rejection.as_ref()
+        self.snapshots.quant_rejection.as_ref()
     }
 
     /// The underlying network (for persistence or inspection).
@@ -302,21 +325,11 @@ impl DnnModeler {
         let samples =
             generate_training_samples_seeded(spec, self.rng.next_u64(), self.opts.train_threads);
         let data = dataset_from_samples_with(&samples, self.opts.encoding);
-        self.network
-            .train_guarded(
-                &data,
-                &TrainerOptions {
-                    epochs: self.opts.adaptation_epochs,
-                    batch_size: self.opts.batch_size,
-                    optimizer: self.opts.optimizer,
-                    shuffle_seed: self.opts.seed ^ 0x5A5A,
-                    threads: self.opts.train_threads,
-                    ..Default::default()
-                },
-                &WatchdogOptions::default(),
-            )
-            .expect("adaptation dataset is compatible by construction");
-        self.refresh_quant();
+        let train = self.adaptation_trainer();
+        self.mutate_network(|net| {
+            net.train_guarded(&data, &train, &WatchdogOptions::default())
+                .expect("adaptation dataset is compatible by construction")
+        });
         data.len()
     }
 
@@ -335,24 +348,11 @@ impl DnnModeler {
         let samples =
             generate_training_samples_seeded(spec, self.rng.next_u64(), self.opts.train_threads);
         let data = dataset_from_samples_with(&samples, self.opts.encoding);
-        let report = self
-            .network
-            .train_validated(
-                &data,
-                &TrainerOptions {
-                    epochs: self.opts.adaptation_epochs,
-                    batch_size: self.opts.batch_size,
-                    optimizer: self.opts.optimizer,
-                    shuffle_seed: self.opts.seed ^ 0x5A5A,
-                    threads: self.opts.train_threads,
-                    ..Default::default()
-                },
-                &WatchdogOptions::default(),
-                validation,
-            )
-            .expect("adaptation dataset is compatible by construction");
-        self.refresh_quant();
-        report
+        let train = self.adaptation_trainer();
+        self.mutate_network(|net| {
+            net.train_validated(&data, &train, &WatchdogOptions::default(), validation)
+                .expect("adaptation dataset is compatible by construction")
+        })
     }
 
     /// Domain adaptation (Sec. IV-E): retrains the network on fresh
@@ -407,22 +407,24 @@ impl DnnModeler {
             return Err(ModelError::NoViableHypothesis);
         }
         let data = dataset_from_samples_with(&all_samples, self.opts.encoding);
-        self.network
-            .train_guarded(
-                &data,
-                &TrainerOptions {
-                    epochs: self.opts.adaptation_epochs,
-                    batch_size: self.opts.batch_size,
-                    optimizer: self.opts.optimizer,
-                    shuffle_seed: self.opts.seed ^ 0x5A5A,
-                    threads: self.opts.train_threads,
-                    ..Default::default()
-                },
-                &WatchdogOptions::default(),
-            )
-            .expect("adaptation dataset is compatible by construction");
-        self.refresh_quant();
+        let train = self.adaptation_trainer();
+        self.mutate_network(|net| {
+            net.train_guarded(&data, &train, &WatchdogOptions::default())
+                .expect("adaptation dataset is compatible by construction")
+        });
         Ok(data.len())
+    }
+
+    /// Trainer settings shared by every domain-adaptation entry point.
+    fn adaptation_trainer(&self) -> TrainerOptions {
+        TrainerOptions {
+            epochs: self.opts.adaptation_epochs,
+            batch_size: self.opts.batch_size,
+            optimizer: self.opts.optimizer,
+            shuffle_seed: self.opts.seed ^ 0x5A5A,
+            threads: self.opts.train_threads,
+            ..Default::default()
+        }
     }
 
     /// Classifies a single-parameter measurement line and returns the top-k
@@ -436,13 +438,12 @@ impl DnnModeler {
             .collect())
     }
 
-    /// The raw class-probability vector for one line.
+    /// The raw class-probability vector for one line, from the pre-packed
+    /// f64 snapshot.
     pub fn class_probabilities(&self, xs: &[f64], ys: &[f64]) -> Result<Vec<f64>, ModelError> {
         let input = encode_line_with(xs, ys, self.opts.encoding).map_err(map_preprocess_error)?;
-        Ok(self
-            .network
-            .predict_proba_one(&input)
-            .expect("input dimension is NUM_INPUTS by construction"))
+        let probs = self.predict_f64(Matrix::from_vec(1, NUM_INPUTS, input));
+        Ok(probs.as_slice().to_vec())
     }
 
     /// Classifies several *parallel* lines of the same parameter and
@@ -486,8 +487,13 @@ impl DnnModeler {
     /// whole batch flows through one blocked matrix-multiply chain in
     /// `nrpm-linalg` instead of one tiny per-line product per request.
     ///
-    /// Per-row results are bitwise identical to per-line
-    /// [`Self::class_probabilities`] calls — rows of a matmul are
+    /// The pass runs on the gated int8 snapshot ([`QuantizedNetwork`]) when
+    /// [`DnnOptions::quantize`] is set and the gate accepted, else on the
+    /// pre-packed f64 snapshot ([`PackedNetwork`]). Both are rebuilt after
+    /// every weight mutation.
+    ///
+    /// On the f64 snapshot, per-row results are bitwise identical to
+    /// per-line [`Self::class_probabilities`] calls — rows of a matmul are
     /// accumulated independently and in the same order — which is what
     /// makes the serving layer's batched path a pure throughput
     /// optimization.
@@ -519,19 +525,14 @@ impl DnnModeler {
             .expect("encoded lines all have NUM_INPUTS features");
         // The gated int8 snapshot serves the batch when present; the gate
         // guarantees it never flips a predicted class on calibration data,
-        // and any weight mutation rebuilds or drops it (`refresh_quant`).
-        let (probs, quantized) = match &self.quant {
+        // and any weight mutation rebuilds or drops it (`mutate_network`).
+        let (probs, quantized) = match &self.snapshots.quant {
             Some((q, _)) => (
                 q.predict_proba(&x)
                     .expect("input dimension is NUM_INPUTS by construction"),
                 true,
             ),
-            None => (
-                self.network
-                    .predict_proba(&x)
-                    .expect("input dimension is NUM_INPUTS by construction"),
-                false,
-            ),
+            None => (self.predict_f64(x), false),
         };
         let probabilities = slots
             .into_iter()
@@ -624,9 +625,11 @@ impl DnnModeler {
     /// combined hypothesis space from the top-k predictions, fit the
     /// coefficients by regression, select by cross-validated SMAPE.
     ///
-    /// All `m` lines are classified in one f64 forward pass (never the int8
-    /// snapshot); rows of a matmul accumulate independently, so each row is
-    /// bitwise what [`Self::class_probabilities`] returns for its line.
+    /// All `m` lines are classified in one f64 forward pass on the
+    /// pre-packed snapshot ([`PackedNetwork`], never the int8 one), which
+    /// is bitwise equal to [`Network::predict_proba`] on [`Self::network`].
+    /// Rows of a matmul accumulate independently, so each row is bitwise
+    /// what [`Self::class_probabilities`] returns for its line.
     pub fn model(&self, set: &MeasurementSet) -> Result<ModelingResult, ModelError> {
         let m = set.num_params();
         if m == 0 {
@@ -653,10 +656,7 @@ impl DnnModeler {
                 encode_line_with(&xs, &ys, self.opts.encoding).map_err(map_preprocess_error)?,
             );
         }
-        let probs = self
-            .network
-            .predict_proba(&Matrix::from_vec(m, NUM_INPUTS, inputs))
-            .expect("input dimension is NUM_INPUTS by construction");
+        let probs = self.predict_f64(Matrix::from_vec(m, NUM_INPUTS, inputs));
         let per_param: Vec<Vec<ExponentPair>> =
             (0..m).map(|l| self.candidate_pairs(probs.row(l))).collect();
         combine_candidate_pairs(
@@ -665,6 +665,16 @@ impl DnnModeler {
             self.opts.aggregation,
             self.opts.tie_tolerance,
         )
+    }
+
+    /// Class probabilities of encoded lines on the pre-packed f64 snapshot:
+    /// bitwise what [`Network::predict_proba`] returns on
+    /// [`Self::network`].
+    fn predict_f64(&self, x: Matrix) -> Matrix {
+        self.snapshots
+            .packed
+            .predict_proba(&x)
+            .expect("input dimension is NUM_INPUTS by construction")
     }
 
     /// The top-k pairs of one line's class probabilities, plus the constant
@@ -1065,6 +1075,90 @@ mod tests {
         assert!(q.quantized() != q.quant_rejection().is_some());
         let _ = before;
         assert!(q.model(&set).is_ok());
+    }
+
+    /// Asserts that `m` answers exactly like a modeler freshly built from
+    /// its current network: a snapshot left over from older weights fails.
+    fn assert_snapshots_current(m: &DnnModeler, what: &str) {
+        let fresh = DnnModeler::from_network(m.options().clone(), m.network().clone());
+        let xs = [4.0, 8.0, 16.0, 32.0, 64.0];
+        let lines: Vec<Vec<(f64, f64)>> = vec![
+            xs.iter().map(|&x| (x, 3.0 * x)).collect(),
+            xs.iter().map(|&x| (x, 1.0 + 0.5 * x * x)).collect(),
+        ];
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for line in &lines {
+            let (lx, ly): (Vec<f64>, Vec<f64>) = line.iter().copied().unzip();
+            assert_eq!(
+                bits(&m.class_probabilities(&lx, &ly).unwrap()),
+                bits(&fresh.class_probabilities(&lx, &ly).unwrap()),
+                "{what}: f64 snapshot"
+            );
+            let set = line_set(|x| ly[xs.iter().position(|&v| v == x).unwrap()], &xs);
+            let (got, want) = (m.model(&set).unwrap(), fresh.model(&set).unwrap());
+            assert_eq!(got.model.to_string(), want.model.to_string(), "{what}");
+            assert_eq!(got.cv_smape.to_bits(), want.cv_smape.to_bits(), "{what}");
+        }
+        assert_eq!(m.quantized(), fresh.quantized(), "{what}: int8 gate");
+        let (got, want) = (
+            m.classify_lines_batch(&lines),
+            fresh.classify_lines_batch(&lines),
+        );
+        for (g, w) in got.probabilities.iter().zip(&want.probabilities) {
+            assert_eq!(
+                bits(g.as_ref().unwrap()),
+                bits(w.as_ref().unwrap()),
+                "{what}: batch snapshot"
+            );
+        }
+    }
+
+    #[test]
+    fn every_weight_mutation_rebuilds_the_snapshots() {
+        let base = shared_modeler();
+        assert_snapshots_current(base, "pretrained");
+        let set = line_set(|x| 1.0 + x, &[8.0, 64.0, 512.0, 4096.0, 32768.0]);
+        let spec = TrainingSpec {
+            samples_per_class: 8,
+            ..Default::default()
+        };
+        for quantize in [false, true] {
+            let opts = DnnOptions {
+                quantize,
+                ..tiny_opts()
+            };
+            let mut m = DnnModeler::from_network(opts, base.network().clone());
+            assert_snapshots_current(&m, "from_network");
+            let mut before = m.network().clone();
+            m.adapt_to_task(&set, (0.05, 0.2)).unwrap();
+            assert_ne!(m.network(), &before, "adaptation must move the weights");
+            assert_snapshots_current(&m, "adapt_to_task");
+            before = m.network().clone();
+            m.adapt_with_spec(&spec);
+            assert_ne!(m.network(), &before);
+            assert_snapshots_current(&m, "adapt_with_spec");
+            let validation = ValidationOptions {
+                max_accuracy_drop: 1.0,
+                ..Default::default()
+            };
+            before = m.network().clone();
+            assert!(m.adapt_with_spec_validated(&spec, &validation).accepted);
+            assert_ne!(m.network(), &before);
+            assert_snapshots_current(&m, "adapt_with_spec_validated");
+        }
+    }
+
+    #[test]
+    fn clones_share_weights_until_one_adapts() {
+        let base = shared_modeler();
+        let original = base.clone();
+        let mut adapted = base.clone();
+        let set = line_set(|x| 1.0 + x, &[8.0, 64.0, 512.0, 4096.0, 32768.0]);
+        adapted.adapt_to_task(&set, (0.05, 0.2)).unwrap();
+        assert_ne!(adapted.network(), original.network());
+        assert_eq!(original.network(), base.network(), "copy on write");
+        assert_snapshots_current(&original, "untouched clone");
+        assert_snapshots_current(&adapted, "adapted clone");
     }
 
     #[test]

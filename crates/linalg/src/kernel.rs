@@ -13,6 +13,21 @@
 //!   chunks and the first DNN layer where `K = 11`), and a *packed* path
 //!   that copies `A`/`B` into contiguous zero-padded panels first (wins on
 //!   large weight matrices such as the paper topology's 1500x1500 layers).
+//! * **Pre-packed `B`** ([`PackedGemmB`], [`crate::matmul_prepacked_into`])
+//!   — for a `B` that is multiplied many times, such as a served layer's
+//!   weights, the packed panels are built once and kept. The layout is
+//!   [`pack_b_full`]'s: 16-column panels, zero-padded to whole panels,
+//!   `k`-major inside a panel and cut into `KC`-row chunks, so chunk
+//!   `(jp, k0)` is one contiguous `KC x NR` block (32 KiB) at
+//!   `NR * (jp * k + k0)`. Up to [`STATIONARY_MAX_M`] rows a
+//!   *weight-stationary* loop stages every row of `A` once, reads each
+//!   chunk of each panel from memory once, front to back, and runs every
+//!   row tile (8 rows on AVX-512, 4 on AVX2) over it while it is in L1.
+//!   The direct path instead reads `B` as 16-column strips one full row
+//!   apart, which runs below the rate of a sequential read even at the
+//!   1–2 serving rows, and reads it again for every further row tile.
+//!   Above 16 rows the pre-packed panels feed the packed path's loop nest
+//!   unchanged, with nothing packed per call.
 //! * **Blocking** — the shared `k` dimension is always walked in fixed
 //!   [`KC`]-sized chunks; `M`/`N` are blocked by `MC`/`NC` in the packed
 //!   path. `MC` and the direct/packed crossover are chosen by a small
@@ -21,11 +36,11 @@
 //!
 //! # Determinism
 //!
-//! Every path — direct, packed, scalar fallback, any `MC`/`NC` choice, any
-//! thread-stripe partition — accumulates each output element in the exact
-//! same order: `KC`-sized k-chunks ascending, plain ascending `k` inside a
-//! chunk, one fused multiply-add per term, chunk sums added to `C` in
-//! ascending chunk order. SIMD lanes only ever span output *columns*, never
+//! Every path — direct, packed, pre-packed, scalar fallback, any `MC`/`NC`
+//! choice, any thread-stripe partition — accumulates each output element
+//! in the exact same order: `KC`-sized k-chunks ascending, plain ascending
+//! `k` inside a chunk, one fused multiply-add per term, chunk sums added to
+//! `C` in ascending chunk order. SIMD lanes only ever span output *columns*, never
 //! the reduction dimension. Consequently the autotuner, the path heuristic
 //! and the thread count are pure performance knobs: flipping any of them
 //! cannot change a single output bit. This is what lets the f64 training
@@ -304,6 +319,53 @@ pub(crate) fn pack_b_full(b: &[f64], k: usize, n: usize, out: &mut Vec<f64>) {
     }
 }
 
+/// A right-hand operand (`k x n`, row-major `f64`) packed once, in the
+/// [`pack_b_full`] panel layout, for [`crate::matmul_prepacked_into`].
+///
+/// Packing a layer's weights once per checkpoint instead of once per call
+/// (or not at all, on the direct path) lets every later product read each
+/// `KC x NR` chunk as one contiguous 32 KiB block.
+#[derive(Clone)]
+pub struct PackedGemmB {
+    data: Vec<f64>,
+    k: usize,
+    n: usize,
+}
+
+impl PackedGemmB {
+    /// Packs a `k x n` row-major matrix.
+    pub fn pack(b: &[f64], k: usize, n: usize) -> PackedGemmB {
+        assert_eq!(b.len(), k * n, "PackedGemmB::pack: shape mismatch");
+        let mut data = Vec::new();
+        pack_b_full(b, k, n, &mut data);
+        PackedGemmB { data, k, n }
+    }
+
+    /// Rows of the unpacked matrix (the shared dimension).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of the unpacked matrix.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Bytes held by the packed panels (the last one zero-padded).
+    pub fn bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f64>()
+    }
+}
+
+impl std::fmt::Debug for PackedGemmB {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedGemmB")
+            .field("k", &self.k)
+            .field("n", &self.n)
+            .finish()
+    }
+}
+
 /// Packs `mc` rows of the (possibly strided) left operand starting at
 /// global row `row0`, depth window `[k0, k0+kc)`, into `MR`-row groups
 /// (group `g` at `g * kc * MR`, element `(kk, i)` at `kk * MR + i`),
@@ -366,6 +428,44 @@ pub(crate) fn gemm_stripe(
         }
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar_stripe(a, b, c, row0, rows, k, n, false),
+    }
+}
+
+/// Products of at most this many rows keep every row of `A` resident and
+/// stream each panel of a [`PackedGemmB`] once; larger ones take the
+/// packed GEBP loop nest.
+pub const STATIONARY_MAX_M: usize = 16;
+
+/// Computes one thread-stripe of `C = A*B` against a pre-packed `B`, in
+/// the same accumulation order as [`gemm_stripe`]. `c` is the stripe's
+/// `rows x n` slice and `row0` its first global row. `tun` is only read
+/// above [`STATIONARY_MAX_M`] rows.
+pub(crate) fn prepacked_stripe(
+    isa: KernelIsa,
+    tun: &KernelTuning,
+    a: AView<'_>,
+    b: &PackedGemmB,
+    c: &mut [f64],
+    row0: usize,
+    rows: usize,
+) {
+    let (k, n) = (b.k, b.n);
+    if rows == 0 || n == 0 || k == 0 {
+        return;
+    }
+    match isa {
+        KernelIsa::Scalar => scalar_panel_stripe(a, &b.data, c, row0, rows, k, n),
+        #[cfg(target_arch = "x86_64")]
+        _ if rows <= STATIONARY_MAX_M => {
+            x86::stationary_stripe(isa, a, &b.data, c, row0, rows, k, n)
+        }
+        #[cfg(target_arch = "x86_64")]
+        _ => x86::packed_stripe(isa, tun, a, &b.data, c, row0, rows, k, n),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => {
+            let _ = tun;
+            scalar_panel_stripe(a, &b.data, c, row0, rows, k, n)
+        }
     }
 }
 
@@ -443,10 +543,67 @@ pub(crate) fn scalar_stripe(
     }
 }
 
+/// [`scalar_stripe`] without FMA (the scalar ISA's semantics) reading `B`
+/// from [`pack_b_full`] panels: the same per-element association, walked
+/// panel by panel.
+fn scalar_panel_stripe(
+    a: AView<'_>,
+    pb: &[f64],
+    c: &mut [f64],
+    row0: usize,
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    for jp in 0..n.div_ceil(NR) {
+        let col0 = jp * NR;
+        let w = NR.min(n - col0);
+        let mut k0 = 0;
+        while k0 < k {
+            let kc = KC.min(k - k0);
+            let chunk = &pb[NR * (jp * k + k0)..NR * (jp * k + k0 + kc)];
+            for r in 0..rows {
+                let mut acc = [0.0f64; NR];
+                for (kk, br) in chunk.chunks_exact(NR).enumerate() {
+                    let av = a.data[(row0 + r) * a.rs + (k0 + kk) * a.ks];
+                    for j in 0..NR {
+                        acc[j] += av * br[j];
+                    }
+                }
+                let cr = &mut c[r * n + col0..r * n + col0 + w];
+                if k0 == 0 {
+                    cr.copy_from_slice(&acc[..w]);
+                } else {
+                    for (slot, v) in cr.iter_mut().zip(&acc) {
+                        *slot += v;
+                    }
+                }
+            }
+            k0 += KC;
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{AView, KernelIsa, KernelTuning, KC, MR, NR};
     use std::arch::x86_64::*;
+    use std::cell::RefCell;
+
+    /// Lane masks of the two 8-wide halves of a `nr`-column edge group.
+    fn edge_masks_512(nr: usize) -> (u8, u8) {
+        let m0: u8 = if nr >= 8 {
+            0xff
+        } else {
+            (1u8 << nr).wrapping_sub(1)
+        };
+        let m1: u8 = if nr <= 8 {
+            0
+        } else {
+            (1u8 << (nr - 8)).wrapping_sub(1)
+        };
+        (m0, m1)
+    }
 
     /// Direct path: stream `B` rows in place, masked loads at the column
     /// edge, one `C` write per `KC` chunk (the first chunk stores, later
@@ -540,10 +697,16 @@ mod x86 {
         let mut jr = 0;
         while jr < full {
             unsafe {
+                // C rows share B's stride; the prefetch warms the next
+                // column group's slice of this B row: the 16-column stride
+                // down B defeats the hardware streamer, so without it every
+                // group re-pulls B from L2.
                 kd512::<MRK, true>(
                     apk.as_ptr(),
                     bbase.add(jr),
                     n,
+                    n,
+                    NR,
                     kc,
                     ctile.add(jr),
                     0xff,
@@ -554,22 +717,14 @@ mod x86 {
             jr += NR;
         }
         if jr < n {
-            let nr = n - jr;
-            let m0: u8 = if nr >= 8 {
-                0xff
-            } else {
-                (1u8 << nr).wrapping_sub(1)
-            };
-            let m1: u8 = if nr <= 8 {
-                0
-            } else {
-                (1u8 << (nr - 8)).wrapping_sub(1)
-            };
+            let (m0, m1) = edge_masks_512(n - jr);
             unsafe {
                 kd512::<MRK, false>(
                     apk.as_ptr(),
                     bbase.wrapping_add(jr),
                     n,
+                    n,
+                    NR,
                     kc,
                     ctile.wrapping_add(jr),
                     m0,
@@ -621,6 +776,7 @@ mod x86 {
                     apk.as_ptr(),
                     bbase.add(jr),
                     n,
+                    n,
                     kc,
                     ctile.add(jr),
                     fullm,
@@ -641,6 +797,7 @@ mod x86 {
                     apk.as_ptr(),
                     bbase.wrapping_add(jr),
                     n,
+                    n,
                     kc,
                     ctile.wrapping_add(jr),
                     m0,
@@ -651,8 +808,182 @@ mod x86 {
         }
     }
 
-    /// AVX-512 direct micro-kernel: `MRK` rows x 16 columns, `C += A*B`
-    /// over one `KC` chunk. Column edges are masked; masked-off lanes of a
+    /// Prefetch distance of the weight-stationary path, in `B` elements:
+    /// 32 rows (4 KiB) further down the same panel. Chunks and panels are
+    /// stored back to back, so near a chunk's end it reaches into the
+    /// chunk or panel read next. (On the 2-vCPU AVX-512 VM, 16 to 128
+    /// rows and no prefetch at all measured within noise of each other:
+    /// the hardware streamer already follows a front-to-back read.)
+    const STATIONARY_PF: usize = 32 * NR;
+
+    thread_local! {
+        /// The row-tiled copy of `A` the weight-stationary path reads,
+        /// reused across calls so a warm caller does not allocate.
+        static A_STAGE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Weight-stationary path for at most `STATIONARY_MAX_M` rows against
+    /// [`super::pack_b_full`] panels. Every row of `A` is staged once; then
+    /// each `KC x NR` chunk of each panel (32 KiB) is read from memory once
+    /// and every row tile runs over it while it sits in L1. Panels are
+    /// walked in order and chunks ascend inside a panel, so `B` streams
+    /// front to back and each output element still adds its chunks in
+    /// ascending order (the first stores, later ones load-add).
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn stationary_stripe(
+        isa: KernelIsa,
+        a: AView<'_>,
+        pb: &[f64],
+        c: &mut [f64],
+        row0: usize,
+        rows: usize,
+        k: usize,
+        n: usize,
+    ) {
+        // The micro-kernels read `kc` panel rows and write `mrk` rows of
+        // `c` through raw pointers; these bounds make every such access
+        // land inside the slices.
+        assert!(pb.len() >= n.div_ceil(NR) * k * NR && c.len() >= rows * n);
+        let tile = if isa == KernelIsa::Avx512 { MR } else { 4 };
+        A_STAGE.with(|stage| {
+            let mut stage = stage.borrow_mut();
+            stage.clear();
+            stage.resize(rows * k, 0.0);
+            // The tile starting at row `ir` (height `mrk`) holds element
+            // `(kk, i)` at `ir * k + kk * mrk + i`.
+            let mut ir = 0;
+            while ir < rows {
+                let mrk = tile.min(rows - ir);
+                let dst = &mut stage[ir * k..(ir + mrk) * k];
+                for i in 0..mrk {
+                    let src = (row0 + ir + i) * a.rs;
+                    for kk in 0..k {
+                        dst[kk * mrk + i] = a.data[src + kk * a.ks];
+                    }
+                }
+                ir += mrk;
+            }
+            for jp in 0..n.div_ceil(NR) {
+                let col0 = jp * NR;
+                let nr = NR.min(n - col0);
+                let mut k0 = 0;
+                while k0 < k {
+                    let kc = KC.min(k - k0);
+                    let bp = pb[NR * (jp * k + k0)..].as_ptr();
+                    let store = k0 == 0;
+                    let mut ir = 0;
+                    while ir < rows {
+                        let mrk = tile.min(rows - ir);
+                        let ap = stage[ir * k + k0 * mrk..].as_ptr();
+                        let cp = c[ir * n + col0..].as_mut_ptr();
+                        macro_rules! tile {
+                            ($f:ident, $($m:literal)|+) => {
+                                match mrk {
+                                    $($m => $f::<$m>(ap, bp, kc, cp, n, nr, store),)+
+                                    _ => unreachable!("row tile is clamped to the register tile"),
+                                }
+                            };
+                        }
+                        match isa {
+                            // SAFETY: `isa` is only Avx512/Avx2 when the CPU
+                            // reported the matching features at dispatch
+                            // time; `ap`/`bp` cover `kc` staged/panel rows
+                            // and `cp` the tile's `mrk` rows of `nr` columns.
+                            KernelIsa::Avx512 => unsafe {
+                                tile!(stationary_tile_512, 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8)
+                            },
+                            KernelIsa::Avx2 => unsafe { tile!(stationary_tile_256, 1 | 2 | 3 | 4) },
+                            KernelIsa::Scalar => unreachable!("scalar has its own stripe"),
+                        }
+                        ir += mrk;
+                    }
+                    k0 += KC;
+                }
+            }
+        });
+    }
+
+    /// One row tile over one panel chunk: `B` rows are `NR` apart, `C`
+    /// rows `ldc`; only the last panel's `C` columns are masked (`B` is
+    /// zero-padded to whole panels).
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F; `ap` holds `kc * MRK` staged values,
+    /// `bp` `kc` full panel rows of `NR` values, and `cp` `MRK` rows, `ldc`
+    /// apart, of `nr ≤ NR` writable values each.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn stationary_tile_512<const MRK: usize>(
+        ap: *const f64,
+        bp: *const f64,
+        kc: usize,
+        cp: *mut f64,
+        ldc: usize,
+        nr: usize,
+        store: bool,
+    ) {
+        // SAFETY: the caller's contract is `kd512`'s, with `ldb = NR`; the
+        // edge masks enable only the `nr` columns `cp` may write.
+        unsafe {
+            if nr == NR {
+                kd512::<MRK, true>(ap, bp, NR, ldc, STATIONARY_PF, kc, cp, 0xff, 0xff, store);
+            } else {
+                let (m0, m1) = edge_masks_512(nr);
+                kd512::<MRK, false>(ap, bp, NR, ldc, 0, kc, cp, m0, m1, store);
+            }
+        }
+    }
+
+    /// [`stationary_tile_512`] on AVX2: the 16-column panel as two 8-column
+    /// halves.
+    ///
+    /// # Safety
+    ///
+    /// As [`stationary_tile_512`], with AVX2 and FMA in place of AVX-512F.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn stationary_tile_256<const MRK: usize>(
+        ap: *const f64,
+        bp: *const f64,
+        kc: usize,
+        cp: *mut f64,
+        ldc: usize,
+        nr: usize,
+        store: bool,
+    ) {
+        for half in 0..2 {
+            let w = nr.saturating_sub(half * 8).min(8);
+            if w == 0 {
+                break;
+            }
+            // SAFETY: the caller's contract covers `kd256`'s with `ldb =
+            // NR`; the half's masks enable only its `w` writable columns,
+            // and `bp + 8` stays inside the padded panel row.
+            unsafe {
+                let m0 = _mm256_loadu_si256(LANE_MASKS[w.min(4)].as_ptr() as *const __m256i);
+                let m1 =
+                    _mm256_loadu_si256(LANE_MASKS[w.saturating_sub(4)].as_ptr() as *const __m256i);
+                kd256::<MRK>(
+                    ap,
+                    bp.add(half * 8),
+                    NR,
+                    ldc,
+                    kc,
+                    cp.wrapping_add(half * 8),
+                    m0,
+                    m1,
+                    store,
+                );
+            }
+        }
+    }
+
+    /// AVX-512 micro-kernel: `MRK` rows x 16 columns, `C += A*B` over one
+    /// `KC` chunk. `B` rows are `ldb` apart (`n` on the direct path, `NR`
+    /// in a pre-packed panel) and `C` rows `ldc` apart; `pf` is the
+    /// element offset, from the current `B` row, that the full-width loop
+    /// prefetches. Column edges are masked; masked-off lanes of a
     /// `maskz` load never fault, so `b`/`c` pointers may dangle past the
     /// row end (they are built with `wrapping_add` and only dereferenced
     /// under the mask). `store` marks the first `KC` chunk: its sums are
@@ -671,6 +1002,8 @@ mod x86 {
         apk: *const f64,
         b: *const f64,
         ldb: usize,
+        ldc: usize,
+        pf: usize,
         kc: usize,
         cp: *mut f64,
         m0: u8,
@@ -683,13 +1016,11 @@ mod x86 {
         macro_rules! step {
             () => {{
                 let (b0, b1) = if FULL {
-                    // Warm the next column group's slice of this B row
-                    // while we compute on the current one: the 16-column
-                    // stride down B defeats the hardware streamer, so
-                    // without this every group re-pulls B from L2.
-                    // Prefetches never fault, so running past the row end
-                    // on the last group is fine.
-                    _mm_prefetch::<_MM_HINT_T0>(b.wrapping_add(boff + NR) as *const i8);
+                    // Warm `pf` elements past the current B row while we
+                    // compute on it (see the callers for the target).
+                    // Prefetches never fault, so running past the end of
+                    // `B` on the last rows is fine.
+                    _mm_prefetch::<_MM_HINT_T0>(b.wrapping_add(boff + pf) as *const i8);
                     (
                         _mm512_loadu_pd(b.wrapping_add(boff)),
                         _mm512_loadu_pd(b.wrapping_add(boff + 8)),
@@ -721,18 +1052,17 @@ mod x86 {
             step!();
             kk += 1;
         }
-        // C rows share B's stride (`ldb` is the common row length `n`).
         match (FULL, store) {
             (true, true) => {
                 for i in 0..MRK {
-                    let p = cp.add(i * ldb);
+                    let p = cp.add(i * ldc);
                     _mm512_storeu_pd(p, acc[i][0]);
                     _mm512_storeu_pd(p.add(8), acc[i][1]);
                 }
             }
             (true, false) => {
                 for i in 0..MRK {
-                    let p = cp.add(i * ldb);
+                    let p = cp.add(i * ldc);
                     let o0 = _mm512_loadu_pd(p);
                     let o1 = _mm512_loadu_pd(p.add(8));
                     _mm512_storeu_pd(p, _mm512_add_pd(o0, acc[i][0]));
@@ -741,14 +1071,14 @@ mod x86 {
             }
             (false, true) => {
                 for i in 0..MRK {
-                    let p = cp.wrapping_add(i * ldb);
+                    let p = cp.wrapping_add(i * ldc);
                     _mm512_mask_storeu_pd(p, m0, acc[i][0]);
                     _mm512_mask_storeu_pd(p.wrapping_add(8), m1, acc[i][1]);
                 }
             }
             (false, false) => {
                 for i in 0..MRK {
-                    let p = cp.wrapping_add(i * ldb);
+                    let p = cp.wrapping_add(i * ldc);
                     let o0 = _mm512_maskz_loadu_pd(m0, p);
                     let o1 = _mm512_maskz_loadu_pd(m1, p.wrapping_add(8));
                     _mm512_mask_storeu_pd(p, m0, _mm512_add_pd(o0, acc[i][0]));
@@ -758,7 +1088,8 @@ mod x86 {
         }
     }
 
-    /// AVX2+FMA direct micro-kernel: `MRK` rows x 8 columns.
+    /// AVX2+FMA micro-kernel: `MRK` rows x 8 columns, strides as in
+    /// `kd512`.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
@@ -766,6 +1097,7 @@ mod x86 {
         apk: *const f64,
         b: *const f64,
         ldb: usize,
+        ldc: usize,
         kc: usize,
         cp: *mut f64,
         m0: __m256i,
@@ -804,13 +1136,13 @@ mod x86 {
         }
         if store {
             for i in 0..MRK {
-                let p = cp.wrapping_add(i * ldb);
+                let p = cp.wrapping_add(i * ldc);
                 _mm256_maskstore_pd(p, m0, acc[i][0]);
                 _mm256_maskstore_pd(p.wrapping_add(4), m1, acc[i][1]);
             }
         } else {
             for i in 0..MRK {
-                let p = cp.wrapping_add(i * ldb);
+                let p = cp.wrapping_add(i * ldc);
                 let o0 = _mm256_maskload_pd(p, m0);
                 let o1 = _mm256_maskload_pd(p.wrapping_add(4), m1);
                 _mm256_maskstore_pd(p, m0, _mm256_add_pd(o0, acc[i][0]));
@@ -980,6 +1312,30 @@ pub mod testing {
         c
     }
 
+    /// Full product through [`crate::matmul_prepacked_into`] on a freshly
+    /// packed `B`, with a `threads` budget and no work floor (so a budget
+    /// above one really splits the rows).
+    pub fn gemm_prepacked(
+        a: &[f64],
+        b: &[f64],
+        m: usize,
+        k: usize,
+        n: usize,
+        threads: usize,
+    ) -> Vec<f64> {
+        let a = crate::Matrix::from_vec(m, k, a.to_vec());
+        let mut c = crate::Matrix::zeros(m, n);
+        let opts = crate::MatmulOptions {
+            threads,
+            parallel_threshold: 1,
+            min_flops_per_thread: 1,
+            ..Default::default()
+        };
+        crate::matmul_prepacked_into(&a, &PackedGemmB::pack(b, k, n), &mut c, opts)
+            .expect("shapes agree");
+        c.as_slice().to_vec()
+    }
+
     /// Scalar KC-chunked reference with the same association as the SIMD
     /// kernels (`fma: true` mirrors the FMA contraction).
     pub fn gemm_reference(
@@ -1070,6 +1426,7 @@ pub mod testing {
 mod tests {
     use super::testing::*;
     use super::*;
+    use crate::{MatmulOptions, Matrix};
 
     fn fill(len: usize, seed: u64) -> Vec<f64> {
         let mut s = seed | 1;
@@ -1163,6 +1520,60 @@ mod tests {
             assert_eq!(d, p, "direct vs packed at k={k} m={m} n={n}");
             assert_eq!(d, r, "kernel vs reference at k={k} m={m} n={n}");
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn prepacked_matches_reference_bitwise_on_layer_shapes() {
+        // Every row count of the weight-stationary path and the first one
+        // past it, on the paper network's layer widths and on depths either
+        // side of a `KC` boundary. Rows of the reference are independent,
+        // so one 17-row reference serves every `m`.
+        let fma = kernel_isa().uses_fma();
+        for k in [11, 255, 257, 1500] {
+            for n in [43, 250, 750, 1500] {
+                let a = fill(17 * k, 19);
+                let b = fill(k * n, 23);
+                let want = bits(&gemm_reference(&a, &b, 17, k, n, fma));
+                let pb = PackedGemmB::pack(&b, k, n);
+                let mut c = Matrix::zeros(0, n);
+                for m in 1..=17 {
+                    let am = Matrix::from_vec(m, k, a[..m * k].to_vec());
+                    c.resize(m, n);
+                    let opts = MatmulOptions {
+                        threads: 1,
+                        ..Default::default()
+                    };
+                    crate::matmul_prepacked_into(&am, &pb, &mut c, opts).unwrap();
+                    assert_eq!(bits(c.as_slice()), want[..m * n], "{m}x{k}x{n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prepacked_is_bitwise_equal_at_any_thread_budget() {
+        // 17 rows split into stationary stripes; 70 rows into packed ones.
+        let fma = kernel_isa().uses_fma();
+        for (m, k, n) in [(17, 300, 250), (70, 257, 43)] {
+            let a = fill(m * k, 29);
+            let b = fill(k * n, 31);
+            let want = bits(&gemm_reference(&a, &b, m, k, n, fma));
+            for threads in [1, 2, 3] {
+                let got = gemm_prepacked(&a, &b, m, k, n, threads);
+                assert_eq!(bits(&got), want, "{m}x{k}x{n} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn prepacked_empty_dims_are_noops() {
+        assert!(gemm_prepacked(&[], &[1.0; 12], 0, 3, 4, 1).is_empty());
+        assert_eq!(gemm_prepacked(&[], &[], 2, 0, 2, 1), vec![0.0; 4]);
+        assert!(gemm_prepacked(&[1.0, 2.0], &[], 2, 1, 0, 1).is_empty());
     }
 
     #[test]

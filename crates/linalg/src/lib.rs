@@ -37,10 +37,10 @@ mod thread_budget;
 mod vector;
 
 pub use error::LinalgError;
-pub use kernel::{kernel_isa, kernel_tuning, KernelIsa, KernelTuning};
+pub use kernel::{kernel_isa, kernel_tuning, KernelIsa, KernelTuning, PackedGemmB};
 pub use matmul::{
-    default_threads, matmul, matmul_at_into, matmul_into, matmul_threaded, matvec, MatmulOptions,
-    MIN_FLOPS_PER_THREAD,
+    default_threads, matmul, matmul_at_into, matmul_into, matmul_prepacked_into, matmul_threaded,
+    matvec, MatmulOptions, MIN_FLOPS_PER_THREAD,
 };
 pub use matrix::Matrix;
 pub use qgemm::{gemm_i8, QuantizedGemmB};

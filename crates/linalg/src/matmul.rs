@@ -8,7 +8,7 @@
 //! order (see the kernel module's determinism notes) — so results are
 //! bitwise identical at any thread count, on either compute path.
 
-use crate::kernel::{self, choose_path, AView, GemmPath};
+use crate::kernel::{self, choose_path, AView, GemmPath, PackedGemmB};
 use crate::{dot, LinalgError, Matrix, Result, ThreadBudget};
 use std::cell::RefCell;
 
@@ -181,9 +181,8 @@ fn run_gemm(
     }
     let isa = kernel::kernel_isa();
     let path = choose_path(isa, m, k, n);
-    let threads = effective_threads(opts.threads, m, k, n, opts.min_flops_per_thread);
-    let use_parallel = threads > 1 && m * n >= opts.parallel_threshold && m > 1;
-    let tun = if path == GemmPath::Packed || use_parallel {
+    let threads = stripe_count(&opts, m, k, n);
+    let tun = if path == GemmPath::Packed || threads > 1 {
         kernel::kernel_tuning()
     } else {
         Default::default()
@@ -197,32 +196,106 @@ fn run_gemm(
         } else {
             None
         };
-
-        if !use_parallel {
-            kernel::gemm_stripe(isa, &tun, a, b, packed_b, c, 0, m, k, n, path);
-            return;
-        }
-
-        // Partition output rows into one contiguous stripe per thread,
-        // rounded to the micro-tile height so tiles never straddle a
-        // stripe boundary. Stripes are disjoint `&mut` slices, so no
-        // synchronization is needed.
-        let rows_per_thread = m.div_ceil(threads).div_ceil(kernel::MR) * kernel::MR;
-        let stripes: Vec<&mut [f64]> = c.chunks_mut(rows_per_thread * n).collect();
-        crossbeam::thread::scope(|scope| {
-            for (t, stripe) in stripes.into_iter().enumerate() {
-                let row0 = t * rows_per_thread;
-                let rows_here = stripe.len() / n;
-                let tun = &tun;
-                scope.spawn(move |_| {
-                    kernel::gemm_stripe(
-                        isa, tun, a, b, packed_b, stripe, row0, rows_here, k, n, path,
-                    );
-                });
-            }
-        })
-        .expect("matmul worker panicked");
+        run_stripes(c, m, n, threads, |stripe, row0, rows| {
+            kernel::gemm_stripe(isa, &tun, a, b, packed_b, stripe, row0, rows, k, n, path);
+        });
     });
+}
+
+/// How many row stripes an `m x k * k x n` product runs in: its thread
+/// budget capped by the work floor, or one below the parallel threshold.
+fn stripe_count(opts: &MatmulOptions, m: usize, k: usize, n: usize) -> usize {
+    let threads = effective_threads(opts.threads, m, k, n, opts.min_flops_per_thread);
+    if threads > 1 && m * n >= opts.parallel_threshold && m > 1 {
+        threads
+    } else {
+        1
+    }
+}
+
+/// Runs `stripe(c_rows, row0, rows)` over `threads` contiguous row stripes
+/// of the `m x n` output, rounded to the micro-tile height so tiles never
+/// straddle a stripe boundary. Stripes are disjoint `&mut` slices, so no
+/// synchronization is needed; one thread runs the whole product inline.
+fn run_stripes(
+    c: &mut [f64],
+    m: usize,
+    n: usize,
+    threads: usize,
+    stripe: impl Fn(&mut [f64], usize, usize) + Sync,
+) {
+    if threads <= 1 {
+        stripe(c, 0, m);
+        return;
+    }
+    let rows_per_thread = m.div_ceil(threads).div_ceil(kernel::MR) * kernel::MR;
+    let stripe = &stripe;
+    crossbeam::thread::scope(|scope| {
+        for (t, part) in c.chunks_mut(rows_per_thread * n).enumerate() {
+            scope.spawn(move |_| stripe(part, t * rows_per_thread, part.len() / n));
+        }
+    })
+    .expect("matmul worker panicked");
+}
+
+/// `C = A * B` against a right operand packed once by
+/// [`PackedGemmB::pack`](kernel::PackedGemmB::pack), writing into a
+/// preallocated output (contents are overwritten).
+///
+/// Nothing is packed per call. Up to [`kernel::STATIONARY_MAX_M`] rows,
+/// each panel of `B` streams from memory once with every row of `A`
+/// resident; larger products run the packed loop nest over the same
+/// panels, split into row stripes as [`matmul_into`] splits them. Every
+/// output element accumulates in the same order as [`matmul_into`], so the
+/// two are bitwise equal at any thread count.
+pub fn matmul_prepacked_into(
+    a: &Matrix,
+    b: &PackedGemmB,
+    c: &mut Matrix,
+    opts: MatmulOptions,
+) -> Result<()> {
+    if a.cols() != b.k() {
+        return Err(LinalgError::ShapeMismatch {
+            op: "matmul_prepacked",
+            lhs: a.shape(),
+            rhs: (b.k(), b.n()),
+        });
+    }
+    if c.shape() != (a.rows(), b.n()) {
+        return Err(LinalgError::ShapeMismatch {
+            op: "matmul_prepacked (output)",
+            lhs: c.shape(),
+            rhs: (a.rows(), b.n()),
+        });
+    }
+    let (m, k) = a.shape();
+    let n = b.n();
+    let c = c.as_mut_slice();
+    c.fill(0.0);
+    if m == 0 || n == 0 || k == 0 {
+        return Ok(());
+    }
+    let isa = kernel::kernel_isa();
+    let tun = if m > kernel::STATIONARY_MAX_M {
+        kernel::kernel_tuning()
+    } else {
+        Default::default()
+    };
+    let view = AView {
+        data: a.as_slice(),
+        rs: k,
+        ks: 1,
+    };
+    run_stripes(
+        c,
+        m,
+        n,
+        stripe_count(&opts, m, k, n),
+        |stripe, row0, rows| {
+            kernel::prepacked_stripe(isa, &tun, view, b, stripe, row0, rows);
+        },
+    );
+    Ok(())
 }
 
 /// Matrix-vector product `y = A * x`.

@@ -128,6 +128,30 @@ proptest! {
     }
 
     #[test]
+    fn prepacked_path_matches_reference_bitwise(
+        m in 1usize..40,
+        k in 1usize..300,
+        n in 1usize..40,
+        threads in 1usize..=3,
+        seed in 0u64..1000,
+    ) {
+        // The pre-packed product (weight-stationary up to 16 rows, the
+        // packed loop nest above) accumulates in the reference order at
+        // every thread budget.
+        let mut s = seed | 1;
+        let mut gen = || {
+            s ^= s << 13; s ^= s >> 7; s ^= s << 17;
+            (s % 1000) as f64 / 500.0 - 1.0
+        };
+        let a: Vec<f64> = (0..m * k).map(|_| gen()).collect();
+        let b: Vec<f64> = (0..k * n).map(|_| gen()).collect();
+        let got = kernel::testing::gemm_prepacked(&a, &b, m, k, n, threads);
+        let reference = kernel::testing::gemm_reference(&a, &b, m, k, n, kernel_isa().uses_fma());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&reference), "prepacked vs reference at {}x{}x{}", m, k, n);
+    }
+
+    #[test]
     fn micro_kernel_edge_shapes_match_naive(
         k in 1usize..600,
         n in 1usize..64,

@@ -81,12 +81,7 @@ impl DenseLayer {
     }
 
     fn bias_and_activate(&self, z: &mut Matrix) {
-        let out = self.out_dim();
-        for row in z.as_mut_slice().chunks_mut(out) {
-            for (v, b) in row.iter_mut().zip(self.biases.iter()) {
-                *v = self.activation.apply(*v + b);
-            }
-        }
+        bias_and_activate(z, &self.biases, self.activation);
     }
 
     /// Backward pass.
@@ -131,6 +126,15 @@ impl DenseLayer {
             },
             dx,
         )
+    }
+}
+
+/// `z ← act(z + b)` row by row: the epilogue every f64 forward pass shares.
+pub(crate) fn bias_and_activate(z: &mut Matrix, biases: &[f64], activation: Activation) {
+    for row in z.as_mut_slice().chunks_mut(biases.len()) {
+        for (v, b) in row.iter_mut().zip(biases) {
+            *v = activation.apply(*v + b);
+        }
     }
 }
 

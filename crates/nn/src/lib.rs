@@ -39,6 +39,7 @@ mod layer;
 mod metrics;
 mod network;
 mod optimizer;
+mod packed;
 mod quant;
 mod trainer;
 mod validate;
@@ -50,6 +51,7 @@ pub use layer::DenseLayer;
 pub use metrics::{accuracy, confusion_matrix, top_k_accuracy, top_k_classes};
 pub use network::{Network, NetworkConfig, NetworkError};
 pub use optimizer::{Optimizer, OptimizerKind};
+pub use packed::PackedNetwork;
 pub use quant::{QuantError, QuantGate, QuantReport, QuantizedNetwork};
 pub use trainer::{TrainerOptions, TrainingReport};
 pub use validate::{ValidatedReport, ValidationOptions};

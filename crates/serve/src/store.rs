@@ -2,6 +2,12 @@
 //! startup, then hands out per-worker [`AdaptiveModeler`] instances that
 //! share the options and start from the same validated weights.
 //!
+//! Each generation holds one warm modeler, built once per checkpoint: its
+//! network and inference snapshots (the pre-packed f64 weights and, under
+//! `quantize`, the gated int8 ones) sit behind `Arc`s. A worker's modeler
+//! is a clone of it, so every worker reads the same single copy of the
+//! weights, and a worker that adapts copies them on write.
+//!
 //! The store is also the server's **hot-swap point**. The validated
 //! network lives behind a shared epoch pointer: [`ModelStore::swap`]
 //! atomically publishes a new network and bumps the epoch, cloned handles
@@ -54,14 +60,14 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// One immutable generation of the store: a validated network, the shared
-/// options, and the network's content hash. Swaps replace the whole
-/// generation atomically, so readers never see a half-updated triple
-/// (e.g. new weights with the old hash, which would poison cache keys).
+/// One immutable generation of the store: the warm modeler (a validated
+/// network, its inference snapshots and the shared options) and the
+/// network's content hash. Swaps replace the whole generation atomically,
+/// so readers never see a half-updated pair (e.g. new weights with the old
+/// hash, which would poison cache keys).
 #[derive(Debug)]
 struct StoreInner {
-    network: Network,
-    opts: AdaptiveOptions,
+    modeler: AdaptiveModeler,
     checkpoint_hash: u64,
 }
 
@@ -75,8 +81,7 @@ impl StoreInner {
         }
         let checkpoint_hash = nrpm_core::fingerprint::bytes_hash(network.to_json().as_bytes());
         Ok(StoreInner {
-            network,
-            opts,
+            modeler: AdaptiveModeler::from_network(opts, network),
             checkpoint_hash,
         })
     }
@@ -120,13 +125,9 @@ impl ModelStore {
     pub fn with_adaptation(self, on: bool) -> Self {
         {
             let mut slot = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-            let current = Arc::clone(&slot);
-            let mut opts = current.opts.clone();
-            opts.use_domain_adaptation = on;
             *slot = Arc::new(StoreInner {
-                network: current.network.clone(),
-                opts,
-                checkpoint_hash: current.checkpoint_hash,
+                modeler: slot.modeler.clone().with_domain_adaptation(on),
+                checkpoint_hash: slot.checkpoint_hash,
             });
         }
         self
@@ -143,15 +144,16 @@ impl ModelStore {
     /// the new checkpoint hash.
     ///
     /// In-flight requests keep the weights they already cloned; new
-    /// modelers built after the swap use the new weights. The epoch
-    /// counter is bumped after the pointer is published, so a worker that
-    /// sees the new epoch is guaranteed to also see the new generation.
+    /// modelers built after the swap use the new weights. The new
+    /// generation's inference snapshots are built here, once, before the
+    /// lock is taken, so workers warming a modeler do not wait for them.
+    /// The epoch counter is bumped after the pointer is published, so a
+    /// worker that sees the new epoch is guaranteed to also see the new
+    /// generation.
     pub fn swap(&self, network: Network) -> Result<u64, StoreError> {
-        let mut slot = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let inner = StoreInner::build(network, slot.opts.clone())?;
+        let inner = StoreInner::build(network, self.options())?;
         let hash = inner.checkpoint_hash;
-        *slot = Arc::new(inner);
-        drop(slot);
+        *self.inner.lock().unwrap_or_else(|p| p.into_inner()) = Arc::new(inner);
         self.epoch.fetch_add(1, Ordering::Release);
         Ok(hash)
     }
@@ -164,12 +166,12 @@ impl ModelStore {
 
     /// A clone of the current validated base network.
     pub fn network(&self) -> Network {
-        self.snapshot().network.clone()
+        self.snapshot().modeler.dnn().network().clone()
     }
 
     /// A clone of the shared modeling options.
     pub fn options(&self) -> AdaptiveOptions {
-        self.snapshot().opts.clone()
+        self.snapshot().modeler.options().clone()
     }
 
     /// Content hash of the current checkpoint (its canonical JSON bytes).
@@ -180,28 +182,24 @@ impl ModelStore {
         self.snapshot().checkpoint_hash
     }
 
-    /// Builds a fresh modeler seeded with the current warm base weights.
+    /// A fresh modeler on the current warm base weights: a clone of the
+    /// generation's warm modeler, sharing its weights and snapshots.
     pub fn modeler(&self) -> AdaptiveModeler {
-        let inner = self.snapshot();
-        AdaptiveModeler::from_network(inner.opts.clone(), inner.network.clone())
+        self.snapshot().modeler.clone()
     }
 
-    /// Builds a fresh modeler together with the checkpoint hash and store
-    /// epoch of the exact generation it was warmed from. The hash is taken
-    /// from the *same* snapshot as the weights, so a concurrent swap can
-    /// never mislabel a modeler — that exactness is what lets the server
-    /// refuse to cache an answer under a checkpoint hash it was not
-    /// computed with. (The epoch is read separately and may lag a swap by
-    /// one bump; it is only used for statistical windows, never for cache
-    /// keying.)
+    /// A fresh modeler (see [`Self::modeler`]) together with the checkpoint
+    /// hash and store epoch of the exact generation it was warmed from. The
+    /// hash is taken from the *same* snapshot as the weights, so a
+    /// concurrent swap can never mislabel a modeler — that exactness is
+    /// what lets the server refuse to cache an answer under a checkpoint
+    /// hash it was not computed with. (The epoch is read separately and may
+    /// lag a swap by one bump; it is only used for statistical windows,
+    /// never for cache keying.)
     pub fn warm_modeler(&self) -> (AdaptiveModeler, u64, u64) {
         let inner = self.snapshot();
         let epoch = self.epoch.load(Ordering::Acquire);
-        (
-            AdaptiveModeler::from_network(inner.opts.clone(), inner.network.clone()),
-            inner.checkpoint_hash,
-            epoch,
-        )
+        (inner.modeler.clone(), inner.checkpoint_hash, epoch)
     }
 }
 
