@@ -109,8 +109,8 @@ impl RegimeSweepResult {
             .find(|c| c.train == train && c.test == test)
     }
 
-    /// Serializes the full sweep result to pretty JSON (the
-    /// `BENCH_ingest.json` payload).
+    /// Serializes the full sweep result to pretty JSON (what
+    /// `nrpm sweep --out` writes).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("RegimeSweepResult serializes")
     }

@@ -137,7 +137,7 @@ regime sweeping:
   switching-threshold table (--thresholds-out) that `fit`/`serve`
   load via --thresholds (with --regime selecting the row; default
   uniform). The full result including the transfer matrix at
-  --matrix-noise goes to --out (BENCH_ingest.json). --quick shrinks
+  --matrix-noise goes to --out as JSON. --quick shrinks
   the network for CI-sized runs.
 
 caching:

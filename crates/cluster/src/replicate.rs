@@ -339,8 +339,8 @@ struct ReplicaNote {
 }
 
 /// Adds `"shard": id` (and, for replicated reads, the quorum verdict) to
-/// a relayed reply so clients — and the affinity/divergence measurements
-/// in `cluster_bench` — can see how it was answered.
+/// a relayed reply so clients can see how it was answered: which shard
+/// (affinity) and whether the replicas agreed (divergence).
 fn annotate(response: Value, shard: u32, note: Option<ReplicaNote>, raw: &str) -> String {
     let Value::Map(mut entries) = response else {
         // A non-object reply should be impossible; relay the raw shard

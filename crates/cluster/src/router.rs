@@ -20,8 +20,8 @@
 //!
 //! The relayed reply gains a `"shard"` field naming the backend that
 //! answered — plus `"replicas"`/`"quorum"`/`"divergent"` under
-//! replication — which is what the affinity and divergence measurements
-//! in `cluster_bench` key on.
+//! replication — so a client can check shard affinity and see a
+//! divergent quorum.
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -657,4 +657,44 @@ mod tests {
         let anchor = e.windows().resume_anchor();
         assert!(anchor.is_none(), "push records are not replayable");
     }
+
+    /// Every record pushed over loopback is acked, and every ack is a
+    /// record the engine counted through `poll_push`.
+    #[test]
+    fn pushed_records_are_acked_and_counted_through_poll_push() {
+        use std::io::{BufRead, BufReader, Write};
+        const N: usize = 300;
+        let mut e = engine();
+        let push = PushSource::bind("127.0.0.1:0").unwrap();
+        let stream = std::net::TcpStream::connect(push.local_addr()).unwrap();
+        let client = std::thread::spawn(move || {
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let mut acks = 0;
+            for i in 0..N {
+                let x = [4.0, 8.0, 16.0, 32.0, 64.0][i % 5];
+                let line = format!(
+                    "{{\"kernel\":\"push-{}\",\"point\":[{x}],\"values\":[{}]}}\n",
+                    i % 8,
+                    2000 + i
+                );
+                writer.write_all(line.as_bytes()).unwrap();
+                let mut reply = String::new();
+                reader.read_line(&mut reply).unwrap();
+                acks += usize::from(reply.trim() == r#"{"status":"ok"}"#);
+            }
+            acks
+        });
+        let mut drained = 0;
+        while drained < N {
+            let got = e.poll_push(&push).unwrap();
+            if got == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drained += got;
+        }
+        assert_eq!(client.join().unwrap(), N, "every push is acked ok");
+        assert_eq!(e.counters().records, N as u64);
+        push.shutdown();
+    }
 }

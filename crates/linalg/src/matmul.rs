@@ -17,10 +17,9 @@ use std::cell::RefCell;
 /// joining a scoped thread costs tens of microseconds; at current kernel
 /// throughput this floor keeps that overhead under a few percent.
 ///
-/// This is what fixed the 4–8 thread training *regression* in
-/// BENCH_train.json: the trainer's per-layer products are small enough
-/// that fanning them across the whole thread budget cost more than the
-/// compute itself.
+/// Without it, training slows down at 4–8 threads: the trainer's
+/// per-layer products are small enough that fanning them across the whole
+/// thread budget costs more than the compute itself.
 pub const MIN_FLOPS_PER_THREAD: usize = 4_000_000;
 
 /// Tuning knobs for [`matmul`].

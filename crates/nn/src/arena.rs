@@ -53,8 +53,7 @@ fn chunk_flops(net: &Network) -> usize {
 /// costs tens of microseconds, so a worker is only justified once it has at
 /// least [`nrpm_linalg::MIN_FLOPS_PER_THREAD`] of gradient work. This is
 /// the chunk-level analogue of the matmul thread floor, and what stops
-/// small networks from *losing* throughput at 4–8 threads (the 0.86x in
-/// BENCH_train.json).
+/// small networks from *losing* throughput at 4–8 threads.
 ///
 /// Pure in its inputs so the policy is unit-testable; never changes chunk
 /// boundaries, so worker count stays a bitwise-neutral deployment knob.

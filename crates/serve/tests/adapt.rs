@@ -1,7 +1,7 @@
 //! Integration tests of the background adaptation pipeline: cache
 //! correctness across hot-swaps, supervised engine respawn under chaos
-//! faults (mid-retrain and mid-commit kills), a clean validated swap, and
-//! the post-swap watchdog rollback — all under concurrent client load with
+//! faults (mid-retrain and mid-commit kills), a corrupt candidate that
+//! never swaps, a clean validated swap, and the post-swap watchdog rollback — all under concurrent client load with
 //! zero dropped requests.
 
 use nrpm_core::adaptive::AdaptiveOptions;
@@ -15,7 +15,8 @@ use nrpm_serve::server::{ServeOptions, Server};
 use nrpm_serve::store::ModelStore;
 use serde::Value;
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -425,6 +426,78 @@ fn watchdog_rolls_back_a_regressing_swap() {
     let committed = journal.committed_hash().expect("rollback recorded");
     assert_eq!(format!("{committed:016x}"), hash_before);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A candidate whose bytes are corrupted before the store never goes live:
+/// the cycle ends rejected, the incumbent keeps serving, and requests
+/// pumped by a second client throughout the cycle are all answered. With a
+/// registry dir the registry refuses the bytes before any journal record
+/// exists; without one the in-memory load refuses them.
+fn corrupt_candidate_is_rejected(dir: Option<PathBuf>) {
+    let server = Server::start(
+        "127.0.0.1:0",
+        fast_adapt_store(7),
+        adapt_serve_options(dir.clone()),
+    )
+    .unwrap();
+    let mut client = connect(&server);
+    let before = client.stats().unwrap();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let load = {
+        let stop = Arc::clone(&stop);
+        let mut client = connect(&server);
+        thread::spawn(move || {
+            let mut base = 10_000;
+            while !stop.load(Ordering::SeqCst) {
+                pump_requests(&mut client, base, 2);
+                base += 2;
+            }
+        })
+    };
+    // Stop at the first terminal outcome: with the corruption in place no
+    // outcome of this cycle may be a swap.
+    let stats = force_until(&mut client, Some("corrupt_candidate"), |s| {
+        get_u64(s, "adapt_rejected") > get_u64(&before, "adapt_rejected")
+            || get_u64(s, "adapt_swaps") > get_u64(&before, "adapt_swaps")
+    });
+    stop.store(true, Ordering::SeqCst);
+    load.join()
+        .expect("a request pumped during the cycle was dropped");
+
+    assert_eq!(
+        get_u64(&stats, "adapt_swaps"),
+        get_u64(&before, "adapt_swaps"),
+        "a corrupt candidate must never swap: {stats:?}"
+    );
+    assert_eq!(
+        get_str(&stats, "checkpoint_hash"),
+        get_str(&before, "checkpoint_hash"),
+        "{stats:?}"
+    );
+    pump_requests(&mut client, 800, 5);
+
+    client.shutdown().unwrap();
+    join_within(server, Duration::from_secs(60));
+    if let Some(dir) = dir {
+        let (journal, _) = SwapJournal::open(&dir).unwrap();
+        assert!(
+            journal.records().is_empty(),
+            "a corrupt candidate dies before the journal: {:?}",
+            journal.records()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_corrupt_candidate_never_swaps_with_a_registry() {
+    corrupt_candidate_is_rejected(Some(tmp_dir("corrupt")));
+}
+
+#[test]
+fn a_corrupt_candidate_never_swaps_without_a_registry() {
+    corrupt_candidate_is_rejected(None);
 }
 
 /// Feed mode: a candidate published into the registry by an external

@@ -5,6 +5,7 @@
 use nrpm_core::adaptive::AdaptiveOptions;
 use nrpm_core::preprocess::NUM_INPUTS;
 use nrpm_extrap::{MeasurementSet, NUM_CLASSES};
+use nrpm_linalg::stats::quantile;
 use nrpm_nn::{Network, NetworkConfig};
 use nrpm_serve::client::{is_ok, Client};
 use nrpm_serve::protocol::{Request, MAX_LINE_BYTES};
@@ -54,13 +55,6 @@ fn kind_of(response: &Value) -> Option<&str> {
     response.get("kind").and_then(Value::as_str)
 }
 
-fn p99(latencies: &mut [Duration]) -> Duration {
-    assert!(!latencies.is_empty());
-    latencies.sort();
-    let rank = ((latencies.len() as f64) * 0.99).ceil() as usize;
-    latencies[rank.clamp(1, latencies.len()) - 1]
-}
-
 /// A burst far past capacity must shed with `overloaded` (counted exactly
 /// in `stats`), while the bounded queue keeps accepted-request latency
 /// close to unloaded: an admitted job never has more than `queue_depth`
@@ -85,10 +79,10 @@ fn burst_past_capacity_sheds_and_keeps_accepted_latency_bounded() {
     for _ in 0..10 {
         let started = Instant::now();
         let response = client.model(clean_linear_set(), None, None).unwrap();
-        unloaded.push(started.elapsed());
+        unloaded.push(started.elapsed().as_secs_f64() * 1e3);
         assert!(is_ok(&response), "{response:?}");
     }
-    let unloaded_p99 = p99(&mut unloaded);
+    let unloaded_p99 = quantile(&unloaded, 0.99);
 
     // Burst: 16 concurrent clients, 4 requests each, against a capacity of
     // 2 workers + 2 queue slots — well past 4x what the pool can absorb.
@@ -106,7 +100,7 @@ fn burst_past_capacity_sheds_and_keeps_accepted_latency_bounded() {
                         .unwrap();
                     if is_ok(&response) {
                         ok += 1;
-                        accepted_latencies.push(started.elapsed());
+                        accepted_latencies.push(started.elapsed().as_secs_f64() * 1e3);
                     } else {
                         assert_eq!(
                             kind_of(&response),
@@ -135,11 +129,11 @@ fn burst_past_capacity_sheds_and_keeps_accepted_latency_bounded() {
     // Accepted p99 within 2x of unloaded p99; the slack absorbs scheduler
     // noise on a loaded test machine, the bound itself comes from the
     // queue: at most queue_depth jobs wait ahead of an admitted one.
-    let accepted_p99 = p99(&mut accepted);
-    let limit = unloaded_p99 * 2 + Duration::from_millis(150);
+    let accepted_p99 = quantile(&accepted, 0.99);
+    let limit = unloaded_p99 * 2.0 + 150.0;
     assert!(
         accepted_p99 <= limit,
-        "accepted p99 {accepted_p99:?} exceeds 2x unloaded {unloaded_p99:?} (+slack)"
+        "accepted p99 {accepted_p99:.1} ms exceeds 2x unloaded {unloaded_p99:.1} ms (+slack)"
     );
 
     // The shed counter matches the overloaded responses exactly, and the

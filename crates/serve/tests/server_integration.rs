@@ -5,7 +5,7 @@
 use nrpm_core::adaptive::AdaptiveOptions;
 use nrpm_core::preprocess::NUM_INPUTS;
 use nrpm_extrap::{MeasurementSet, NUM_CLASSES};
-use nrpm_nn::{Network, NetworkConfig};
+use nrpm_nn::{Network, NetworkConfig, QuantGate};
 use nrpm_serve::client::{is_ok, Client};
 use nrpm_serve::server::{ServeOptions, Server};
 use nrpm_serve::store::ModelStore;
@@ -187,6 +187,33 @@ fn a_batch_of_eight_kernels_issues_one_batched_forward_pass() {
     let stats = client.stats().unwrap();
     assert_eq!(get_u64(&stats, "batched_forward_calls"), 1);
     assert_eq!(get_u64(&stats, "batched_rows"), 8);
+
+    assert!(is_ok(&client.shutdown().unwrap()));
+    join_within(server, Duration::from_secs(20));
+}
+
+/// `--quantize` serving takes the int8 path over the wire. The gate is
+/// opened because a random network's argmax ties are not accuracy loss,
+/// and a zero threshold pins every line to the DNN.
+#[test]
+fn a_quantized_store_serves_batches_on_the_int8_path() {
+    let mut opts = AdaptiveOptions::default();
+    opts.dnn.quantize = true;
+    opts.dnn.quant_gate = QuantGate {
+        max_prob_drift: 1.0,
+        max_argmax_flips: usize::MAX,
+    };
+    opts.thresholds = Some(vec![0.0]);
+    let net = Network::new(&NetworkConfig::new(&[NUM_INPUTS, 16, NUM_CLASSES]), 7);
+    let store = ModelStore::from_network(net, opts).unwrap();
+    let server = Server::start("127.0.0.1:0", store, ServeOptions::default()).unwrap();
+    let mut client = connect(&server);
+
+    let response = client.batch(vec![clean_linear_set(); 4], None).unwrap();
+    assert!(is_ok(&response), "{response:?}");
+    let stats = client.stats().unwrap();
+    assert!(get_u64(&stats, "quantized_forward_calls") > 0, "{stats:?}");
+    assert_eq!(get_u64(&stats, "quant_fallbacks"), 0, "{stats:?}");
 
     assert!(is_ok(&client.shutdown().unwrap()));
     join_within(server, Duration::from_secs(20));
