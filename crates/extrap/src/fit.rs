@@ -5,12 +5,16 @@
 //! `1` and each term's factor product evaluated at the measurement points.
 //! A hypothesis is evaluated over its point set once ([`Design`]): the full
 //! fit, the pruned refit, the in-sample SMAPE and every leave-one-out fold
-//! solve from those rows.
+//! solve from those rows. Every solve gathers its rows into the same buffer
+//! and factorizes them in place ([`Solver`]); the buffers live in a
+//! [`FitScratch`] owned per fit or per [`Selection`], so the allocations of
+//! a fit do not grow with its folds.
 
-use crate::metrics::{smape, smape_term};
+use crate::metrics::{smape_of, smape_term};
 use crate::search::Hypothesis;
-use crate::{Model, ModelError, Term};
-use nrpm_linalg::{lstsq, Matrix};
+use crate::{Model, ModelError, ModelingResult, Term};
+use nrpm_linalg::lstsq_into;
+use std::cmp::Ordering;
 
 /// Maximum number of held-out folds of the leave-one-out cross-validation.
 /// Leave-one-out is exact up to this size; for larger sets (e.g. a
@@ -95,79 +99,75 @@ pub struct FittedHypothesis {
 /// A solve names the term columns it uses (`cols`, indices into the
 /// hypothesis' terms) and optionally one held-out row, so the pruned refit
 /// and the cross-validation folds reuse the rows evaluated here.
+#[derive(Default)]
 struct Design {
     /// Number of non-constant terms of the hypothesis.
     terms: usize,
-    /// Row-major `n × terms`: each term's factor product at each point.
-    products: Vec<f64>,
-    /// Row-major `n × (1 + terms)`: the point's weight (the constant
-    /// column), then each product times it.
-    weighted: Vec<f64>,
-    /// The measured values.
-    values: Vec<f64>,
-    /// Each value times its point's weight.
-    weighted_values: Vec<f64>,
+    /// Row-major, one row of `2 · terms + 3` values per point: the point's
+    /// weight (the constant column), each term's factor product times it,
+    /// the value times it; then each product and the value unweighted.
+    rows: Vec<f64>,
 }
 
 impl Design {
-    fn new(hypothesis: &Hypothesis, points: &[(Vec<f64>, f64)]) -> Self {
+    /// Evaluates `hypothesis` over `points`, reusing the row buffer.
+    fn fill(&mut self, hypothesis: &Hypothesis, points: &[(Vec<f64>, f64)]) {
         let terms = hypothesis.terms.len();
-        let n = points.len();
-        let mut design = Design {
-            terms,
-            products: Vec::with_capacity(n * terms),
-            weighted: Vec::with_capacity(n * (terms + 1)),
-            values: Vec::with_capacity(n),
-            weighted_values: Vec::with_capacity(n),
-        };
+        self.terms = terms;
+        self.rows.clear();
+        self.rows.reserve(points.len() * self.stride());
         for (point, value) in points {
             let weight = if value.abs() > f64::MIN_POSITIVE {
                 1.0 / value.abs()
             } else {
                 1.0
             };
-            design.weighted.push(weight);
-            for factors in &hypothesis.terms {
+            let start = self.rows.len();
+            self.rows.resize(start + self.stride(), 0.0);
+            let row = &mut self.rows[start..];
+            row[0] = weight;
+            for (t, factors) in hypothesis.terms.iter().enumerate() {
                 let product: f64 = factors.iter().map(|f| f.evaluate(point)).product();
-                design.products.push(product);
-                design.weighted.push(product * weight);
+                row[1 + t] = product * weight;
+                row[terms + 2 + t] = product;
             }
-            design.values.push(*value);
-            design.weighted_values.push(value * weight);
+            row[terms + 1] = value * weight;
+            row[2 * terms + 2] = *value;
         }
-        design
+    }
+
+    fn stride(&self) -> usize {
+        2 * self.terms + 3
     }
 
     fn len(&self) -> usize {
-        self.values.len()
+        self.rows.len() / self.stride()
     }
 
-    /// The coefficients (constant first) fitted to every row but `skip`
-    /// over the term columns `cols`. `None` when there are fewer rows than
-    /// coefficients or the system is rank deficient or non-finite — the
-    /// caller skips the hypothesis, mirroring Extra-P's behaviour of
-    /// dropping degenerate candidates.
-    fn solve(&self, cols: &[usize], skip: Option<usize>) -> Option<Vec<f64>> {
-        let k = 1 + cols.len();
-        let rows = self.len() - usize::from(skip.is_some());
-        if rows < k {
-            return None;
-        }
-        let mut a = Vec::with_capacity(rows * k);
-        let mut y = Vec::with_capacity(rows);
-        for r in (0..self.len()).filter(|&r| Some(r) != skip) {
-            let row = &self.weighted[r * (self.terms + 1)..][..self.terms + 1];
-            a.push(row[0]);
-            a.extend(cols.iter().map(|&c| row[c + 1]));
-            y.push(self.weighted_values[r]);
-        }
-        lstsq(&Matrix::from_vec(rows, k, a), &y).ok()
+    fn row(&self, r: usize) -> &[f64] {
+        &self.rows[r * self.stride()..][..self.stride()]
+    }
+
+    /// Row `r` of the weighted system: the constant column, the term
+    /// columns, then the right-hand side.
+    fn weighted(&self, r: usize) -> &[f64] {
+        &self.row(r)[..self.terms + 2]
+    }
+
+    /// Each term's factor product at point `r`.
+    fn products(&self, r: usize) -> &[f64] {
+        &self.row(r)[self.terms + 2..2 * self.terms + 2]
+    }
+
+    /// The measured value at point `r`.
+    fn value(&self, r: usize) -> f64 {
+        self.row(r)[2 * self.terms + 2]
     }
 
     /// The model's prediction at row `r`, `c_0 + Σ c_t · product_t`, summed
     /// in [`Model::evaluate`]'s order so it is bitwise the same value.
     fn predict(&self, r: usize, cols: &[usize], coeffs: &[f64]) -> f64 {
-        let products = &self.products[r * self.terms..][..self.terms];
+        let products = self.products(r);
         coeffs[0]
             + cols
                 .iter()
@@ -178,10 +178,7 @@ impl Design {
 
     /// In-sample SMAPE of the fit `coeffs` over `cols`.
     fn fit_smape(&self, cols: &[usize], coeffs: &[f64]) -> f64 {
-        let predicted: Vec<f64> = (0..self.len())
-            .map(|r| self.predict(r, cols, coeffs))
-            .collect();
-        smape(&self.values, &predicted)
+        smape_of((0..self.len()).map(|r| (self.value(r), self.predict(r, cols, coeffs))))
     }
 
     /// Leave-one-out cross-validation SMAPE of the fit over `cols`: each
@@ -194,7 +191,7 @@ impl Design {
     /// partial sum over the folds so far, averaged over *all* folds, is a
     /// lower bound of the final score, because every SMAPE term is
     /// non-negative and rounding is monotone.
-    fn cross_validate(&self, cols: &[usize], bound: f64) -> Option<f64> {
+    fn cross_validate(&self, solver: &mut Solver, cols: &[usize], bound: f64) -> Option<f64> {
         let n = self.len();
         if n < 2 {
             return None;
@@ -208,12 +205,12 @@ impl Design {
             } else {
                 fold * (n - 1) / (MAX_CV_FOLDS - 1)
             };
-            let Some(coeffs) = self.solve(cols, Some(hold)) else {
+            let Some(coeffs) = solver.solve(self, cols, Some(hold)) else {
                 continue;
             };
-            let predicted = self.predict(hold, cols, &coeffs);
+            let predicted = self.predict(hold, cols, coeffs);
             if predicted.is_finite() {
-                sum += smape_term(self.values[hold], predicted);
+                sum += smape_term(self.value(hold), predicted);
                 scored += 1;
                 if 100.0 * sum / folds as f64 > bound {
                     return None;
@@ -221,6 +218,167 @@ impl Design {
             }
         }
         (scored > 0).then(|| 100.0 * sum / scored as f64)
+    }
+}
+
+/// The buffers of a least-squares solve, reused by every solve of a fit.
+#[derive(Default)]
+struct Solver {
+    /// The gathered system: `A` row-major, then `y`, then the coefficients.
+    system: Vec<f64>,
+    /// The factorization [`lstsq_into`] works in.
+    qr: Vec<f64>,
+}
+
+impl Solver {
+    /// The coefficients (constant first) fitted to every row of `design`
+    /// but `skip` over the term columns `cols`. `None` when there are fewer
+    /// rows than coefficients or the system is rank deficient or
+    /// non-finite — the caller skips the hypothesis, mirroring Extra-P's
+    /// behaviour of dropping degenerate candidates.
+    fn solve(&mut self, design: &Design, cols: &[usize], skip: Option<usize>) -> Option<&[f64]> {
+        let k = 1 + cols.len();
+        let rows = design.len() - usize::from(skip.is_some());
+        if rows < k {
+            return None;
+        }
+        let kept = || (0..design.len()).filter(move |&r| Some(r) != skip);
+        self.system.clear();
+        self.system.reserve(rows * (k + 1) + k);
+        for r in kept() {
+            let row = design.weighted(r);
+            self.system.push(row[0]);
+            self.system.extend(cols.iter().map(|&c| row[c + 1]));
+        }
+        self.system
+            .extend(kept().map(|r| design.weighted(r)[design.terms + 1]));
+        self.system.resize(rows * (k + 1) + k, 0.0);
+        let (a, rest) = self.system.split_at_mut(rows * k);
+        let (y, x) = rest.split_at_mut(rows);
+        lstsq_into(a, y, x, &mut self.qr).ok()?;
+        Some(x)
+    }
+}
+
+/// Everything the fits of one hypothesis (or of a run of hypotheses) write
+/// to: the design, the solver, and the coefficients and term columns of the
+/// last fit.
+#[derive(Default)]
+pub(crate) struct FitScratch {
+    design: Design,
+    solver: Solver,
+    /// The last fit's coefficients, constant first.
+    coeffs: Vec<f64>,
+    /// The term columns (indices into the hypothesis' terms) the last fit
+    /// kept.
+    cols: Vec<usize>,
+}
+
+impl FitScratch {
+    /// Fits every term of `hypothesis` to `points`, unscored and
+    /// unconstrained; `false` when the system does not solve.
+    fn fit_all(&mut self, hypothesis: &Hypothesis, points: &[(Vec<f64>, f64)]) -> bool {
+        self.design.fill(hypothesis, points);
+        self.cols.clear();
+        self.cols.extend(0..self.design.terms);
+        self.refit()
+    }
+
+    /// Refits over the term columns `self.cols`.
+    fn refit(&mut self) -> bool {
+        self.coeffs.clear();
+        match self.solver.solve(&self.design, &self.cols, None) {
+            Some(coeffs) => {
+                self.coeffs.extend_from_slice(coeffs);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// In-sample SMAPE of [`fit_coefficients`]' fit, or `None` when it
+    /// fails.
+    pub(crate) fn fit_smape(
+        &mut self,
+        hypothesis: &Hypothesis,
+        points: &[(Vec<f64>, f64)],
+    ) -> Option<f64> {
+        self.fit_all(hypothesis, points)
+            .then(|| self.design.fit_smape(&self.cols, &self.coeffs))
+    }
+
+    /// Fits `hypothesis` to `points` under `constraints` and scores it,
+    /// leaving the coefficients and the kept term columns in `self`:
+    /// `(fit_smape, cv_smape)`, or `None` where [`fit_hypothesis_constrained`]
+    /// fails or once the CV-SMAPE provably exceeds `cv_bound`.
+    fn fit(
+        &mut self,
+        hypothesis: &Hypothesis,
+        points: &[(Vec<f64>, f64)],
+        constraints: FitConstraints,
+        cv_bound: f64,
+    ) -> Option<(f64, f64)> {
+        if !self.fit_all(hypothesis, points) {
+            return None;
+        }
+        if constraints.prune_relative_threshold > 0.0
+            && self.design.terms > 0
+            && !self.prune(constraints.prune_relative_threshold)
+        {
+            return None;
+        }
+        let FitScratch {
+            design,
+            solver,
+            coeffs,
+            cols,
+        } = self;
+
+        // Negativity is checked *after* pruning: an exactly-constant function
+        // fits a superfluous term's coefficient to ±1e-15, whose sign is noise
+        // — pruning removes it, leaving only meaningful coefficients to judge.
+        if !constraints.allow_negative_terms && coeffs[1..].iter().any(|&c| c < 0.0) {
+            return None;
+        }
+
+        let fit_smape = design.fit_smape(cols, coeffs);
+        let cv_smape = design.cross_validate(solver, cols, cv_bound)?;
+        (fit_smape.is_finite() && cv_smape.is_finite()).then_some((fit_smape, cv_smape))
+    }
+
+    /// Prunes terms whose largest contribution over the measured points is
+    /// negligible (below `threshold`) relative to the function values, and
+    /// refits the reduced structure so the remaining coefficients stay
+    /// least-squares optimal; `false` when that refit fails.
+    fn prune(&mut self, threshold: f64) -> bool {
+        let FitScratch {
+            design,
+            coeffs,
+            cols,
+            ..
+        } = self;
+        let n = design.len();
+        let scale = (0..n)
+            .map(|r| design.predict(r, cols, coeffs).abs())
+            .fold(0.0_f64, f64::max)
+            .max(f64::MIN_POSITIVE);
+        cols.retain(|&t| {
+            let max_contribution = (0..n)
+                .map(|r| (coeffs[t + 1] * design.products(r)[t]).abs())
+                .fold(0.0_f64, f64::max);
+            max_contribution / scale >= threshold
+        });
+        cols.len() == design.terms || self.refit()
+    }
+
+    /// The CV-SMAPE of [`fit_hypothesis`], or `None` when it fails.
+    pub(crate) fn cv_smape(
+        &mut self,
+        hypothesis: &Hypothesis,
+        points: &[(Vec<f64>, f64)],
+    ) -> Option<f64> {
+        self.fit(hypothesis, points, FitConstraints::default(), f64::INFINITY)
+            .map(|(_, cv_smape)| cv_smape)
     }
 }
 
@@ -240,17 +398,10 @@ fn model_of(hypothesis: &Hypothesis, coeffs: &[f64]) -> Model {
 /// scores. Returns `None` when the system is rank deficient or otherwise
 /// unsolvable.
 pub fn fit_coefficients(hypothesis: &Hypothesis, points: &[(Vec<f64>, f64)]) -> Option<Model> {
-    let design = Design::new(hypothesis, points);
-    let cols: Vec<usize> = (0..design.terms).collect();
-    Some(model_of(hypothesis, &design.solve(&cols, None)?))
-}
-
-/// In-sample SMAPE of [`fit_coefficients`]' fit, or `None` when it fails.
-pub(crate) fn fit_smape(hypothesis: &Hypothesis, points: &[(Vec<f64>, f64)]) -> Option<f64> {
-    let design = Design::new(hypothesis, points);
-    let cols: Vec<usize> = (0..design.terms).collect();
-    let coeffs = design.solve(&cols, None)?;
-    Some(design.fit_smape(&cols, &coeffs))
+    let mut scratch = FitScratch::default();
+    scratch
+        .fit_all(hypothesis, points)
+        .then(|| model_of(hypothesis, &scratch.coeffs))
 }
 
 /// Fits a hypothesis and scores it with in-sample SMAPE and leave-one-out
@@ -268,74 +419,33 @@ pub fn fit_hypothesis_constrained(
     points: &[(Vec<f64>, f64)],
     constraints: FitConstraints,
 ) -> Result<FittedHypothesis, ModelError> {
-    fit_bounded(hypothesis, points, constraints, f64::INFINITY)
-}
-
-/// [`fit_hypothesis_constrained`] that gives up (with
-/// [`ModelError::NoViableHypothesis`]) once the CV-SMAPE provably exceeds
-/// `cv_bound`.
-fn fit_bounded(
-    hypothesis: &Hypothesis,
-    points: &[(Vec<f64>, f64)],
-    constraints: FitConstraints,
-    cv_bound: f64,
-) -> Result<FittedHypothesis, ModelError> {
-    let design = Design::new(hypothesis, points);
-    let mut cols: Vec<usize> = (0..design.terms).collect();
-    let mut coeffs = design
-        .solve(&cols, None)
+    let mut scratch = FitScratch::default();
+    let (fit_smape, cv_smape) = scratch
+        .fit(hypothesis, points, constraints, f64::INFINITY)
         .ok_or(ModelError::NoViableHypothesis)?;
-
-    // Prune terms whose largest contribution over the measured points is
-    // negligible relative to the function values, and refit the reduced
-    // structure so the remaining coefficients stay least-squares optimal.
-    if constraints.prune_relative_threshold > 0.0 && design.terms > 0 {
-        let n = design.len();
-        let scale = (0..n)
-            .map(|r| design.predict(r, &cols, &coeffs).abs())
-            .fold(0.0_f64, f64::max)
-            .max(f64::MIN_POSITIVE);
-        let keep: Vec<usize> = (0..design.terms)
-            .filter(|&t| {
-                let max_contribution = (0..n)
-                    .map(|r| (coeffs[t + 1] * design.products[r * design.terms + t]).abs())
-                    .fold(0.0_f64, f64::max);
-                max_contribution / scale >= constraints.prune_relative_threshold
-            })
-            .collect();
-        if keep.len() < design.terms {
-            coeffs = design
-                .solve(&keep, None)
-                .ok_or(ModelError::NoViableHypothesis)?;
-            cols = keep;
-        }
-    }
-
-    // Negativity is checked *after* pruning: an exactly-constant function
-    // fits a superfluous term's coefficient to ±1e-15, whose sign is noise
-    // — pruning removes it, leaving only meaningful coefficients to judge.
-    if !constraints.allow_negative_terms && coeffs[1..].iter().any(|&c| c < 0.0) {
-        return Err(ModelError::NoViableHypothesis);
-    }
-
-    let fit_smape = design.fit_smape(&cols, &coeffs);
-    let cv_smape = design
-        .cross_validate(&cols, cv_bound)
-        .ok_or(ModelError::NoViableHypothesis)?;
-    if !fit_smape.is_finite() || !cv_smape.is_finite() {
-        return Err(ModelError::NoViableHypothesis);
-    }
-
     let hypothesis = Hypothesis {
         num_params: hypothesis.num_params,
-        terms: cols.iter().map(|&c| hypothesis.terms[c].clone()).collect(),
+        terms: scratch
+            .cols
+            .iter()
+            .map(|&c| hypothesis.terms[c].clone())
+            .collect(),
     };
     Ok(FittedHypothesis {
-        model: model_of(&hypothesis, &coeffs),
+        model: model_of(&hypothesis, &scratch.coeffs),
         fit_smape,
         cv_smape,
         hypothesis,
     })
+}
+
+/// A candidate a [`Selection`] kept: the hypothesis reduced to the terms
+/// its fit kept, its scores, and where its coefficients start.
+struct Kept {
+    hypothesis: Hypothesis,
+    fit_smape: f64,
+    cv_smape: f64,
+    coeffs_at: usize,
 }
 
 /// Fits candidate hypotheses one at a time and picks the winner exactly as
@@ -344,11 +454,17 @@ fn fit_bounded(
 /// exceeds `best + max(tie_tolerance, 0)`, where `best` is the lowest
 /// CV-SMAPE fitted so far. Such a candidate is neither the minimum nor
 /// within the tie tolerance of it, so `select_best` would filter it out.
+///
+/// Every fit reuses one [`FitScratch`], and only the winner becomes a
+/// [`Model`].
 pub(crate) struct Selection<'a> {
     points: &'a [(Vec<f64>, f64)],
     tie_tolerance: f64,
     best_cv: f64,
-    candidates: Vec<FittedHypothesis>,
+    scratch: FitScratch,
+    kept: Vec<Kept>,
+    /// The kept candidates' coefficients, back to back.
+    coeffs: Vec<f64>,
 }
 
 impl<'a> Selection<'a> {
@@ -358,54 +474,90 @@ impl<'a> Selection<'a> {
             points,
             tie_tolerance,
             best_cv: f64::INFINITY,
-            candidates: Vec::new(),
+            scratch: FitScratch::default(),
+            kept: Vec::new(),
+            coeffs: Vec::new(),
         }
     }
 
     /// Fits `hypothesis` with the default [`FitConstraints`] and keeps it
     /// if it can still win.
-    pub(crate) fn offer(&mut self, hypothesis: &Hypothesis) {
+    pub(crate) fn offer(&mut self, mut hypothesis: Hypothesis) {
         let bound = self.best_cv + self.tie_tolerance.max(0.0);
-        if let Ok(fitted) = fit_bounded(hypothesis, self.points, FitConstraints::default(), bound) {
-            self.best_cv = self.best_cv.min(fitted.cv_smape);
-            self.candidates.push(fitted);
-        }
+        let Some((fit_smape, cv_smape)) =
+            self.scratch
+                .fit(&hypothesis, self.points, FitConstraints::default(), bound)
+        else {
+            return;
+        };
+        self.best_cv = self.best_cv.min(cv_smape);
+        let cols = &self.scratch.cols;
+        let mut term = 0;
+        hypothesis.terms.retain(|_| {
+            let keep = cols.contains(&term);
+            term += 1;
+            keep
+        });
+        self.kept.push(Kept {
+            hypothesis,
+            fit_smape,
+            cv_smape,
+            coeffs_at: self.coeffs.len(),
+        });
+        self.coeffs.extend_from_slice(&self.scratch.coeffs);
     }
 
     /// The winner, as [`select_best`] picks it.
-    pub(crate) fn best(self) -> Option<FittedHypothesis> {
-        select_best(self.candidates, self.tie_tolerance)
+    pub(crate) fn best(mut self) -> Result<ModelingResult, ModelError> {
+        let scores = self.kept.iter().map(|k| (k.cv_smape, &k.hypothesis));
+        let winner =
+            best_index(scores, self.tie_tolerance).ok_or(ModelError::NoViableHypothesis)?;
+        let best = self.kept.swap_remove(winner);
+        Ok(ModelingResult {
+            model: model_of(&best.hypothesis, &self.coeffs[best.coeffs_at..]),
+            cv_smape: best.cv_smape,
+            fit_smape: best.fit_smape,
+        })
     }
 }
 
-/// Selects the best fitted hypothesis from `candidates` by cross-validation
-/// SMAPE, breaking near-ties (within `tie_tolerance` percentage points)
-/// toward the structurally simpler hypothesis.
-pub fn select_best(
-    candidates: Vec<FittedHypothesis>,
+/// The index of the candidate [`select_best`] picks among
+/// `(cv_smape, hypothesis)` scores.
+fn best_index<'h>(
+    scores: impl Iterator<Item = (f64, &'h Hypothesis)> + Clone,
     tie_tolerance: f64,
-) -> Option<FittedHypothesis> {
-    let best_cv = candidates
-        .iter()
-        .map(|c| c.cv_smape)
+) -> Option<usize> {
+    let best_cv = scores
+        .clone()
+        .map(|(cv, _)| cv)
         .fold(f64::INFINITY, f64::min);
     if !best_cv.is_finite() {
         return None;
     }
-    candidates
-        .into_iter()
-        .filter(|c| c.cv_smape <= best_cv + tie_tolerance)
-        .min_by(|a, b| {
-            let ka = a.hypothesis.complexity();
-            let kb = b.hypothesis.complexity();
-            ka.partial_cmp(&kb)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(
-                    a.cv_smape
-                        .partial_cmp(&b.cv_smape)
-                        .unwrap_or(std::cmp::Ordering::Equal),
-                )
+    scores
+        .enumerate()
+        .filter(|(_, (cv, _))| *cv <= best_cv + tie_tolerance)
+        .min_by(|(_, (cv_a, a)), (_, (cv_b, b))| {
+            a.complexity()
+                .partial_cmp(&b.complexity())
+                .unwrap_or(Ordering::Equal)
+                .then(cv_a.partial_cmp(cv_b).unwrap_or(Ordering::Equal))
         })
+        .map(|(i, _)| i)
+}
+
+/// Selects the best fitted hypothesis from `candidates` by cross-validation
+/// SMAPE, breaking near-ties (within `tie_tolerance` percentage points)
+/// toward the structurally simpler hypothesis. [`Selection`] picks the same
+/// winner without fitting losing candidates in full.
+#[cfg(test)]
+pub fn select_best(
+    mut candidates: Vec<FittedHypothesis>,
+    tie_tolerance: f64,
+) -> Option<FittedHypothesis> {
+    let scores = candidates.iter().map(|c| (c.cv_smape, &c.hypothesis));
+    let winner = best_index(scores, tie_tolerance)?;
+    Some(candidates.swap_remove(winner))
 }
 
 #[cfg(test)]

@@ -46,15 +46,17 @@ pub fn smape(actual: &[f64], predicted: &[f64]) -> f64 {
         actual.len(),
         predicted.len()
     );
-    if actual.is_empty() {
+    smape_of(actual.iter().copied().zip(predicted.iter().copied()))
+}
+
+/// [`smape`] of `(actual, predicted)` pairs.
+pub(crate) fn smape_of(pairs: impl ExactSizeIterator<Item = (f64, f64)>) -> f64 {
+    let n = pairs.len();
+    if n == 0 {
         return 0.0;
     }
-    let sum: f64 = actual
-        .iter()
-        .zip(predicted.iter())
-        .map(|(&a, &p)| smape_term(a, p))
-        .sum();
-    100.0 * sum / actual.len() as f64
+    let sum: f64 = pairs.map(|(a, p)| smape_term(a, p)).sum();
+    100.0 * sum / n as f64
 }
 
 /// One pair's share of [`smape`] before averaging:

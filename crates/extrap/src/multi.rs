@@ -10,11 +10,10 @@
 //! and `c0 + c1·g1·g2` (multiplicative); for `m = 3` there are five
 //! structures.
 
-use crate::fit::{fit_hypothesis, fit_smape, Selection};
+use crate::fit::{FitScratch, Selection};
 use crate::search::{single_parameter_hypotheses, Hypothesis};
 use crate::single::{validate, SingleParameterOptions};
 use crate::{ExponentPair, MeasurementSet, ModelError, ModelingResult, TermFactor};
-use std::collections::HashSet;
 
 /// Options of the multi-parameter combination step.
 #[derive(Debug, Clone)]
@@ -126,14 +125,15 @@ pub fn rank_pairs_on_lines(lines: &[Vec<(f64, f64)>], k: usize) -> Vec<ExponentP
         .iter()
         .map(|line| line.iter().map(|&(x, y)| (vec![x], y)).collect())
         .collect();
+    let mut scratch = FitScratch::default();
     let mut scored: Vec<(f64, ExponentPair, (usize, f64))> = single_parameter_hypotheses()
         .iter()
         .filter_map(|h| {
             let mut total = 0.0;
             let mut fitted_lines = 0usize;
             for tuples in &tuple_lines {
-                if let Ok(fitted) = fit_hypothesis(h, tuples) {
-                    total += fitted.cv_smape;
+                if let Some(cv_smape) = scratch.cv_smape(h, tuples) {
+                    total += cv_smape;
                     fitted_lines += 1;
                 }
             }
@@ -179,24 +179,43 @@ pub fn combine_candidate_pairs(
     assert_eq!(per_param.len(), m, "need one candidate list per parameter");
     let points = set.aggregated(aggregation);
 
-    let partitions = set_partitions(m);
-    let mut seen = HashSet::new();
     let mut selection = Selection::new(&points, tie_tolerance);
+    for_each_structure(per_param, |hypothesis| selection.offer(hypothesis));
+    selection.best()
+}
 
-    // Always consider the constant model.
-    let constant = Hypothesis::constant(m);
-    seen.insert(constant.structure_key());
-    selection.offer(&constant);
-
-    // Cartesian product over the candidate lists.
+/// Calls `visit` with every structure the candidate lists make, each once
+/// where it first appears: the constant model, then every set partition of
+/// every assignment of one candidate pair per parameter, assignments in
+/// mixed-radix order with the first parameter fastest.
+///
+/// No key is built to find repeats:
+/// - an assignment that repeats an earlier entry of some list repeats an
+///   earlier assignment, and one of constant pairs only gives the constant
+///   model;
+/// - any other assignment gives structures no earlier one gave, because a
+///   structure names each parameter's pair (or its absence);
+/// - within one assignment, two partitions give the same structure when
+///   they group the non-constant parameters alike.
+fn for_each_structure(per_param: &[Vec<ExponentPair>], mut visit: impl FnMut(Hypothesis)) {
+    let m = per_param.len();
+    let partitions = set_partitions(m);
+    visit(Hypothesis::constant(m));
     let mut assignment = vec![0usize; m];
+    let mut pairs = vec![ExponentPair::CONSTANT; m];
     loop {
-        let pairs: Vec<ExponentPair> = (0..m).map(|l| per_param[l][assignment[l]]).collect();
-
-        for partition in &partitions {
-            let hyp = partition_hypothesis(partition, &pairs);
-            if seen.insert(hyp.structure_key()) {
-                selection.offer(&hyp);
+        for (l, pair) in pairs.iter_mut().enumerate() {
+            *pair = per_param[l][assignment[l]];
+        }
+        let repeated = (0..m).any(|l| per_param[l][..assignment[l]].contains(&pairs[l]));
+        if !repeated && pairs.iter().any(|p| !p.is_constant()) {
+            for (i, partition) in partitions.iter().enumerate() {
+                if !partitions[..i]
+                    .iter()
+                    .any(|earlier| same_grouping(earlier, partition, &pairs))
+                {
+                    visit(partition_hypothesis(partition, &pairs));
+                }
             }
         }
 
@@ -204,12 +223,7 @@ pub fn combine_candidate_pairs(
         let mut l = 0;
         loop {
             if l == m {
-                let best = selection.best().ok_or(ModelError::NoViableHypothesis)?;
-                return Ok(ModelingResult {
-                    model: best.model,
-                    cv_smape: best.cv_smape,
-                    fit_smape: best.fit_smape,
-                });
+                return;
             }
             assignment[l] += 1;
             if assignment[l] < per_param[l].len() {
@@ -219,6 +233,15 @@ pub fn combine_candidate_pairs(
             l += 1;
         }
     }
+}
+
+/// Whether partitions `a` and `b` group the parameters whose pair is not
+/// constant alike, so [`partition_hypothesis`] makes one structure of both.
+fn same_grouping(a: &[Vec<usize>], b: &[Vec<usize>], pairs: &[ExponentPair]) -> bool {
+    let group = |partition: &[Vec<usize>], l: usize| partition.iter().position(|g| g.contains(&l));
+    let varying = || (0..pairs.len()).filter(|&l| !pairs[l].is_constant());
+    varying()
+        .all(|x| varying().all(|y| (group(a, x) == group(a, y)) == (group(b, x) == group(b, y))))
 }
 
 /// Refines per-parameter exponent pairs by coordinate descent over the
@@ -238,15 +261,19 @@ pub fn refine_pairs_globally(
 
     let m = initial.len();
     let partitions = set_partitions(m);
-    let score_of = |pairs: &[ExponentPair]| -> f64 {
+    let mut scratch = FitScratch::default();
+    let mut score_of = |pairs: &[ExponentPair]| -> f64 {
         partitions
             .iter()
-            .filter_map(|partition| fit_smape(&partition_hypothesis(partition, pairs), points))
+            .filter_map(|partition| {
+                scratch.fit_smape(&partition_hypothesis(partition, pairs), points)
+            })
             .fold(f64::INFINITY, |best, s| if s < best { s } else { best })
     };
 
     let mut current = initial.to_vec();
     let mut current_score = score_of(&current);
+    let mut pairs = current.clone();
     for _ in 0..rounds {
         let mut improved = false;
         for l in 0..m {
@@ -256,7 +283,7 @@ pub fn refine_pairs_globally(
                 if candidate == current[l] {
                     continue;
                 }
-                let mut pairs = current.clone();
+                pairs.copy_from_slice(&current);
                 pairs[l] = candidate;
                 let s = score_of(&pairs);
                 if s < best_score {
@@ -476,6 +503,64 @@ mod tests {
         set.add(&[2.0, 20.0], 2.0);
         let err = RegressionModeler::default().model(&set).unwrap_err();
         assert!(matches!(err, ModelError::TooFewPoints { param: 1, .. }));
+    }
+
+    #[test]
+    fn structures_are_visited_once_in_order_of_first_appearance() {
+        // The keyed formulation: every partition of every assignment, a
+        // structure skipped when its key was seen before.
+        fn keyed(per_param: &[Vec<ExponentPair>]) -> Vec<String> {
+            let m = per_param.len();
+            let mut seen = std::collections::HashSet::new();
+            let mut keys = vec![Hypothesis::constant(m).structure_key()];
+            seen.insert(keys[0].clone());
+            let mut assignment = vec![0usize; m];
+            'product: loop {
+                let pairs: Vec<ExponentPair> =
+                    (0..m).map(|l| per_param[l][assignment[l]]).collect();
+                for partition in set_partitions(m) {
+                    let key = partition_hypothesis(&partition, &pairs).structure_key();
+                    if seen.insert(key.clone()) {
+                        keys.push(key);
+                    }
+                }
+                for l in 0..m {
+                    assignment[l] += 1;
+                    if assignment[l] < per_param[l].len() {
+                        continue 'product;
+                    }
+                    assignment[l] = 0;
+                }
+                return keys;
+            }
+        }
+        let c = ExponentPair::CONSTANT;
+        let lists: Vec<Vec<Vec<ExponentPair>>> = vec![
+            vec![vec![pair(1, 1, 0), c, pair(2, 1, 0)]],
+            vec![vec![c]],
+            vec![vec![c, c], vec![c]],
+            vec![vec![pair(1, 1, 0), c], vec![c, pair(1, 2, 1)]],
+            vec![
+                vec![pair(1, 1, 0), pair(1, 1, 0), c],
+                vec![pair(2, 1, 0), c],
+            ],
+            vec![
+                vec![c, pair(1, 3, 0), pair(1, 1, 0)],
+                vec![pair(1, 1, 0), c, pair(1, 1, 0)],
+                vec![pair(4, 5, 0), c],
+            ],
+            vec![
+                vec![pair(1, 1, 0)],
+                vec![c, pair(1, 2, 0)],
+                vec![c],
+                vec![pair(3, 1, 1), c],
+            ],
+        ];
+        for per_param in &lists {
+            let mut visited = Vec::new();
+            for_each_structure(per_param, |h| visited.push(h.structure_key()));
+            assert_eq!(visited, keyed(per_param), "{per_param:?}");
+        }
     }
 
     #[test]

@@ -41,8 +41,8 @@ impl Hypothesis {
         1 + self.terms.len()
     }
 
-    /// A canonical key identifying the structure, used to deduplicate
-    /// hypotheses produced by different combination paths.
+    /// A canonical key identifying the structure: two hypotheses share it
+    /// exactly when they have the same terms, in any order.
     pub fn structure_key(&self) -> String {
         let mut term_keys: Vec<String> = self
             .terms

@@ -76,15 +76,10 @@ pub fn model_points(
     let tuples: Vec<(Vec<f64>, f64)> = points.iter().map(|&(x, y)| (vec![x], y)).collect();
 
     let mut selection = Selection::new(&tuples, opts.tie_tolerance);
-    for hypothesis in &single_parameter_hypotheses() {
+    for hypothesis in single_parameter_hypotheses() {
         selection.offer(hypothesis);
     }
-    let best = selection.best().ok_or(ModelError::NoViableHypothesis)?;
-    Ok(ModelingResult {
-        model: best.model,
-        cv_smape: best.cv_smape,
-        fit_smape: best.fit_smape,
-    })
+    selection.best()
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ pub use matmul::{
 };
 pub use matrix::Matrix;
 pub use qgemm::{gemm_i8, QuantizedGemmB};
-pub use qr::{lstsq, solve_upper_triangular, QrDecomposition};
+pub use qr::{lstsq, lstsq_into, solve_upper_triangular, QrDecomposition};
 pub use thread_budget::ThreadBudget;
 pub use vector::{axpy, dot, norm2, norm_inf, scale};
 

@@ -5,11 +5,109 @@
 //! far more robust than normal equations when the design matrix mixes
 //! columns like `1`, `x^{5/2}` and `log2(x)^2` whose scales differ by many
 //! orders of magnitude.
+//!
+//! There is one Householder implementation: `factor`, `apply_qt` and
+//! `back_substitute` work in place on a column-major buffer the caller
+//! owns. [`QrDecomposition`] keeps that buffer; [`lstsq_into`] borrows a
+//! scratch vector for it, so a caller that solves many small systems (every
+//! leave-one-out fold of every hypothesis) allocates once.
 
 use crate::{dot, LinalgError, Matrix, Result};
 
 /// Relative pivot threshold below which a column is declared dependent.
 const RANK_TOL: f64 = 1e-12;
+
+/// Factorizes the column-major `m × taus.len()` matrix `qr` (`m >= cols`)
+/// in place: the upper triangle becomes `R`, the strict lower triangle the
+/// Householder vectors (normalized so `v[0] = 1`), and `taus` their scalar
+/// factors.
+fn factor(qr: &mut [f64], m: usize, taus: &mut [f64]) {
+    for k in 0..taus.len() {
+        let (head, trailing) = qr.split_at_mut((k + 1) * m);
+        let column = &mut head[k * m..];
+        // The norm of the k-th column below the diagonal; `hypot` keeps it
+        // free of overflow and underflow.
+        let mut norm = 0.0_f64;
+        for &a in &column[k..] {
+            norm = norm.hypot(a);
+        }
+        if norm == 0.0 {
+            taus[k] = 0.0;
+            continue;
+        }
+        // Choose the sign that avoids cancellation.
+        let alpha = if column[k] >= 0.0 { -norm } else { norm };
+        let v0 = column[k] - alpha;
+        // tau = -v0 / alpha per the LAPACK convention with v normalized so
+        // v[0] = 1.
+        let tau = -v0 / alpha;
+        for a in &mut column[k + 1..] {
+            *a /= v0;
+        }
+        column[k] = alpha;
+        taus[k] = tau;
+
+        // Apply the reflector to the trailing columns.
+        let v = &column[k + 1..];
+        for col in trailing.chunks_exact_mut(m) {
+            let (top, below) = col[k..].split_first_mut().expect("k < m");
+            let mut s = *top;
+            for (&vi, &a) in v.iter().zip(below.iter()) {
+                s += vi * a;
+            }
+            s *= tau;
+            *top -= s;
+            for (&vi, a) in v.iter().zip(below) {
+                *a -= s * vi;
+            }
+        }
+    }
+}
+
+/// Overwrites `y` (length `m`) with `Qᵀ y` for the factorization [`factor`]
+/// left in `qr` and `taus`.
+fn apply_qt(qr: &[f64], m: usize, taus: &[f64], y: &mut [f64]) {
+    for (k, &tau) in taus.iter().enumerate() {
+        if tau == 0.0 {
+            continue;
+        }
+        let v = &qr[k * m + k + 1..(k + 1) * m];
+        let (top, below) = y[k..].split_first_mut().expect("k < m");
+        let mut s = *top;
+        for (&vi, &o) in v.iter().zip(below.iter()) {
+            s += vi * o;
+        }
+        s *= tau;
+        *top -= s;
+        for (&vi, o) in v.iter().zip(below) {
+            *o -= s * vi;
+        }
+    }
+}
+
+/// Solves `R x = (Qᵀ y)[..n]` into `x` (length `n`) by back substitution.
+///
+/// Returns [`LinalgError::RankDeficient`] when a diagonal entry of `R` is
+/// negligible relative to the largest one.
+fn back_substitute(qr: &[f64], m: usize, qty: &[f64], x: &mut [f64]) -> Result<()> {
+    let n = x.len();
+    let diag = |k: usize| qr[k * m + k];
+    let max_diag = (0..n).fold(0.0_f64, |acc, k| acc.max(diag(k).abs()));
+    if max_diag == 0.0 {
+        return Err(LinalgError::RankDeficient { pivot: 0 });
+    }
+    if let Some(pivot) = (0..n).find(|&k| diag(k).abs() <= RANK_TOL * max_diag) {
+        return Err(LinalgError::RankDeficient { pivot });
+    }
+    for k in (0..n).rev() {
+        let mut s = qty[k];
+        for j in k + 1..n {
+            s -= qr[j * m + k] * x[j];
+        }
+        x[k] = s / diag(k);
+    }
+    Ok(())
+}
 
 /// The result of a Householder QR factorization `A = Q R`.
 ///
@@ -18,10 +116,12 @@ const RANK_TOL: f64 = 1e-12;
 /// exposed.
 #[derive(Debug, Clone)]
 pub struct QrDecomposition {
-    /// Packed factorization: the upper triangle holds `R`, the strict lower
-    /// triangle plus `taus` hold the reflectors.
-    qr: Matrix,
-    /// Scalar factors of the Householder reflectors.
+    /// Packed column-major factorization: the upper triangle holds `R`, the
+    /// strict lower triangle plus `taus` hold the reflectors.
+    qr: Vec<f64>,
+    /// Number of rows of the original matrix.
+    rows: usize,
+    /// Scalar factors of the Householder reflectors, one per column.
     taus: Vec<f64>,
 }
 
@@ -39,91 +139,43 @@ impl QrDecomposition {
         if !a.all_finite() {
             return Err(LinalgError::NonFinite);
         }
-        let mut qr = a.clone();
-        let mut taus = vec![0.0; n];
-
-        for k in 0..n {
-            // Compute the norm of the k-th column below the diagonal.
-            let mut norm = 0.0_f64;
-            for i in k..m {
-                norm = norm.hypot(qr[(i, k)]);
-            }
-            if norm == 0.0 {
-                taus[k] = 0.0;
-                continue;
-            }
-            // Choose the sign that avoids cancellation.
-            let alpha = if qr[(k, k)] >= 0.0 { -norm } else { norm };
-            let v0 = qr[(k, k)] - alpha;
-            // tau = -v0 / alpha per the LAPACK convention with v normalized
-            // so v[0] = 1.
-            let tau = -v0 / alpha;
-            // Normalize the reflector below the diagonal by v0.
-            for i in k + 1..m {
-                qr[(i, k)] /= v0;
-            }
-            qr[(k, k)] = alpha;
-            taus[k] = tau;
-
-            // Apply the reflector to the trailing columns.
-            for j in k + 1..n {
-                let mut s = qr[(k, j)];
-                for i in k + 1..m {
-                    s += qr[(i, k)] * qr[(i, j)];
-                }
-                s *= tau;
-                qr[(k, j)] -= s;
-                for i in k + 1..m {
-                    let vik = qr[(i, k)];
-                    qr[(i, j)] -= s * vik;
-                }
-            }
+        let mut qr = Vec::with_capacity(m * n);
+        for c in 0..n {
+            qr.extend((0..m).map(|r| a[(r, c)]));
         }
-
-        Ok(QrDecomposition { qr, taus })
+        let mut taus = vec![0.0; n];
+        factor(&mut qr, m, &mut taus);
+        Ok(QrDecomposition { qr, rows: m, taus })
     }
 
     /// Number of rows of the original matrix.
     pub fn rows(&self) -> usize {
-        self.qr.rows()
+        self.rows
     }
 
     /// Number of columns of the original matrix.
     pub fn cols(&self) -> usize {
-        self.qr.cols()
+        self.taus.len()
     }
 
     /// The diagonal of `R`, whose magnitudes signal (near-)rank deficiency.
     pub fn r_diagonal(&self) -> Vec<f64> {
-        (0..self.cols()).map(|k| self.qr[(k, k)]).collect()
+        (0..self.cols())
+            .map(|k| self.qr[k * self.rows + k])
+            .collect()
     }
 
     /// Applies `Qᵀ` to a vector of length `rows`.
     pub fn q_transpose_mul(&self, y: &[f64]) -> Result<Vec<f64>> {
-        let (m, n) = self.qr.shape();
-        if y.len() != m {
+        if y.len() != self.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "q_transpose_mul",
-                lhs: (m, n),
+                lhs: (self.rows, self.cols()),
                 rhs: (y.len(), 1),
             });
         }
         let mut out = y.to_vec();
-        for k in 0..n {
-            let tau = self.taus[k];
-            if tau == 0.0 {
-                continue;
-            }
-            let mut s = out[k];
-            for (i, &o) in out.iter().enumerate().take(m).skip(k + 1) {
-                s += self.qr[(i, k)] * o;
-            }
-            s *= tau;
-            out[k] -= s;
-            for (i, o) in out.iter_mut().enumerate().take(m).skip(k + 1) {
-                *o -= s * self.qr[(i, k)];
-            }
-        }
+        apply_qt(&self.qr, self.rows, &self.taus, &mut out);
         Ok(out)
     }
 
@@ -132,26 +184,9 @@ impl QrDecomposition {
     /// Returns [`LinalgError::RankDeficient`] when a diagonal entry of `R`
     /// is negligible relative to the largest one.
     pub fn solve(&self, y: &[f64]) -> Result<Vec<f64>> {
-        let n = self.cols();
         let qty = self.q_transpose_mul(y)?;
-        let diag = self.r_diagonal();
-        let max_diag = diag.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-        if max_diag == 0.0 {
-            return Err(LinalgError::RankDeficient { pivot: 0 });
-        }
-        for (k, d) in diag.iter().enumerate() {
-            if d.abs() <= RANK_TOL * max_diag {
-                return Err(LinalgError::RankDeficient { pivot: k });
-            }
-        }
-        let mut x = vec![0.0; n];
-        for k in (0..n).rev() {
-            let mut s = qty[k];
-            for (j, &xj) in x.iter().enumerate().take(n).skip(k + 1) {
-                s -= self.qr[(k, j)] * xj;
-            }
-            x[k] = s / self.qr[(k, k)];
-        }
+        let mut x = vec![0.0; self.cols()];
+        back_substitute(&self.qr, self.rows, &qty, &mut x)?;
         Ok(x)
     }
 
@@ -179,33 +214,67 @@ pub fn lstsq(a: &Matrix, y: &[f64]) -> Result<Vec<f64>> {
             rhs: (y.len(), 1),
         });
     }
-    if a.rows() == 0 {
+    let mut x = vec![0.0; a.cols()];
+    lstsq_into(a.as_slice(), y, &mut x, &mut Vec::new())?;
+    Ok(x)
+}
+
+/// [`lstsq`] without allocating: `a` is the row-major `y.len() × x.len()`
+/// system, the coefficients are written to `x`, and `scratch` holds the
+/// factorization (it grows to `rows · cols + 2 · cols + rows` values once and
+/// is reused by later calls).
+pub fn lstsq_into(a: &[f64], y: &[f64], x: &mut [f64], scratch: &mut Vec<f64>) -> Result<()> {
+    let (m, n) = (y.len(), x.len());
+    if a.len() != m * n {
+        return Err(LinalgError::ShapeMismatch {
+            op: "lstsq",
+            lhs: (a.len() / n.max(1), n),
+            rhs: (m, 1),
+        });
+    }
+    if m == 0 {
         return Err(LinalgError::EmptyInput);
     }
-    if y.iter().any(|v| !v.is_finite()) {
+    if y.iter().chain(a).any(|v| !v.is_finite()) {
         return Err(LinalgError::NonFinite);
     }
-    if !a.all_finite() {
-        return Err(LinalgError::NonFinite);
-    }
-    let (m, n) = a.shape();
-    let mut col_norms = vec![0.0f64; n];
-    for c in 0..n {
+    scratch.clear();
+    scratch.resize(m * n + 2 * n + m, 0.0);
+    let (qr, rest) = scratch.split_at_mut(m * n);
+    let (norms, rest) = rest.split_at_mut(n);
+    let (taus, qty) = rest.split_at_mut(n);
+    for (c, norm) in norms.iter_mut().enumerate() {
         let mut s = 0.0;
         for r in 0..m {
-            s += a[(r, c)] * a[(r, c)];
+            s += a[r * n + c] * a[r * n + c];
         }
-        col_norms[c] = s.sqrt();
-        if col_norms[c] == 0.0 {
+        *norm = s.sqrt();
+        if *norm == 0.0 {
             return Err(LinalgError::RankDeficient { pivot: c });
         }
     }
-    let scaled = Matrix::from_fn(m, n, |r, c| a[(r, c)] / col_norms[c]);
-    let mut x = QrDecomposition::new(&scaled)?.solve(y)?;
-    for (xi, norm) in x.iter_mut().zip(col_norms.iter()) {
+    if m < n {
+        return Err(LinalgError::ShapeMismatch {
+            op: "qr (need rows >= cols)",
+            lhs: (m, n),
+            rhs: (n, n),
+        });
+    }
+    // Finite values over positive norms stay finite, so the equilibrated
+    // copy needs no second finiteness check.
+    for (c, (column, &norm)) in qr.chunks_exact_mut(m).zip(norms.iter()).enumerate() {
+        for (r, q) in column.iter_mut().enumerate() {
+            *q = a[r * n + c] / norm;
+        }
+    }
+    factor(qr, m, taus);
+    qty.copy_from_slice(y);
+    apply_qt(qr, m, taus, qty);
+    back_substitute(qr, m, qty, x)?;
+    for (xi, norm) in x.iter_mut().zip(norms.iter()) {
         *xi /= norm;
     }
-    Ok(x)
+    Ok(())
 }
 
 /// Solves the upper-triangular system `R x = b` by back substitution.

@@ -550,6 +550,24 @@ mod tests {
     }
 
     #[test]
+    fn integers_past_u64_are_usage_errors() {
+        // 2^64 is no u64 literal, so it parses as a float; it must not
+        // saturate to u64::MAX.
+        let set = serde_json::to_string(&linear_set().to_value()).unwrap();
+        let line =
+            |timeout: &str| format!(r#"{{"cmd":"model","set":{set},"timeout_ms":{timeout}}}"#);
+        let (kind, message) = Request::parse(&line("18446744073709551616")).unwrap_err();
+        assert_eq!(kind, ErrorKind::Usage, "{message}");
+        assert!(message.contains("timeout_ms"), "{message}");
+        let Request::Model { timeout_ms, .. } =
+            Request::parse(&line("18446744073709551615")).unwrap()
+        else {
+            panic!("a model request");
+        };
+        assert_eq!(timeout_ms, Some(u64::MAX));
+    }
+
+    #[test]
     fn error_kinds_map_model_error_severity() {
         assert_eq!(
             ErrorKind::of_model_error(&ModelError::TooFewPoints {
