@@ -139,13 +139,13 @@ fn model_tasks(
     let mut dnn_d = vec![f64::INFINITY; n];
     let threads = threads.max(1);
     let chunk = n.div_ceil(threads).max(1);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for ((task_c, reg_c), dnn_c) in tasks
             .chunks(chunk)
             .zip(reg_d.chunks_mut(chunk))
             .zip(dnn_d.chunks_mut(chunk))
         {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (i, task) in task_c.iter().enumerate() {
                     if let Ok(r) = regression.model(&task.set) {
                         reg_c[i] = lead_exponent_distance(&r.model, &task.truth.pairs);
@@ -156,8 +156,7 @@ fn model_tasks(
                 }
             });
         }
-    })
-    .expect("regime sweep worker panicked");
+    });
     (reg_d, dnn_d)
 }
 

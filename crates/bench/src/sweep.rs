@@ -231,7 +231,7 @@ fn run_noise_level(config: &SweepConfig, pretrained: &DnnModeler, noise: f64) ->
 
     let threads = config.threads.max(1);
     let chunk = num_tasks.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let task_slices = tasks.chunks(chunk);
         let reg_slices = reg_outcomes.chunks_mut(chunk);
         let dnn_slices = dnn_outcomes.chunks_mut(chunk);
@@ -245,7 +245,7 @@ fn run_noise_level(config: &SweepConfig, pretrained: &DnnModeler, noise: f64) ->
         {
             let regression = &regression;
             let dnn = &dnn;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (i, task) in task_c.iter().enumerate() {
                     let reg_result = regression.model(&task.set).ok();
                     let dnn_result = dnn.model(&task.set).ok();
@@ -274,8 +274,7 @@ fn run_noise_level(config: &SweepConfig, pretrained: &DnnModeler, noise: f64) ->
                 }
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     NoiseLevelResult {
         noise,

@@ -29,9 +29,11 @@ use nrpm_serve::client::{Client, RetryPolicy, RetryingClient};
 use nrpm_serve::server::{ServeOptions, Server};
 use nrpm_serve::store::ModelStore;
 use serde::Value;
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Usage text shown on argument errors.
@@ -485,44 +487,36 @@ impl Invocation {
         let mut iter = args.iter().peekable();
         let command = iter.next().ok_or("missing command")?;
         let mut positional: Vec<String> = Vec::new();
-        let mut flags: Vec<(String, Option<String>)> = Vec::new();
+        let mut entries = Vec::new();
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
                 let value = match iter.peek() {
                     Some(next) if !next.starts_with("--") => Some(iter.next().unwrap().clone()),
                     _ => None,
                 };
-                flags.push((name.to_string(), value));
+                entries.push((name.to_string(), value, Cell::new(false)));
             } else {
                 positional.push(arg.clone());
             }
         }
-        let get_flag = |name: &str| -> Option<&Option<String>> {
-            flags.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-        };
-        let get_value = |name: &str| -> Result<Option<String>, String> {
-            match get_flag(name) {
-                None => Ok(None),
-                Some(Some(v)) => Ok(Some(v.clone())),
-                Some(None) => Err(format!("--{name} needs a value")),
-            }
-        };
+        let flags = Flags { entries };
 
-        match command.as_str() {
+        let invocation = match command.as_str() {
             "fit" => {
                 let file = positional.first().ok_or("fit: missing <file>")?.into();
-                let at = get_value("at")?
+                let at = flags
+                    .value("at")?
                     .as_deref()
                     .map(parse_point_list)
                     .transpose()?;
-                let policy = match (get_flag("strict").is_some(), get_flag("lenient").is_some()) {
+                let policy = match (flags.has("strict"), flags.has("lenient")) {
                     (true, true) => return Err("--strict and --lenient conflict".to_string()),
                     (true, false) => SanitizePolicy::Strict,
                     _ => SanitizePolicy::Lenient,
                 };
-                let adaptive = get_flag("adaptive").is_some();
-                let thresholds = get_value("thresholds")?.map(PathBuf::from);
-                let regime = get_value("regime")?;
+                let adaptive = flags.has("adaptive");
+                let thresholds = flags.value("thresholds")?.map(PathBuf::from);
+                let regime = flags.value("regime")?;
                 if thresholds.is_some() && !adaptive {
                     return Err("fit: --thresholds requires --adaptive".to_string());
                 }
@@ -532,7 +526,7 @@ impl Invocation {
                 Ok(Invocation::Fit {
                     file,
                     adaptive,
-                    network: get_value("network")?.map(PathBuf::from),
+                    network: flags.value("network")?.map(PathBuf::from),
                     at,
                     policy,
                     thresholds,
@@ -543,121 +537,61 @@ impl Invocation {
                 file: positional.first().ok_or("noise: missing <file>")?.into(),
             }),
             "pretrain" => Ok(Invocation::Pretrain {
-                out: get_value("out")?
+                out: flags
+                    .value("out")?
                     .ok_or("pretrain: --out is required")?
                     .into(),
-                samples: get_value("samples")?
-                    .map(|s| s.parse().map_err(|_| "--samples: not a number".to_string()))
-                    .transpose()?
-                    .unwrap_or(500),
-                epochs: get_value("epochs")?
-                    .map(|s| s.parse().map_err(|_| "--epochs: not a number".to_string()))
-                    .transpose()?
-                    .unwrap_or(20),
-                paper_net: get_flag("paper-net").is_some(),
-                train_threads: get_value("train-threads")?
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| "--train-threads: not a number".to_string())
-                    })
-                    .transpose()?
-                    .unwrap_or(0),
+                samples: flags.number("samples")?.unwrap_or(500),
+                epochs: flags.number("epochs")?.unwrap_or(20),
+                paper_net: flags.has("paper-net"),
+                train_threads: flags.number("train-threads")?.unwrap_or(0),
             }),
             "serve" => {
-                let join = get_value("join")?;
-                let join_token = get_value("join-token")?;
-                let advertise = get_value("advertise")?;
+                let join = flags.value("join")?;
+                let join_token = flags.value("join-token")?;
+                let advertise = flags.value("advertise")?;
                 if join.is_none() && (join_token.is_some() || advertise.is_some()) {
                     return Err("serve: --join-token and --advertise require --join".to_string());
                 }
                 if join.is_some() && join_token.is_none() {
                     return Err("serve: --join requires --join-token".to_string());
                 }
-                let feed = get_flag("feed").is_some();
-                if feed && get_flag("cache-dir").is_none() {
+                let feed = flags.has("feed");
+                if feed && !flags.has("cache-dir") {
                     return Err("serve: --feed requires --cache-dir".to_string());
                 }
-                let thresholds = get_value("thresholds")?.map(PathBuf::from);
-                let regime = get_value("regime")?;
+                let thresholds = flags.value("thresholds")?.map(PathBuf::from);
+                let regime = flags.value("regime")?;
                 if regime.is_some() && thresholds.is_none() {
                     return Err("serve: --regime requires --thresholds".to_string());
                 }
                 Ok(Invocation::Serve {
-                    model: get_value("model")?
+                    model: flags
+                        .value("model")?
                         .ok_or("serve: --model is required")?
                         .into(),
-                    addr: get_value("addr")?.unwrap_or_else(|| DEFAULT_ADDR.to_string()),
-                    workers: get_value("workers")?
-                        .map(|s| s.parse().map_err(|_| "--workers: not a number".to_string()))
-                        .transpose()?
-                        .unwrap_or(4),
-                    adapt: get_flag("adapt").is_some(),
-                    timeout_ms: get_value("timeout-ms")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--timeout-ms: not a number".to_string())
-                        })
-                        .transpose()?,
-                    queue_depth: get_value("queue-depth")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--queue-depth: not a number".to_string())
-                        })
-                        .transpose()?
-                        .unwrap_or(64),
-                    max_conns: get_value("max-conns")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--max-conns: not a number".to_string())
-                        })
-                        .transpose()?
-                        .unwrap_or(256),
-                    io_timeout_ms: get_value("io-timeout-ms")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--io-timeout-ms: not a number".to_string())
-                        })
-                        .transpose()?,
-                    work_delay_ms: get_value("work-delay-ms")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--work-delay-ms: not a number".to_string())
-                        })
-                        .transpose()?,
-                    cache_capacity: get_value("cache-capacity")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--cache-capacity: not a number".to_string())
-                        })
-                        .transpose()?
-                        .unwrap_or(1024),
-                    cache_dir: get_value("cache-dir")?.map(PathBuf::from),
-                    train_threads: get_value("train-threads")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--train-threads: not a number".to_string())
-                        })
-                        .transpose()?
-                        .unwrap_or(0),
+                    addr: flags
+                        .value("addr")?
+                        .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
+                    workers: flags.number("workers")?.unwrap_or(4),
+                    adapt: flags.has("adapt"),
+                    timeout_ms: flags.number("timeout-ms")?,
+                    queue_depth: flags.number("queue-depth")?.unwrap_or(64),
+                    max_conns: flags.number("max-conns")?.unwrap_or(256),
+                    io_timeout_ms: flags.number("io-timeout-ms")?,
+                    work_delay_ms: flags.number("work-delay-ms")?,
+                    cache_capacity: flags.number("cache-capacity")?.unwrap_or(1024),
+                    cache_dir: flags.value("cache-dir")?.map(PathBuf::from),
+                    train_threads: flags.number("train-threads")?.unwrap_or(0),
                     adapt_interval_ms: {
-                        let interval = get_value("adapt-interval")?
-                            .map(|s| {
-                                s.parse()
-                                    .map_err(|_| "--adapt-interval: not a number".to_string())
-                            })
-                            .transpose()?;
+                        let interval = flags.number("adapt-interval")?;
                         if interval == Some(0) {
                             return Err("--adapt-interval: must be at least 1 ms".to_string());
                         }
                         interval
                     },
                     swap_smape_tolerance: {
-                        let tolerance = get_value("swap-smape-tolerance")?
-                            .map(|s| {
-                                s.parse::<f64>()
-                                    .map_err(|_| "--swap-smape-tolerance: not a number".to_string())
-                            })
-                            .transpose()?;
+                        let tolerance = flags.number::<f64>("swap-smape-tolerance")?;
                         match tolerance {
                             Some(t) if !t.is_finite() || t < 0.0 => {
                                 return Err(
@@ -665,7 +599,7 @@ impl Invocation {
                                         .to_string(),
                                 )
                             }
-                            Some(_) if get_flag("adapt-interval").is_none() => {
+                            Some(_) if !flags.has("adapt-interval") => {
                                 return Err(
                                     "--swap-smape-tolerance requires --adapt-interval".to_string()
                                 )
@@ -679,41 +613,26 @@ impl Invocation {
                     feed,
                     thresholds,
                     regime,
-                    quantize: get_flag("quantize").is_some(),
+                    quantize: flags.has("quantize"),
                 })
             }
             "ingest" => {
-                let follow = get_value("follow")?.map(PathBuf::from);
-                let push_addr = get_value("push-addr")?;
+                let follow = flags.value("follow")?.map(PathBuf::from);
+                let push_addr = flags.value("push-addr")?;
                 if follow.is_none() && push_addr.is_none() {
                     return Err("ingest: need --follow and/or --push-addr".to_string());
                 }
-                let once = get_flag("once").is_some();
+                let once = flags.has("once");
                 if once && follow.is_none() {
                     return Err("ingest: --once requires --follow".to_string());
                 }
-                let duration_ms = get_value("duration-ms")?
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| "--duration-ms: not a number".to_string())
-                    })
-                    .transpose()?;
+                let duration_ms = flags.number("duration-ms")?;
                 if once && duration_ms.is_some() {
                     return Err("ingest: --once and --duration-ms conflict".to_string());
                 }
                 let defaults = WindowOptions::default();
-                let parse_usize = |name: &str, default: usize| -> Result<usize, String> {
-                    get_value(name)?
-                        .map(|s| s.parse().map_err(|_| format!("--{name}: not a number")))
-                        .transpose()
-                        .map(|v| v.unwrap_or(default))
-                };
-                let allowed_lateness = get_value("allowed-lateness")?
-                    .map(|s| {
-                        s.parse::<f64>()
-                            .map_err(|_| "--allowed-lateness: not a number".to_string())
-                    })
-                    .transpose()?
+                let allowed_lateness = flags
+                    .number::<f64>("allowed-lateness")?
                     .unwrap_or(defaults.allowed_lateness);
                 if allowed_lateness.is_nan() || allowed_lateness < 0.0 {
                     return Err("--allowed-lateness: must be non-negative".to_string());
@@ -721,27 +640,28 @@ impl Invocation {
                 Ok(Invocation::Ingest {
                     follow,
                     push_addr,
-                    state_dir: get_value("state-dir")?.map(PathBuf::from),
-                    registry_dir: get_value("registry-dir")?.map(PathBuf::from),
-                    model: get_value("model")?.map(PathBuf::from),
-                    interval_ms: get_value("interval-ms")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--interval-ms: not a number".to_string())
-                        })
-                        .transpose()?
-                        .unwrap_or(200),
+                    state_dir: flags.value("state-dir")?.map(PathBuf::from),
+                    registry_dir: flags.value("registry-dir")?.map(PathBuf::from),
+                    model: flags.value("model")?.map(PathBuf::from),
+                    interval_ms: flags.number("interval-ms")?.unwrap_or(200),
                     once,
                     duration_ms,
-                    window_capacity: parse_usize("window-capacity", defaults.capacity)?,
-                    min_points: parse_usize("min-points", defaults.min_points)?,
-                    fire_interval: parse_usize("fire-interval", defaults.fire_interval)?,
-                    max_records: parse_usize("max-records", defaults.max_total_records)?,
+                    window_capacity: flags
+                        .number("window-capacity")?
+                        .unwrap_or(defaults.capacity),
+                    min_points: flags.number("min-points")?.unwrap_or(defaults.min_points),
+                    fire_interval: flags
+                        .number("fire-interval")?
+                        .unwrap_or(defaults.fire_interval),
+                    max_records: flags
+                        .number("max-records")?
+                        .unwrap_or(defaults.max_total_records),
                     allowed_lateness,
                 })
             }
             "sweep" => {
-                let noise_levels = get_value("noise")?
+                let noise_levels = flags
+                    .value("noise")?
                     .as_deref()
                     .map(parse_point_list)
                     .transpose()?;
@@ -753,36 +673,19 @@ impl Invocation {
                         return Err("--noise: levels must be strictly ascending".to_string());
                     }
                 }
-                let matrix_noise = get_value("matrix-noise")?
-                    .map(|s| {
-                        s.parse::<f64>()
-                            .map_err(|_| "--matrix-noise: not a number".to_string())
-                    })
-                    .transpose()?;
+                let matrix_noise = flags.number::<f64>("matrix-noise")?;
                 if matrix_noise.is_some_and(|m| m.is_nan() || m <= 0.0) {
                     return Err("--matrix-noise: must be positive".to_string());
                 }
                 Ok(Invocation::Sweep {
-                    out: get_value("out")?.map(PathBuf::from),
-                    thresholds_out: get_value("thresholds-out")?.map(PathBuf::from),
-                    functions: get_value("functions")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--functions: not a number".to_string())
-                        })
-                        .transpose()?
-                        .unwrap_or(100),
-                    params: get_value("params")?
-                        .map(|s| s.parse().map_err(|_| "--params: not a number".to_string()))
-                        .transpose()?
-                        .unwrap_or(1),
+                    out: flags.value("out")?.map(PathBuf::from),
+                    thresholds_out: flags.value("thresholds-out")?.map(PathBuf::from),
+                    functions: flags.number("functions")?.unwrap_or(100),
+                    params: flags.number("params")?.unwrap_or(1),
                     noise_levels,
                     matrix_noise,
-                    seed: get_value("seed")?
-                        .map(|s| s.parse().map_err(|_| "--seed: not a number".to_string()))
-                        .transpose()?
-                        .unwrap_or(0x1265),
-                    quick: get_flag("quick").is_some(),
+                    seed: flags.number("seed")?.unwrap_or(0x1265),
+                    quick: flags.has("quick"),
                 })
             }
             "registry" => {
@@ -795,7 +698,7 @@ impl Invocation {
                     None => return Err("registry: missing action".to_string()),
                 };
                 let files: Vec<PathBuf> = positional[1..].iter().map(PathBuf::from).collect();
-                let model = get_value("model")?.map(PathBuf::from);
+                let model = flags.value("model")?.map(PathBuf::from);
                 match action {
                     RegistryAction::Warm if model.is_none() => {
                         return Err("registry warm: --model is required".to_string())
@@ -806,26 +709,21 @@ impl Invocation {
                     }
                     _ => {}
                 }
-                let dry_run = get_flag("dry-run").is_some();
+                let dry_run = flags.has("dry-run");
                 if dry_run && action != RegistryAction::Gc {
                     return Err("registry: --dry-run only applies to gc".to_string());
                 }
                 Ok(Invocation::Registry {
                     action,
-                    dir: get_value("dir")?
+                    dir: flags
+                        .value("dir")?
                         .ok_or("registry: --dir is required")?
                         .into(),
                     model,
                     files,
-                    ref_name: get_value("ref")?,
-                    cache_capacity: get_value("cache-capacity")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--cache-capacity: not a number".to_string())
-                        })
-                        .transpose()?
-                        .unwrap_or(1024),
-                    adapt: get_flag("adapt").is_some(),
+                    ref_name: flags.value("ref")?,
+                    cache_capacity: flags.number("cache-capacity")?.unwrap_or(1024),
+                    adapt: flags.has("adapt"),
                     dry_run,
                 })
             }
@@ -860,7 +758,7 @@ impl Invocation {
                     }
                     _ => None,
                 };
-                let model = get_value("model")?.map(PathBuf::from);
+                let model = flags.value("model")?.map(PathBuf::from);
                 let needs_model = matches!(action, ClusterAction::Launch | ClusterAction::Rollout);
                 if needs_model && model.is_none() {
                     return Err(format!(
@@ -885,46 +783,31 @@ impl Invocation {
                         "join-token",
                         "lease-ms",
                     ] {
-                        if get_flag(flag).is_some() {
+                        if flags.has(flag) {
                             return Err(format!("cluster: --{flag} only applies to launch"));
                         }
                     }
                     for flag in ["debug-hooks", "standby"] {
-                        if get_flag(flag).is_some() {
+                        if flags.has(flag) {
                             return Err(format!("cluster: --{flag} only applies to launch"));
                         }
                     }
                 }
-                let shards = get_value("shards")?
-                    .map(|s| s.parse().map_err(|_| "--shards: not a number".to_string()))
-                    .transpose()?
-                    .unwrap_or(3);
+                let shards = flags.number("shards")?.unwrap_or(3);
                 if shards == 0 {
                     return Err("--shards: need at least one shard".to_string());
                 }
-                let vnodes = get_value("vnodes")?
-                    .map(|s| s.parse().map_err(|_| "--vnodes: not a number".to_string()))
-                    .transpose()?
+                let vnodes = flags
+                    .number("vnodes")?
                     .unwrap_or(nrpm_cluster::DEFAULT_VNODES);
                 if vnodes == 0 {
                     return Err("--vnodes: need at least one virtual node".to_string());
                 }
-                let replication = get_value("replication")?
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| "--replication: not a number".to_string())
-                    })
-                    .transpose()?
-                    .unwrap_or(1);
+                let replication = flags.number("replication")?.unwrap_or(1);
                 if replication == 0 {
                     return Err("--replication: need at least one replica".to_string());
                 }
-                let lease_ms = get_value("lease-ms")?
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| "--lease-ms: not a number".to_string())
-                    })
-                    .transpose()?;
+                let lease_ms = flags.number("lease-ms")?;
                 if lease_ms == Some(0) {
                     return Err("--lease-ms: must be at least 1 ms".to_string());
                 }
@@ -932,25 +815,19 @@ impl Invocation {
                     action,
                     model,
                     shards,
-                    addr: get_value("addr")?.unwrap_or_else(|| DEFAULT_ADDR.to_string()),
-                    workers: get_value("workers")?
-                        .map(|s| s.parse().map_err(|_| "--workers: not a number".to_string()))
-                        .transpose()?
-                        .unwrap_or(2),
+                    addr: flags
+                        .value("addr")?
+                        .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
+                    workers: flags.number("workers")?.unwrap_or(2),
                     vnodes,
-                    registry_dir: get_value("registry-dir")?.map(PathBuf::from),
-                    debug_hooks: get_flag("debug-hooks").is_some(),
+                    registry_dir: flags.value("registry-dir")?.map(PathBuf::from),
+                    debug_hooks: flags.has("debug-hooks"),
                     shard,
-                    timeout_ms: get_value("timeout-ms")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--timeout-ms: not a number".to_string())
-                        })
-                        .transpose()?,
+                    timeout_ms: flags.number("timeout-ms")?,
                     replication,
-                    join_token: get_value("join-token")?,
+                    join_token: flags.value("join-token")?,
                     lease_ms,
-                    standby: get_flag("standby").is_some(),
+                    standby: flags.has("standby"),
                 })
             }
             "query" => {
@@ -980,26 +857,79 @@ impl Invocation {
                 }
                 Ok(Invocation::Query {
                     what,
-                    addr: get_value("addr")?.unwrap_or_else(|| DEFAULT_ADDR.to_string()),
+                    addr: flags
+                        .value("addr")?
+                        .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
                     files,
-                    at: get_value("at")?
+                    at: flags
+                        .value("at")?
                         .as_deref()
                         .map(parse_point_list)
                         .transpose()?,
-                    timeout_ms: get_value("timeout-ms")?
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| "--timeout-ms: not a number".to_string())
-                        })
-                        .transpose()?,
-                    retries: get_value("retries")?
-                        .map(|s| s.parse().map_err(|_| "--retries: not a number".to_string()))
-                        .transpose()?
-                        .unwrap_or(0),
+                    timeout_ms: flags.number("timeout-ms")?,
+                    retries: flags.number("retries")?.unwrap_or(0),
                 })
             }
             other => Err(format!("unknown command `{other}`")),
+        }?;
+        match flags.unread().as_slice() {
+            [] => Ok(invocation),
+            [one] => Err(format!("{command}: unknown flag --{one}")),
+            many => Err(format!("{command}: unknown flags --{}", many.join(", --"))),
         }
+    }
+}
+
+/// The `--name [value]` arguments of one command line. Every lookup marks
+/// the flag as read, so whatever no branch of [`Invocation::parse`] asked
+/// for — a misspelling, or a flag of another command — is left in
+/// [`Flags::unread`].
+struct Flags {
+    entries: Vec<(String, Option<String>, Cell<bool>)>,
+}
+
+impl Flags {
+    /// The value of `--name` (`Some(None)` for a bare flag), or `None`
+    /// when it is absent. A repeated flag yields its first value.
+    fn get(&self, name: &str) -> Option<&Option<String>> {
+        let mut found = None;
+        for (n, value, read) in &self.entries {
+            if n == name {
+                read.set(true);
+                found = found.or(Some(value));
+            }
+        }
+        found
+    }
+
+    /// Whether `--name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// The value of `--name`, an error if it was given bare.
+    fn value(&self, name: &str) -> Result<Option<String>, String> {
+        match self.get(name) {
+            None => Ok(None),
+            Some(Some(v)) => Ok(Some(v.clone())),
+            Some(None) => Err(format!("--{name} needs a value")),
+        }
+    }
+
+    /// The value of `--name` parsed as a number.
+    fn number<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)?
+            .map(|s| s.parse().map_err(|_| format!("--{name}: not a number")))
+            .transpose()
+    }
+
+    /// Flags no lookup has read, in command-line order.
+    fn unread(&self) -> Vec<&str> {
+        self.entries
+            .iter()
+            .filter(|(_, _, read)| !read.get())
+            .map(|(n, _, _)| n.as_str())
+            .collect()
     }
 }
 
@@ -2787,6 +2717,91 @@ mod tests {
     /// CLI, inspect and verify it, gc an unreferenced checkpoint — then
     /// prove a server over the same checkpoint answers from the warmed
     /// journal without a single modeler run.
+    /// One command line per command shape that passes every flag the
+    /// command reads (`fit` twice, for the two strictness flags; `ingest`
+    /// twice, for `--once` against `--duration-ms`).
+    const EVERY_FLAG: &[&str] = &[
+        "fit f.txt --adaptive --strict --network n.json --at 1,2 --thresholds t.json \
+         --regime spike",
+        "fit f.txt --lenient",
+        "noise f.txt",
+        "pretrain --out n.json --samples 3 --epochs 2 --paper-net --train-threads 1",
+        "serve --model n.json --addr a:1 --workers 2 --adapt --timeout-ms 5 --queue-depth 3 \
+         --max-conns 4 --io-timeout-ms 6 --work-delay-ms 7 --cache-capacity 8 --cache-dir d \
+         --train-threads 1 --adapt-interval 100 --swap-smape-tolerance 0.2 --join r:2 \
+         --join-token t --advertise a:3 --feed --thresholds t.json --regime spike --quantize",
+        "ingest --follow f.log --push-addr a:1 --state-dir s --registry-dir r --model n.json \
+         --interval-ms 5 --duration-ms 9 --window-capacity 3 --min-points 2 --fire-interval 1 \
+         --max-records 7 --allowed-lateness 0.5",
+        "ingest --follow f.log --once",
+        "sweep --out o.json --thresholds-out t.json --functions 3 --params 2 --noise 0.1,0.2 \
+         --matrix-noise 0.3 --seed 4 --quick",
+        "query health --addr a:1 --timeout-ms 5 --retries 2",
+        "query model f.txt --at 1 --addr a:1 --timeout-ms 5 --retries 2",
+        "query batch f.txt g.txt --addr a:1",
+        "registry gc --dir d --cache-capacity 3 --dry-run",
+        "registry warm --dir d --model n.json f.txt --ref r --adapt",
+        "cluster launch --model n.json --shards 2 --addr a:1 --workers 1 --vnodes 8 \
+         --registry-dir r --debug-hooks --replication 2 --join-token t --lease-ms 100 --standby",
+        "cluster status --addr a:1 --timeout-ms 5",
+        "cluster drain 1 --addr a:1",
+        "cluster rollout --model n.json --addr a:1 --timeout-ms 5",
+    ];
+
+    #[test]
+    fn every_flag_a_command_reads_parses() {
+        for line in EVERY_FLAG {
+            assert!(parse(line).is_ok(), "{line}: {:?}", parse(line).err());
+        }
+    }
+
+    #[test]
+    fn a_flag_no_command_reads_is_a_usage_error() {
+        for line in EVERY_FLAG {
+            let err = parse(&format!("{line} --bogus")).unwrap_err();
+            assert!(err.ends_with("unknown flag --bogus"), "{line}: {err}");
+        }
+        assert_eq!(
+            parse("fit lin.txt --adaptve --strickt").unwrap_err(),
+            "fit: unknown flags --adaptve, --strickt"
+        );
+        assert_eq!(
+            parse("serve --model n.json --quantise").unwrap_err(),
+            "serve: unknown flag --quantise"
+        );
+        // A flag of another command is just as unknown.
+        assert_eq!(
+            parse("noise f.txt --adaptive").unwrap_err(),
+            "noise: unknown flag --adaptive"
+        );
+    }
+
+    /// Every `"$NRPM" …` command line of the CI workflow, cut at the first
+    /// shell operator, still parses.
+    #[test]
+    fn every_ci_invocation_parses() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.github/workflows/ci.yml");
+        let workflow = std::fs::read_to_string(&path).unwrap().replace("\\\n", " ");
+        let mut seen = 0;
+        for line in workflow.lines() {
+            for (at, call) in line.match_indices("\"$NRPM\" ") {
+                let rest = &line[at + call.len()..];
+                let end = rest
+                    .find(['|', '<', '>', ';', '&', ')'])
+                    .unwrap_or(rest.len());
+                let args: Vec<String> = rest[..end]
+                    .replace('"', "")
+                    .split_whitespace()
+                    .map(String::from)
+                    .collect();
+                let parsed = Invocation::parse(&args);
+                assert!(parsed.is_ok(), "{args:?}: {:?}", parsed.err());
+                seen += 1;
+            }
+        }
+        assert!(seen > 20, "found only {seen} nrpm command lines");
+    }
+
     #[test]
     fn registry_warm_feeds_a_server_cache() {
         use nrpm_core::preprocess::NUM_INPUTS;

@@ -427,59 +427,12 @@ impl DnnModeler {
         }
     }
 
-    /// Classifies a single-parameter measurement line and returns the top-k
-    /// exponent pairs, most probable first.
-    pub fn predict_pairs(&self, xs: &[f64], ys: &[f64]) -> Result<Vec<ExponentPair>, ModelError> {
-        let probs = self.class_probabilities(xs, ys)?;
-        let set = exponent_set();
-        Ok(top_k_classes(&probs, self.opts.top_k)
-            .into_iter()
-            .map(|class| set.pair(class))
-            .collect())
-    }
-
     /// The raw class-probability vector for one line, from the pre-packed
     /// f64 snapshot.
     pub fn class_probabilities(&self, xs: &[f64], ys: &[f64]) -> Result<Vec<f64>, ModelError> {
         let input = encode_line_with(xs, ys, self.opts.encoding).map_err(map_preprocess_error)?;
         let probs = self.predict_f64(Matrix::from_vec(1, NUM_INPUTS, input));
         Ok(probs.as_slice().to_vec())
-    }
-
-    /// Classifies several *parallel* lines of the same parameter and
-    /// returns the top-k pairs of the averaged probability distribution.
-    /// Parallel lines (a `5^m` grid has `5^(m-1)` per parameter) are
-    /// independent noisy views of the same behaviour; averaging the
-    /// network's posteriors is the ensembling counterpart of the
-    /// regression modeler's mean-CV ranking.
-    pub fn predict_pairs_over_lines(
-        &self,
-        lines: &[Vec<(f64, f64)>],
-    ) -> Result<Vec<ExponentPair>, ModelError> {
-        let mut avg = vec![0.0f64; NUM_CLASSES];
-        let mut used = 0usize;
-        let mut last_err = None;
-        for line in lines {
-            let xs: Vec<f64> = line.iter().map(|(x, _)| *x).collect();
-            let ys: Vec<f64> = line.iter().map(|(_, y)| *y).collect();
-            match self.class_probabilities(&xs, &ys) {
-                Ok(probs) => {
-                    for (a, p) in avg.iter_mut().zip(probs.iter()) {
-                        *a += p;
-                    }
-                    used += 1;
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if used == 0 {
-            return Err(last_err.unwrap_or(ModelError::NoViableHypothesis));
-        }
-        let set = exponent_set();
-        Ok(top_k_classes(&avg, self.opts.top_k)
-            .into_iter()
-            .map(|class| set.pair(class))
-            .collect())
     }
 
     /// Classifies many measurement lines in **one** coalesced forward pass:
@@ -641,7 +594,6 @@ impl DnnModeler {
             // same rationale as the regression modeler's ranking: on lines
             // with large fixed coordinates the other parameters' offsets
             // dominate and the posterior collapses toward "constant".
-            // `predict_pairs_over_lines` stays available for ensembling.
             let line = set.line(l, self.opts.aggregation);
             if line.len() < self.opts.min_points {
                 return Err(ModelError::TooFewPoints {
@@ -813,18 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_pairs_returns_top_k_distinct_pairs() {
-        let modeler = shared_modeler();
-        let xs = [4.0, 8.0, 16.0, 32.0, 64.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x).collect();
-        let pairs = modeler.predict_pairs(&xs, &ys).unwrap();
-        assert_eq!(pairs.len(), 3);
-        let mut dedup = pairs.clone();
-        dedup.dedup_by(|a, b| a == b);
-        assert_eq!(dedup.len(), 3, "top-k classes must be distinct");
-    }
-
-    #[test]
     fn model_recovers_clean_linear_scaling() {
         let modeler = shared_modeler();
         let set = line_set(|x| 5.0 + 2.0 * x, &[4.0, 8.0, 16.0, 32.0, 64.0]);
@@ -847,48 +787,6 @@ mod tests {
             modeler.model(&set),
             Err(ModelError::TooFewPoints { .. })
         ));
-    }
-
-    #[test]
-    fn line_ensembling_returns_top_k_pairs() {
-        let modeler = shared_modeler();
-        // Three parallel noisy views of the same linear behaviour.
-        let lines: Vec<Vec<(f64, f64)>> = (0..3)
-            .map(|i| {
-                let scale = 1.0 + i as f64 * 0.5;
-                [4.0f64, 8.0, 16.0, 32.0, 64.0]
-                    .iter()
-                    .map(|&x| (x, scale * (1.0 + 2.0 * x)))
-                    .collect()
-            })
-            .collect();
-        let pairs = modeler.predict_pairs_over_lines(&lines).unwrap();
-        assert_eq!(pairs.len(), 3);
-        // Ensembled prediction must agree with the single-line prediction
-        // when all lines say the same thing.
-        let single = modeler
-            .predict_pairs(
-                &[4.0, 8.0, 16.0, 32.0, 64.0],
-                &[9.0, 17.0, 33.0, 65.0, 129.0],
-            )
-            .unwrap();
-        assert_eq!(pairs[0], single[0]);
-    }
-
-    #[test]
-    fn line_ensembling_skips_degenerate_lines() {
-        let modeler = shared_modeler();
-        let good: Vec<(f64, f64)> = [4.0f64, 8.0, 16.0, 32.0, 64.0]
-            .iter()
-            .map(|&x| (x, 3.0 * x))
-            .collect();
-        let degenerate = vec![(4.0, 1.0)]; // single point: encoder rejects
-        let pairs = modeler
-            .predict_pairs_over_lines(&[degenerate.clone(), good])
-            .unwrap();
-        assert_eq!(pairs.len(), 3);
-        // All lines degenerate -> error.
-        assert!(modeler.predict_pairs_over_lines(&[degenerate]).is_err());
     }
 
     #[test]

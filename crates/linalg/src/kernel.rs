@@ -29,20 +29,20 @@
 //!   Above 16 rows the pre-packed panels feed the packed path's loop nest
 //!   unchanged, with nothing packed per call.
 //! * **Blocking** — the shared `k` dimension is always walked in fixed
-//!   [`KC`]-sized chunks; `M`/`N` are blocked by `MC`/`NC` in the packed
-//!   path. `MC` and the direct/packed crossover are chosen by a small
-//!   one-shot autotuner cached per process ([`kernel_tuning`]); `KC` is
-//!   deliberately **not** tuned — see the determinism note below.
+//!   [`KC`]-sized chunks, and the packed path blocks `M` by `MC`. `MC`
+//!   and the direct/packed crossover (`DIRECT_LIMIT`, `DIRECT_MIN_M`) are
+//!   constants, so a product's path and blocking depend only on the ISA
+//!   and its shape.
 //!
 //! # Determinism
 //!
-//! Every path — direct, packed, pre-packed, scalar fallback, any `MC`/`NC`
+//! Every path — direct, packed, pre-packed, scalar fallback, any `MC`
 //! choice, any thread-stripe partition — accumulates each output element
 //! in the exact same order: `KC`-sized k-chunks ascending, plain ascending
 //! `k` inside a chunk, one fused multiply-add per term, chunk sums added to
 //! `C` in ascending chunk order. SIMD lanes only ever span output *columns*, never
-//! the reduction dimension. Consequently the autotuner, the path heuristic
-//! and the thread count are pure performance knobs: flipping any of them
+//! the reduction dimension. Consequently the block sizes, the path choice
+//! and the thread count are pure performance knobs: changing any of them
 //! cannot change a single output bit. This is what lets the f64 training
 //! path stay bitwise-identical at every thread count while the kernel
 //! underneath is rewritten. (Results still differ across *machines* whose
@@ -51,10 +51,8 @@
 //!
 //! # Environment overrides
 //!
-//! * `NRPM_MATMUL_ISA` — force `scalar` or `avx2` (downgrades only).
-//! * `NRPM_MATMUL_AUTOTUNE=0` — skip probing, use static defaults.
-//! * `NRPM_MATMUL_MC`, `NRPM_MATMUL_NC`, `NRPM_MATMUL_DIRECT_LIMIT`,
-//!   `NRPM_MATMUL_DIRECT_MIN_M` — pin individual tuning values.
+//! * `NRPM_MATMUL_ISA` — force `scalar` or `avx2` (downgrades only), so the
+//!   AVX2 and scalar kernels can be tested on an AVX-512 host.
 
 // The micro-kernels index fixed-size register-tile arrays by row/column on
 // purpose: the loop indices mirror the MR x NR blocking and the offsets into
@@ -65,10 +63,10 @@ use std::sync::OnceLock;
 
 /// Fixed block size along the shared `k` dimension.
 ///
-/// Not autotuned on purpose: the k-chunk size fixes the floating-point
-/// association of every dot product, so tuning it would make results depend
-/// on probe timings. 256 doubles (2 KiB per packed column) keeps the active
-/// `B` panel rows in L1 on every x86-64 of the last decade.
+/// The k-chunk size fixes the floating-point association of every dot
+/// product, so it is a constant of the numerics, not a tuning value. 256
+/// doubles (2 KiB per packed column) keeps the active `B` panel rows in L1
+/// on every x86-64 of the last decade.
 pub const KC: usize = 256;
 
 /// Micro-tile rows: the packing geometry groups `A` rows in blocks of 8.
@@ -77,9 +75,14 @@ pub const MR: usize = 8;
 /// Micro-tile columns: `B` is packed in 16-column panels.
 pub const NR: usize = 16;
 
-/// `B` panels at or below this many elements always take the direct path
-/// without consulting (or triggering) the autotuner.
-const SMALL_B_ELEMS: usize = 1 << 16;
+/// Row-block size of the packed path's `A` panels (a multiple of [`MR`]).
+const MC: usize = 64;
+
+/// `B` operands of at most this many elements take the direct path.
+const DIRECT_LIMIT: usize = 512 * 1024;
+
+/// Below this many output rows the packed path cannot amortize packing.
+const DIRECT_MIN_M: usize = 64;
 
 /// Instruction set selected once per process for the f64 and int8 kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,131 +130,6 @@ fn detect_isa() -> KernelIsa {
     }
 }
 
-/// Cache-blocking parameters chosen once per process.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelTuning {
-    /// Row-block size for the packed path's `A` panels.
-    pub mc: usize,
-    /// Column-block size (multiple of [`NR`]) for the packed path.
-    pub nc: usize,
-    /// `B` panels larger than this many f64 elements leave the direct path.
-    pub direct_limit: usize,
-    /// Below this many output rows the packed path cannot amortize packing.
-    pub direct_min_m: usize,
-}
-
-impl Default for KernelTuning {
-    fn default() -> Self {
-        KernelTuning {
-            mc: 64,
-            nc: 4096,
-            direct_limit: 512 * 1024,
-            direct_min_m: 64,
-        }
-    }
-}
-
-static TUNING: OnceLock<KernelTuning> = OnceLock::new();
-
-/// Block sizes in effect, running the one-shot autotuner on first use.
-pub fn kernel_tuning() -> KernelTuning {
-    *TUNING.get_or_init(|| autotune(kernel_isa()))
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.parse().ok()
-}
-
-fn autotune(isa: KernelIsa) -> KernelTuning {
-    let mut t = KernelTuning::default();
-    let probe = !matches!(std::env::var("NRPM_MATMUL_AUTOTUNE").as_deref(), Ok("0"))
-        && isa != KernelIsa::Scalar;
-    if probe {
-        // Probe the direct/packed crossover at two B footprints (2 MiB and
-        // 8 MiB) and MC on a packed mid-size case. Both paths are bitwise
-        // identical, so whatever the stopwatch says is safe to act on.
-        let d1 = probe_direct_wins(isa, &t, 64, 512, 512);
-        let d2 = probe_direct_wins(isa, &t, 64, 1024, 1024);
-        t.direct_limit = if d2 {
-            2 * 1024 * 1024
-        } else if d1 {
-            512 * 1024
-        } else {
-            128 * 1024
-        };
-        let mut best = (f64::INFINITY, t.mc);
-        for mc in [32, 64, 128] {
-            let cand = KernelTuning { mc, ..t };
-            let dt = probe_time(isa, &cand, 192, 512, 512, GemmPath::Packed);
-            if dt < best.0 {
-                best = (dt, mc);
-            }
-        }
-        t.mc = best.1;
-    }
-    if let Some(v) = env_usize("NRPM_MATMUL_MC") {
-        t.mc = v.clamp(MR, 4096);
-    }
-    if let Some(v) = env_usize("NRPM_MATMUL_NC") {
-        t.nc = v.max(NR) / NR * NR;
-    }
-    if let Some(v) = env_usize("NRPM_MATMUL_DIRECT_LIMIT") {
-        t.direct_limit = v;
-    }
-    if let Some(v) = env_usize("NRPM_MATMUL_DIRECT_MIN_M") {
-        t.direct_min_m = v;
-    }
-    t
-}
-
-fn probe_time(
-    isa: KernelIsa,
-    tun: &KernelTuning,
-    m: usize,
-    k: usize,
-    n: usize,
-    path: GemmPath,
-) -> f64 {
-    let a: Vec<f64> = (0..m * k)
-        .map(|i| (i.wrapping_mul(2654435761) % 1000) as f64 / 500.0 - 1.0)
-        .collect();
-    let b: Vec<f64> = (0..k * n)
-        .map(|i| (i.wrapping_mul(1099087573) % 1000) as f64 / 500.0 - 1.0)
-        .collect();
-    let mut c = vec![0.0; m * n];
-    let mut best = f64::INFINITY;
-    for rep in 0..3 {
-        let t0 = std::time::Instant::now();
-        gemm_serial(
-            isa,
-            tun,
-            AView {
-                data: &a,
-                rs: k,
-                ks: 1,
-            },
-            &b,
-            &mut c,
-            0,
-            m,
-            k,
-            n,
-            path,
-        );
-        let dt = t0.elapsed().as_secs_f64();
-        // First rep is warmup (page faults, frequency ramp).
-        if rep > 0 && dt < best {
-            best = dt;
-        }
-    }
-    best
-}
-
-fn probe_direct_wins(isa: KernelIsa, tun: &KernelTuning, m: usize, k: usize, n: usize) -> bool {
-    probe_time(isa, tun, m, k, n, GemmPath::Direct)
-        < probe_time(isa, tun, m, k, n, GemmPath::Packed)
-}
-
 /// Which compute path a product takes. Both paths are bitwise identical;
 /// the choice is purely about cache behavior.
 #[doc(hidden)]
@@ -272,12 +150,7 @@ pub(crate) fn choose_path(isa: KernelIsa, m: usize, k: usize, n: usize) -> GemmP
     if isa == KernelIsa::Scalar {
         return GemmPath::Direct; // scalar has a single code path
     }
-    let b_elems = k * n;
-    if b_elems <= SMALL_B_ELEMS {
-        return GemmPath::Direct;
-    }
-    let t = kernel_tuning();
-    if m < t.direct_min_m || b_elems <= t.direct_limit {
+    if m < DIRECT_MIN_M || k * n <= DIRECT_LIMIT {
         GemmPath::Direct
     } else {
         GemmPath::Packed
@@ -395,7 +268,6 @@ fn pack_a(a: AView<'_>, row0: usize, mc: usize, k0: usize, kc: usize, out: &mut 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_stripe(
     isa: KernelIsa,
-    tun: &KernelTuning,
     a: AView<'_>,
     b: &[f64],
     packed_b: Option<&[f64]>,
@@ -424,7 +296,7 @@ pub(crate) fn gemm_stripe(
                     &local[..]
                 }
             };
-            x86::packed_stripe(isa, tun, a, pb, c, row0, rows, k, n);
+            x86::packed_stripe(isa, a, pb, c, row0, rows, k, n);
         }
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar_stripe(a, b, c, row0, rows, k, n, false),
@@ -438,11 +310,9 @@ pub const STATIONARY_MAX_M: usize = 16;
 
 /// Computes one thread-stripe of `C = A*B` against a pre-packed `B`, in
 /// the same accumulation order as [`gemm_stripe`]. `c` is the stripe's
-/// `rows x n` slice and `row0` its first global row. `tun` is only read
-/// above [`STATIONARY_MAX_M`] rows.
+/// `rows x n` slice and `row0` its first global row.
 pub(crate) fn prepacked_stripe(
     isa: KernelIsa,
-    tun: &KernelTuning,
     a: AView<'_>,
     b: &PackedGemmB,
     c: &mut [f64],
@@ -460,20 +330,16 @@ pub(crate) fn prepacked_stripe(
             x86::stationary_stripe(isa, a, &b.data, c, row0, rows, k, n)
         }
         #[cfg(target_arch = "x86_64")]
-        _ => x86::packed_stripe(isa, tun, a, &b.data, c, row0, rows, k, n),
+        _ => x86::packed_stripe(isa, a, &b.data, c, row0, rows, k, n),
         #[cfg(not(target_arch = "x86_64"))]
-        _ => {
-            let _ = tun;
-            scalar_panel_stripe(a, &b.data, c, row0, rows, k, n)
-        }
+        _ => scalar_panel_stripe(a, &b.data, c, row0, rows, k, n),
     }
 }
 
-/// Serial full-matrix GEMM on an explicit path (autotuner + tests).
+/// Serial full-matrix GEMM on an explicit path (test hooks).
 #[allow(clippy::too_many_arguments)]
 fn gemm_serial(
     isa: KernelIsa,
-    tun: &KernelTuning,
     a: AView<'_>,
     b: &[f64],
     c: &mut [f64],
@@ -484,7 +350,7 @@ fn gemm_serial(
     path: GemmPath,
 ) {
     c.fill(0.0);
-    gemm_stripe(isa, tun, a, b, None, c, row0, rows, k, n, path);
+    gemm_stripe(isa, a, b, None, c, row0, rows, k, n, path);
 }
 
 /// Blocked scalar kernel; also the *reference semantics* for every SIMD
@@ -586,7 +452,7 @@ fn scalar_panel_stripe(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{AView, KernelIsa, KernelTuning, KC, MR, NR};
+    use super::{AView, KernelIsa, KC, MC, MR, NR};
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
@@ -1157,7 +1023,6 @@ mod x86 {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn packed_stripe(
         isa: KernelIsa,
-        tun: &KernelTuning,
         a: AView<'_>,
         pb: &[f64],
         c: &mut [f64],
@@ -1166,70 +1031,62 @@ mod x86 {
         k: usize,
         n: usize,
     ) {
-        let mc_b = tun.mc.max(MR);
-        let nc_b = (tun.nc.max(NR) / NR) * NR;
-        let mut apbuf = vec![0.0f64; mc_b.div_ceil(MR) * MR * KC];
+        let mut apbuf = vec![0.0f64; MC * KC];
         let mut acc = [0.0f64; MR * NR];
-        let mut jc = 0;
-        while jc < n {
-            let ncb = nc_b.min(n - jc);
-            let mut ic = 0;
-            while ic < rows {
-                let mc = mc_b.min(rows - ic);
-                let mut k0 = 0;
-                while k0 < k {
-                    let kc = KC.min(k - k0);
-                    super::pack_a(a, row0 + ic, mc, k0, kc, &mut apbuf);
-                    let jp_end = (jc + ncb).div_ceil(NR);
-                    for jp in jc / NR..jp_end {
-                        let bp = &pb[NR * (jp * k + k0)..];
-                        let jcol = jp * NR;
-                        let nr = NR.min(n - jcol);
-                        let mut ir = 0;
-                        while ir < mc {
-                            let mr = MR.min(mc - ir);
-                            let apan = &apbuf[(ir / MR) * kc * MR..];
-                            match isa {
-                                KernelIsa::Avx512 => unsafe {
-                                    kp512(apan.as_ptr(), bp.as_ptr(), kc, acc.as_mut_ptr());
-                                },
-                                KernelIsa::Avx2 => unsafe {
-                                    for rsub in 0..2 {
-                                        for chalf in 0..2 {
-                                            kp256(
-                                                apan.as_ptr().add(rsub * 4),
-                                                bp.as_ptr().add(chalf * 8),
-                                                kc,
-                                                acc.as_mut_ptr().add(rsub * 4 * NR + chalf * 8),
-                                            );
-                                        }
-                                    }
-                                },
-                                KernelIsa::Scalar => unreachable!("scalar has its own stripe"),
-                            }
-                            for i in 0..mr {
-                                let co = (ic + ir + i) * n + jcol;
-                                let crow = &mut c[co..co + nr];
-                                if k0 == 0 {
-                                    // First KC chunk stores (C is zeroed);
-                                    // matches the reference semantics.
-                                    for (j, slot) in crow.iter_mut().enumerate() {
-                                        *slot = acc[i * NR + j];
-                                    }
-                                } else {
-                                    for (j, slot) in crow.iter_mut().enumerate() {
-                                        *slot += acc[i * NR + j];
+        let mut ic = 0;
+        while ic < rows {
+            let mc = MC.min(rows - ic);
+            let mut k0 = 0;
+            while k0 < k {
+                let kc = KC.min(k - k0);
+                super::pack_a(a, row0 + ic, mc, k0, kc, &mut apbuf);
+                for jp in 0..n.div_ceil(NR) {
+                    let bp = &pb[NR * (jp * k + k0)..];
+                    let jcol = jp * NR;
+                    let nr = NR.min(n - jcol);
+                    let mut ir = 0;
+                    while ir < mc {
+                        let mr = MR.min(mc - ir);
+                        let apan = &apbuf[(ir / MR) * kc * MR..];
+                        match isa {
+                            KernelIsa::Avx512 => unsafe {
+                                kp512(apan.as_ptr(), bp.as_ptr(), kc, acc.as_mut_ptr());
+                            },
+                            KernelIsa::Avx2 => unsafe {
+                                for rsub in 0..2 {
+                                    for chalf in 0..2 {
+                                        kp256(
+                                            apan.as_ptr().add(rsub * 4),
+                                            bp.as_ptr().add(chalf * 8),
+                                            kc,
+                                            acc.as_mut_ptr().add(rsub * 4 * NR + chalf * 8),
+                                        );
                                     }
                                 }
-                            }
-                            ir += MR;
+                            },
+                            KernelIsa::Scalar => unreachable!("scalar has its own stripe"),
                         }
+                        for i in 0..mr {
+                            let co = (ic + ir + i) * n + jcol;
+                            let crow = &mut c[co..co + nr];
+                            if k0 == 0 {
+                                // First KC chunk stores (C is zeroed);
+                                // matches the reference semantics.
+                                for (j, slot) in crow.iter_mut().enumerate() {
+                                    *slot = acc[i * NR + j];
+                                }
+                            } else {
+                                for (j, slot) in crow.iter_mut().enumerate() {
+                                    *slot += acc[i * NR + j];
+                                }
+                            }
+                        }
+                        ir += MR;
                     }
-                    k0 += KC;
                 }
-                ic += mc_b;
+                k0 += KC;
             }
-            jc += nc_b;
+            ic += MC;
         }
     }
 
@@ -1276,8 +1133,8 @@ mod x86 {
     }
 }
 
-/// Test/bench hooks: run the GEMM on an explicit path or with reference
-/// semantics, independent of the process-wide tuning.
+/// Test hooks: run the GEMM on an explicit path or with reference
+/// semantics, independent of the shape-based path choice.
 #[doc(hidden)]
 pub mod testing {
     use super::*;
@@ -1292,10 +1149,8 @@ pub mod testing {
         path: GemmPath,
     ) -> Vec<f64> {
         let mut c = vec![0.0; m * n];
-        let tun = KernelTuning::default();
         gemm_serial(
             kernel_isa(),
-            &tun,
             AView {
                 data: a,
                 rs: k,
@@ -1329,7 +1184,6 @@ pub mod testing {
             threads,
             parallel_threshold: 1,
             min_flops_per_thread: 1,
-            ..Default::default()
         };
         crate::matmul_prepacked_into(&a, &PackedGemmB::pack(b, k, n), &mut c, opts)
             .expect("shapes agree");
@@ -1374,10 +1228,8 @@ pub mod testing {
         path: GemmPath,
     ) -> Vec<f64> {
         let mut c = vec![0.0; m * n];
-        let tun = KernelTuning::default();
         gemm_serial(
             kernel_isa(),
-            &tun,
             AView {
                 data: a,
                 rs: 1,
@@ -1586,15 +1438,6 @@ mod tests {
     }
 
     #[test]
-    fn tuning_is_sane() {
-        let t = kernel_tuning();
-        assert!(t.mc >= MR);
-        assert!(t.nc >= NR && t.nc.is_multiple_of(NR));
-        assert!(t.direct_limit > SMALL_B_ELEMS);
-        assert!(t.direct_min_m >= 1);
-    }
-
-    #[test]
     fn path_choice_depends_only_on_shape() {
         let isa = kernel_isa();
         // Small B is always direct, and a given shape always maps to one path.
@@ -1603,5 +1446,26 @@ mod tests {
         let p1 = choose_path(isa, 128, 1500, 1500);
         let p2 = choose_path(isa, 128, 1500, 1500);
         assert_eq!(p1, p2);
+        // The paper network's layers (11→1500→1500→750→250→250→43), marked
+        // with whether they take the packed path from 64 rows on: only the
+        // two largest weight matrices do. Scalar has a single code path.
+        let layers = [
+            (11, 1500, false),
+            (1500, 1500, true),
+            (1500, 750, true),
+            (750, 250, false),
+            (250, 250, false),
+            (250, 43, false),
+        ];
+        for m in [1, 63, 64, 172] {
+            for (k, n, packed_from_64) in layers {
+                let want = if packed_from_64 && m >= 64 && isa != KernelIsa::Scalar {
+                    GemmPath::Packed
+                } else {
+                    GemmPath::Direct
+                };
+                assert_eq!(choose_path(isa, m, k, n), want, "{m}x{k}x{n}");
+            }
+        }
     }
 }

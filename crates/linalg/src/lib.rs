@@ -7,7 +7,7 @@
 //! micro-kernel ([`kernel`]) with one-shot runtime ISA dispatch
 //! (AVX-512 / AVX2+FMA / portable scalar), packed cache-friendly panels for
 //! large operands, a direct streaming path for small ones, and row-stripe
-//! parallelism over crossbeam scoped threads — while keeping results
+//! parallelism over std scoped threads — while keeping results
 //! bitwise identical at every thread count. A packed int8 GEMM ([`qgemm`])
 //! backs the quantized inference fast path in the serving stack.
 //!
@@ -37,7 +37,7 @@ mod thread_budget;
 mod vector;
 
 pub use error::LinalgError;
-pub use kernel::{kernel_isa, kernel_tuning, KernelIsa, KernelTuning, PackedGemmB};
+pub use kernel::{kernel_isa, KernelIsa, PackedGemmB};
 pub use matmul::{
     default_threads, matmul, matmul_at_into, matmul_into, matmul_prepacked_into, matmul_threaded,
     matvec, MatmulOptions, MIN_FLOPS_PER_THREAD,

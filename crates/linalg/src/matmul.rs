@@ -22,13 +22,9 @@ use std::cell::RefCell;
 /// thread budget costs more than the compute itself.
 pub const MIN_FLOPS_PER_THREAD: usize = 4_000_000;
 
-/// Tuning knobs for [`matmul`].
+/// Threading options for [`matmul`].
 #[derive(Debug, Clone, Copy)]
 pub struct MatmulOptions {
-    /// Legacy k-blocking knob. The micro-kernel fixes its k-chunk size at
-    /// [`kernel::KC`] (tuning it would change floating-point association),
-    /// so this field is accepted for compatibility but no longer read.
-    pub k_block: usize,
     /// Number of worker threads. `1` means fully sequential.
     pub threads: usize,
     /// Minimum number of output elements per thread before the parallel path
@@ -43,7 +39,6 @@ pub struct MatmulOptions {
 impl Default for MatmulOptions {
     fn default() -> Self {
         MatmulOptions {
-            k_block: kernel::KC,
             threads: default_threads(),
             parallel_threshold: 64 * 64,
             min_flops_per_thread: MIN_FLOPS_PER_THREAD,
@@ -181,11 +176,6 @@ fn run_gemm(
     let isa = kernel::kernel_isa();
     let path = choose_path(isa, m, k, n);
     let threads = stripe_count(&opts, m, k, n);
-    let tun = if path == GemmPath::Packed || threads > 1 {
-        kernel::kernel_tuning()
-    } else {
-        Default::default()
-    };
 
     PACKED_B_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
@@ -196,7 +186,7 @@ fn run_gemm(
             None
         };
         run_stripes(c, m, n, threads, |stripe, row0, rows| {
-            kernel::gemm_stripe(isa, &tun, a, b, packed_b, stripe, row0, rows, k, n, path);
+            kernel::gemm_stripe(isa, a, b, packed_b, stripe, row0, rows, k, n, path);
         });
     });
 }
@@ -229,12 +219,11 @@ fn run_stripes(
     }
     let rows_per_thread = m.div_ceil(threads).div_ceil(kernel::MR) * kernel::MR;
     let stripe = &stripe;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (t, part) in c.chunks_mut(rows_per_thread * n).enumerate() {
-            scope.spawn(move |_| stripe(part, t * rows_per_thread, part.len() / n));
+            scope.spawn(move || stripe(part, t * rows_per_thread, part.len() / n));
         }
-    })
-    .expect("matmul worker panicked");
+    });
 }
 
 /// `C = A * B` against a right operand packed once by
@@ -275,11 +264,6 @@ pub fn matmul_prepacked_into(
         return Ok(());
     }
     let isa = kernel::kernel_isa();
-    let tun = if m > kernel::STATIONARY_MAX_M {
-        kernel::kernel_tuning()
-    } else {
-        Default::default()
-    };
     let view = AView {
         data: a.as_slice(),
         rs: k,
@@ -291,7 +275,7 @@ pub fn matmul_prepacked_into(
         n,
         stripe_count(&opts, m, k, n),
         |stripe, row0, rows| {
-            kernel::prepacked_stripe(isa, &tun, view, b, stripe, row0, rows);
+            kernel::prepacked_stripe(isa, view, b, stripe, row0, rows);
         },
     );
     Ok(())
@@ -379,31 +363,10 @@ mod tests {
                 threads: 4,
                 parallel_threshold: 1,
                 min_flops_per_thread: 1,
-                ..Default::default()
             },
         )
         .unwrap();
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn small_k_block_still_correct() {
-        let a = pseudo_random_matrix(9, 31, 13);
-        let b = pseudo_random_matrix(31, 6, 17);
-        let expected = naive_matmul(&a, &b);
-        let got = matmul_threaded(
-            &a,
-            &b,
-            MatmulOptions {
-                k_block: 4,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for (x, y) in got.as_slice().iter().zip(expected.as_slice()) {
-            assert!((x - y).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -498,7 +461,6 @@ mod tests {
                     threads,
                     parallel_threshold: 1,
                     min_flops_per_thread: 1,
-                    ..Default::default()
                 },
             )
             .unwrap();
@@ -564,7 +526,6 @@ mod tests {
                     threads,
                     parallel_threshold: 1,
                     min_flops_per_thread: 1,
-                    ..Default::default()
                 },
             )
             .unwrap();

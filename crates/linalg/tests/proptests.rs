@@ -74,7 +74,6 @@ proptest! {
     fn threaded_matmul_is_bitwise_identical_to_sequential(
         a in small_matrix(1..24, 1..24),
         n in 1usize..16,
-        k_block in 1usize..48,
         threads in 1usize..=8,
         seed in 0u64..1000,
     ) {
@@ -90,12 +89,10 @@ proptest! {
         });
         let seq = matmul_threaded(&a, &b, MatmulOptions {
             threads: 1,
-            k_block,
             ..Default::default()
         }).unwrap();
         let par = matmul_threaded(&a, &b, MatmulOptions {
             threads,
-            k_block,
             parallel_threshold: 1,
             min_flops_per_thread: 1,
         }).unwrap();

@@ -323,7 +323,7 @@ impl Network {
             // per-chunk slots, so the assignment does not affect the
             // reduction below.
             let per_worker = num_chunks.div_ceil(workers);
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for (w, (arena, (grad_slots, loss_slots))) in arenas
                     .iter_mut()
                     .zip(
@@ -333,7 +333,7 @@ impl Network {
                     )
                     .enumerate()
                 {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for (i, (out, loss)) in
                             grad_slots.iter_mut().zip(loss_slots.iter_mut()).enumerate()
                         {
@@ -344,8 +344,7 @@ impl Network {
                         }
                     });
                 }
-            })
-            .expect("trainer worker panicked");
+            });
         }
 
         // Canonical-order reduction: chunk 0, 1, 2, … regardless of which

@@ -200,12 +200,6 @@ impl Network {
         Ok(self.predict_proba(&x)?.as_slice().to_vec())
     }
 
-    /// Argmax class for a single input.
-    pub fn predict_one(&self, input: &[f64]) -> Result<usize, NetworkError> {
-        let probs = self.predict_proba_one(input)?;
-        Ok(metrics::top_k_classes(&probs, 1)[0])
-    }
-
     /// Mean cross-entropy loss over a dataset.
     pub fn cross_entropy(&self, data: &Dataset) -> Result<f64, NetworkError> {
         self.check_dataset(data)?;

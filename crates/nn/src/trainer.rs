@@ -9,14 +9,12 @@
 //! any thread count for a fixed seed — the thread knob only changes speed.
 
 use crate::activation::softmax_rows;
-use crate::arena::TrainScratch;
 use crate::dataset::Dataset;
 use crate::layer::LayerGradients;
 use crate::network::{Network, NetworkError};
 use crate::optimizer::{Optimizer, OptimizerKind};
-use nrpm_linalg::{Matrix, ThreadBudget};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::watchdog::WatchdogOptions;
+use nrpm_linalg::Matrix;
 
 /// Options of a training run.
 #[derive(Debug, Clone)]
@@ -80,65 +78,19 @@ impl TrainingReport {
 impl Network {
     /// Trains the network in place with mini-batch gradient descent and the
     /// fused softmax/cross-entropy head. Returns the per-epoch losses.
+    ///
+    /// This is [`Network::train_guarded`] with clipping off, no explosion
+    /// threshold and no retries: a run without a non-finite loss or
+    /// gradient is exactly the plain mini-batch loop, and one with such a
+    /// fault stops on the last finite weights instead of training on NaN.
     pub fn train(
         &mut self,
         data: &Dataset,
         opts: &TrainerOptions,
     ) -> Result<TrainingReport, NetworkError> {
-        self.check_dataset(data)?;
-        assert!(opts.batch_size > 0, "batch size must be positive");
-
-        let threads = ThreadBudget::resolve(opts.threads);
-        let mut scratch = TrainScratch::new(self, opts.batch_size, threads);
-        let mut optimizer = Optimizer::new(opts.optimizer, self.layers().len() * 2);
-        let mut rng = StdRng::seed_from_u64(opts.shuffle_seed);
-        let mut epoch_losses = Vec::with_capacity(opts.epochs);
-
-        let mut best_loss = f64::INFINITY;
-        let mut stale_epochs = 0usize;
-        for _ in 0..opts.epochs {
-            let order = data.shuffled_indices(&mut rng);
-            let mut epoch_loss = 0.0;
-            let mut samples = 0usize;
-            for batch in order.chunks(opts.batch_size) {
-                data.gather_into(batch, &mut scratch.x);
-                data.one_hot_into(batch, &mut scratch.y);
-                if opts.weight_decay > 0.0 {
-                    self.apply_weight_decay(opts.weight_decay);
-                }
-                // The weights changed since the last refresh (optimizer
-                // step and/or decay), so re-derive the cached transposes.
-                scratch.refresh_weights_t(self);
-                let loss = self.accumulate_gradients(&mut scratch);
-                self.apply_gradients(&scratch.total, &mut optimizer);
-                epoch_loss += loss * batch.len() as f64;
-                samples += batch.len();
-                // Training runs as background work in serving processes:
-                // ceding the CPU once per batch lets latency-sensitive
-                // threads preempt promptly on machines with few cores, at
-                // sub-microsecond cost per batch when nothing is waiting.
-                std::thread::yield_now();
-            }
-            let mean_loss = epoch_loss / samples as f64;
-            epoch_losses.push(mean_loss);
-
-            if let Some(patience) = opts.patience {
-                if mean_loss < best_loss - opts.min_delta {
-                    best_loss = mean_loss;
-                    stale_epochs = 0;
-                } else {
-                    stale_epochs += 1;
-                    if stale_epochs >= patience {
-                        break;
-                    }
-                }
-            }
-        }
-
-        Ok(TrainingReport {
-            epoch_losses,
-            steps: optimizer.step_count(),
-        })
+        Ok(self
+            .train_guarded(data, opts, &WatchdogOptions::unguarded())?
+            .report)
     }
 
     /// Computes the mean cross-entropy loss and parameter gradients of one
@@ -210,7 +162,8 @@ mod tests {
     use super::*;
     use crate::network::NetworkConfig;
     use nrpm_linalg::Matrix;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Two well-separated Gaussian-ish blobs.
     fn blobs(n_per_class: usize, seed: u64) -> Dataset {

@@ -5,8 +5,8 @@
 //! layer cannot assume it: a corrupted sample, an aggressive learning rate,
 //! or a pathological batch can blow the loss up to NaN/Inf or send the
 //! gradient norm through the roof — and a single non-finite optimizer step
-//! poisons every weight irreversibly. [`Network::train_guarded`] wraps the
-//! sequential training loop with
+//! poisons every weight irreversibly. [`Network::train_guarded`] is the
+//! mini-batch training loop ([`Network::train`] runs it unguarded) with
 //!
 //! * per-step detection of non-finite loss, non-finite gradients, and
 //!   exploding gradient norms,
@@ -72,6 +72,21 @@ impl Default for WatchdogOptions {
     }
 }
 
+impl WatchdogOptions {
+    /// The watchdog of [`Network::train`]: no clipping, no explosion
+    /// threshold and no retries. A run without faults is then bitwise the
+    /// plain mini-batch loop, and a non-finite loss or gradient ends it on
+    /// the last finite snapshot.
+    pub(crate) fn unguarded() -> Self {
+        WatchdogOptions {
+            max_retries: 0,
+            clip_norm: None,
+            explode_norm: f64::INFINITY,
+            ..Default::default()
+        }
+    }
+}
+
 /// What the watchdog detected at a step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultDetected {
@@ -131,8 +146,8 @@ fn weights_finite(net: &Network) -> bool {
 }
 
 impl Network {
-    /// Trains the network like [`Network::train`], but under the watchdog:
-    /// non-finite losses/gradients and gradient explosions roll the weights
+    /// Trains the network under the watchdog: non-finite
+    /// losses/gradients and gradient explosions roll the weights
     /// back to the last good snapshot and retry the epoch with a fresh
     /// shuffle seed and a reset optimizer, up to
     /// [`WatchdogOptions::max_retries`] times.
@@ -142,10 +157,9 @@ impl Network {
     /// Errors are reserved for structural problems (incompatible dataset,
     /// checkpoint I/O failures).
     ///
-    /// The guarded loop runs on the same pooled, chunk-parallel gradient
-    /// engine as [`Network::train`]: the full-batch gradient is reduced in
-    /// canonical chunk order, inspected, optionally clipped, and only then
-    /// applied. [`TrainerOptions::threads`] is honored (`0` resolves to the
+    /// Each batch's gradient comes from the pooled, chunk-parallel engine
+    /// (see [`crate::arena`]): it is reduced in canonical chunk order,
+    /// inspected, optionally clipped, and only then applied. [`TrainerOptions::threads`] is honored (`0` resolves to the
     /// process-wide thread budget) and does not change the numerics.
     pub fn train_guarded(
         &mut self,
@@ -250,8 +264,9 @@ impl Network {
             let mean_loss = epoch_loss / samples as f64;
             epoch_losses.push(mean_loss);
             // The epoch completed with a finite loss; its end state is a
-            // good rollback target even between periodic snapshots.
-            if weights_finite(self) {
+            // good rollback target even between periodic snapshots. After
+            // the last epoch no step can fault, so no snapshot is needed.
+            if epoch + 1 < opts.epochs && weights_finite(self) {
                 snapshot = self.clone();
             }
             if let Some(path) = &guard.checkpoint_path {
