@@ -13,7 +13,7 @@ use rand::SeedableRng;
 pub const PAPER_AVERAGE_REL_ERROR: f64 = 0.0493;
 
 /// What to inject and how often.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorSpec {
     /// Synthetic measurement sets per noise level.
     pub sets: usize,

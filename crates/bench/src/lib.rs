@@ -1,11 +1,12 @@
-//! Shared infrastructure of the experiment harness: a tiny CLI-flag parser,
-//! table rendering, the synthetic sweep engine behind Fig. 3, and the
-//! Sec. IV-B noise-estimator evaluation.
+//! The paper's experiments: the figure harnesses behind the `nrpm`
+//! harness subcommands, table rendering, the synthetic sweep engine behind
+//! Fig. 3, the Sec. IV-B noise-estimator evaluation, and the noise-regime
+//! sweep behind `nrpm sweep`.
 
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod estimator;
+pub mod harness;
 pub mod regime;
 pub mod report;
 pub mod sweep;

@@ -1,4 +1,4 @@
-//! Table rendering for the harness binaries: fixed-width text tables that
+//! Table rendering for the figure harnesses: fixed-width text tables that
 //! mirror the rows/series of the paper's figures.
 
 /// A simple fixed-width table printer.
@@ -49,11 +49,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 

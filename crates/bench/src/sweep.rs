@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Configuration of a synthetic sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Number of model parameters `m`.
     pub num_params: usize,

@@ -4,11 +4,21 @@
 
 #![warn(missing_docs)]
 
+mod cli;
+
+use cli::{CommandLine, Flags};
+use nrpm_bench::estimator::EstimatorSpec;
+use nrpm_bench::harness::{
+    held_out_accuracy, ChaosConfig, Harness, CALIBRATION_NOISE_LEVELS, CASE_STUDY_SEED,
+};
 use nrpm_bench::regime::{run_regime_sweep, RegimeSweepConfig};
+use nrpm_bench::sweep::SweepConfig;
 use nrpm_cluster::{Cluster, ClusterOptions, JoinAgent, JoinAgentOptions};
 use nrpm_core::adaptive::{AdaptiveModeler, AdaptiveOptions, AdaptiveOutcome};
+use nrpm_core::dnn::{DnnModeler, DnnOptions};
 use nrpm_core::fingerprint::ModelKey;
 use nrpm_core::noise::NoiseEstimate;
+use nrpm_core::preprocess::ValueScaling;
 use nrpm_core::report::render_outcome;
 use nrpm_core::sanitize::{sanitize, SanitizeOptions, SanitizePolicy};
 use nrpm_core::threshold::ThresholdTable;
@@ -29,11 +39,9 @@ use nrpm_serve::client::{Client, RetryPolicy, RetryingClient};
 use nrpm_serve::server::{ServeOptions, Server};
 use nrpm_serve::store::ModelStore;
 use serde::Value;
-use std::cell::Cell;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::time::Duration;
 
 /// Usage text shown on argument errors.
@@ -76,6 +84,21 @@ usage:
   nrpm cluster rollout --model net.json [--addr HOST:PORT] [--timeout-ms T]
   serve may also enroll in a cluster as a network shard:
   nrpm serve ... --join ROUTER:PORT --join-token TOKEN [--advertise HOST:PORT]
+
+paper-figure harnesses (each table prints as soon as it is computed):
+  nrpm fig3_accuracy [FIG3 FLAGS] [--show-dnn] [--top-k K]
+  nrpm fig3_power [FIG3 FLAGS]
+  nrpm fig4_case_studies [--seed S] [--show-models] [--no-adaptation] [--paper-net]
+  nrpm fig5_noise [--seed S]
+  nrpm fig6_overhead [--seed S] [--trials T] [--paper-net]
+  nrpm noise_estimator_eval [--sets N] [--points P] [--reps R] [--seed S] [--noise l1,...]
+  nrpm threshold_calibration [--params M] [--functions N] [--noise l1,...] [--seed S]
+  nrpm chaos_eval [--campaigns N] [--rates r1,r2,...] [--noise L] [--seed S]
+  nrpm dump_campaigns [--out DIR] [--seed S]
+  FIG3 FLAGS: [--params 1|2|3] [--functions N] [--noise l1,...] [--seed S] [--reps R]
+              [--aggregation median|mean|min] [--paper-net] [--no-adaptation]
+              [--linear-encoding] [--refined-baseline] [--ci]
+  (--params 0, the default, runs m = 1, 2 and 3)
 
 measurement files: PARAMS/POINT text format, or a MeasurementSet .json
 
@@ -421,6 +444,8 @@ pub enum Invocation {
         /// Run a warm standby router for failover (`launch` only).
         standby: bool,
     },
+    /// Run one of the paper-figure harnesses (`fig3_accuracy`, ...).
+    Harness(Harness),
     /// Query a running server.
     Query {
         /// What to ask.
@@ -484,37 +509,23 @@ pub enum ClusterAction {
 impl Invocation {
     /// Parses raw arguments (without the binary name).
     pub fn parse(args: &[String]) -> Result<Invocation, String> {
-        let mut iter = args.iter().peekable();
-        let command = iter.next().ok_or("missing command")?;
-        let mut positional: Vec<String> = Vec::new();
-        let mut entries = Vec::new();
-        while let Some(arg) = iter.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                let value = match iter.peek() {
-                    Some(next) if !next.starts_with("--") => Some(iter.next().unwrap().clone()),
-                    _ => None,
-                };
-                entries.push((name.to_string(), value, Cell::new(false)));
-            } else {
-                positional.push(arg.clone());
-            }
-        }
-        let flags = Flags { entries };
+        let (command, rest) = args.split_first().ok_or("missing command")?;
+        let CommandLine {
+            flags,
+            positional,
+            follows,
+        } = cli::lex(command, rest)?;
 
         let invocation = match command.as_str() {
             "fit" => {
                 let file = positional.first().ok_or("fit: missing <file>")?.into();
-                let at = flags
-                    .value("at")?
-                    .as_deref()
-                    .map(parse_point_list)
-                    .transpose()?;
-                let policy = match (flags.has("strict"), flags.has("lenient")) {
+                let at = flags.list("at")?;
+                let policy = match (flags.switch("strict"), flags.switch("lenient")) {
                     (true, true) => return Err("--strict and --lenient conflict".to_string()),
                     (true, false) => SanitizePolicy::Strict,
                     _ => SanitizePolicy::Lenient,
                 };
-                let adaptive = flags.has("adaptive");
+                let adaptive = flags.switch("adaptive");
                 let thresholds = flags.value("thresholds")?.map(PathBuf::from);
                 let regime = flags.value("regime")?;
                 if thresholds.is_some() && !adaptive {
@@ -543,7 +554,7 @@ impl Invocation {
                     .into(),
                 samples: flags.number("samples")?.unwrap_or(500),
                 epochs: flags.number("epochs")?.unwrap_or(20),
-                paper_net: flags.has("paper-net"),
+                paper_net: flags.switch("paper-net"),
                 train_threads: flags.number("train-threads")?.unwrap_or(0),
             }),
             "serve" => {
@@ -556,9 +567,14 @@ impl Invocation {
                 if join.is_some() && join_token.is_none() {
                     return Err("serve: --join requires --join-token".to_string());
                 }
-                let feed = flags.has("feed");
-                if feed && !flags.has("cache-dir") {
+                let feed = flags.switch("feed");
+                let cache_dir = flags.value("cache-dir")?.map(PathBuf::from);
+                if feed && cache_dir.is_none() {
                     return Err("serve: --feed requires --cache-dir".to_string());
+                }
+                let adapt_interval_ms = flags.number("adapt-interval")?;
+                if adapt_interval_ms == Some(0) {
+                    return Err("--adapt-interval: must be at least 1 ms".to_string());
                 }
                 let thresholds = flags.value("thresholds")?.map(PathBuf::from);
                 let regime = flags.value("regime")?;
@@ -574,22 +590,16 @@ impl Invocation {
                         .value("addr")?
                         .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
                     workers: flags.number("workers")?.unwrap_or(4),
-                    adapt: flags.has("adapt"),
+                    adapt: flags.switch("adapt"),
                     timeout_ms: flags.number("timeout-ms")?,
                     queue_depth: flags.number("queue-depth")?.unwrap_or(64),
                     max_conns: flags.number("max-conns")?.unwrap_or(256),
                     io_timeout_ms: flags.number("io-timeout-ms")?,
                     work_delay_ms: flags.number("work-delay-ms")?,
                     cache_capacity: flags.number("cache-capacity")?.unwrap_or(1024),
-                    cache_dir: flags.value("cache-dir")?.map(PathBuf::from),
+                    cache_dir,
                     train_threads: flags.number("train-threads")?.unwrap_or(0),
-                    adapt_interval_ms: {
-                        let interval = flags.number("adapt-interval")?;
-                        if interval == Some(0) {
-                            return Err("--adapt-interval: must be at least 1 ms".to_string());
-                        }
-                        interval
-                    },
+                    adapt_interval_ms,
                     swap_smape_tolerance: {
                         let tolerance = flags.number::<f64>("swap-smape-tolerance")?;
                         match tolerance {
@@ -599,7 +609,7 @@ impl Invocation {
                                         .to_string(),
                                 )
                             }
-                            Some(_) if !flags.has("adapt-interval") => {
+                            Some(_) if adapt_interval_ms.is_none() => {
                                 return Err(
                                     "--swap-smape-tolerance requires --adapt-interval".to_string()
                                 )
@@ -613,7 +623,7 @@ impl Invocation {
                     feed,
                     thresholds,
                     regime,
-                    quantize: flags.has("quantize"),
+                    quantize: flags.switch("quantize"),
                 })
             }
             "ingest" => {
@@ -622,7 +632,7 @@ impl Invocation {
                 if follow.is_none() && push_addr.is_none() {
                     return Err("ingest: need --follow and/or --push-addr".to_string());
                 }
-                let once = flags.has("once");
+                let once = flags.switch("once");
                 if once && follow.is_none() {
                     return Err("ingest: --once requires --follow".to_string());
                 }
@@ -660,11 +670,7 @@ impl Invocation {
                 })
             }
             "sweep" => {
-                let noise_levels = flags
-                    .value("noise")?
-                    .as_deref()
-                    .map(parse_point_list)
-                    .transpose()?;
+                let noise_levels = flags.list("noise")?;
                 if let Some(levels) = &noise_levels {
                     if levels.len() < 2 {
                         return Err("--noise: need at least two levels".to_string());
@@ -685,7 +691,7 @@ impl Invocation {
                     noise_levels,
                     matrix_noise,
                     seed: flags.number("seed")?.unwrap_or(0x1265),
-                    quick: flags.has("quick"),
+                    quick: flags.switch("quick"),
                 })
             }
             "registry" => {
@@ -709,7 +715,7 @@ impl Invocation {
                     }
                     _ => {}
                 }
-                let dry_run = flags.has("dry-run");
+                let dry_run = flags.switch("dry-run");
                 if dry_run && action != RegistryAction::Gc {
                     return Err("registry: --dry-run only applies to gc".to_string());
                 }
@@ -723,7 +729,7 @@ impl Invocation {
                     files,
                     ref_name: flags.value("ref")?,
                     cache_capacity: flags.number("cache-capacity")?.unwrap_or(1024),
-                    adapt: flags.has("adapt"),
+                    adapt: flags.switch("adapt"),
                     dry_run,
                 })
             }
@@ -783,12 +789,12 @@ impl Invocation {
                         "join-token",
                         "lease-ms",
                     ] {
-                        if flags.has(flag) {
+                        if flags.value(flag)?.is_some() {
                             return Err(format!("cluster: --{flag} only applies to launch"));
                         }
                     }
                     for flag in ["debug-hooks", "standby"] {
-                        if flags.has(flag) {
+                        if flags.switch(flag) {
                             return Err(format!("cluster: --{flag} only applies to launch"));
                         }
                     }
@@ -821,13 +827,13 @@ impl Invocation {
                     workers: flags.number("workers")?.unwrap_or(2),
                     vnodes,
                     registry_dir: flags.value("registry-dir")?.map(PathBuf::from),
-                    debug_hooks: flags.has("debug-hooks"),
+                    debug_hooks: flags.switch("debug-hooks"),
                     shard,
                     timeout_ms: flags.number("timeout-ms")?,
                     replication,
                     join_token: flags.value("join-token")?,
                     lease_ms,
-                    standby: flags.has("standby"),
+                    standby: flags.switch("standby"),
                 })
             }
             "query" => {
@@ -861,87 +867,168 @@ impl Invocation {
                         .value("addr")?
                         .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
                     files,
-                    at: flags
-                        .value("at")?
-                        .as_deref()
-                        .map(parse_point_list)
-                        .transpose()?,
+                    at: flags.list("at")?,
                     timeout_ms: flags.number("timeout-ms")?,
                     retries: flags.number("retries")?.unwrap_or(0),
                 })
             }
+            "fig3_accuracy" => Ok(Invocation::Harness(Harness::Fig3Accuracy {
+                sweeps: fig3_sweeps(&flags, true)?,
+                ci: flags.switch("ci"),
+                show_dnn: flags.switch("show-dnn"),
+            })),
+            "fig3_power" => Ok(Invocation::Harness(Harness::Fig3Power {
+                sweeps: fig3_sweeps(&flags, false)?,
+                ci: flags.switch("ci"),
+            })),
+            "fig4_case_studies" => {
+                let seed = flags.number("seed")?.unwrap_or(CASE_STUDY_SEED);
+                Ok(Invocation::Harness(Harness::Fig4CaseStudies {
+                    options: AdaptiveOptions {
+                        dnn: dnn_options(&flags, Some(seed)),
+                        use_domain_adaptation: !flags.switch("no-adaptation"),
+                        ..Default::default()
+                    },
+                    seed,
+                    show_models: flags.switch("show-models"),
+                }))
+            }
+            "fig5_noise" => Ok(Invocation::Harness(Harness::Fig5Noise {
+                seed: flags.number("seed")?.unwrap_or(CASE_STUDY_SEED),
+            })),
+            "fig6_overhead" => {
+                let seed = flags.number("seed")?.unwrap_or(CASE_STUDY_SEED);
+                Ok(Invocation::Harness(Harness::Fig6Overhead {
+                    options: AdaptiveOptions {
+                        dnn: dnn_options(&flags, Some(seed)),
+                        ..Default::default()
+                    },
+                    seed,
+                    trials: flags.number("trials")?.unwrap_or(3),
+                }))
+            }
+            "noise_estimator_eval" => {
+                let defaults = EstimatorSpec::default();
+                Ok(Invocation::Harness(Harness::NoiseEstimatorEval(
+                    EstimatorSpec {
+                        sets: flags.number("sets")?.unwrap_or(defaults.sets),
+                        points: flags.number("points")?.unwrap_or(defaults.points),
+                        reps: flags.number("reps")?.unwrap_or(defaults.reps),
+                        seed: flags.number("seed")?.unwrap_or(defaults.seed),
+                        levels: flags.list("noise")?.unwrap_or(defaults.levels),
+                    },
+                )))
+            }
+            "threshold_calibration" => {
+                let template = SweepConfig {
+                    noise_levels: flags
+                        .list("noise")?
+                        .unwrap_or(CALIBRATION_NOISE_LEVELS.to_vec()),
+                    functions: flags.number("functions")?.unwrap_or(150),
+                    seed: flags.number("seed")?.unwrap_or(0x7123),
+                    adaptation: true,
+                    ..Default::default()
+                };
+                Ok(Invocation::Harness(Harness::ThresholdCalibration(
+                    per_param_count(&flags, template)?,
+                )))
+            }
+            "chaos_eval" => {
+                let defaults = ChaosConfig::default();
+                Ok(Invocation::Harness(Harness::ChaosEval(ChaosConfig {
+                    campaigns: flags.number("campaigns")?.unwrap_or(defaults.campaigns),
+                    seed: flags.number("seed")?.unwrap_or(defaults.seed),
+                    noise: flags.number("noise")?.unwrap_or(defaults.noise),
+                    rates: flags.list("rates")?.unwrap_or(defaults.rates),
+                })))
+            }
+            "dump_campaigns" => Ok(Invocation::Harness(Harness::DumpCampaigns {
+                out: flags
+                    .value("out")?
+                    .unwrap_or_else(|| "campaigns".to_string())
+                    .into(),
+                seed: flags.number("seed")?.unwrap_or(CASE_STUDY_SEED),
+            })),
             other => Err(format!("unknown command `{other}`")),
         }?;
         match flags.unread().as_slice() {
-            [] => Ok(invocation),
-            [one] => Err(format!("{command}: unknown flag --{one}")),
-            many => Err(format!("{command}: unknown flags --{}", many.join(", --"))),
+            [] => {}
+            [one] => return Err(format!("{command}: unknown flag --{one}")),
+            many => return Err(format!("{command}: unknown flags --{}", many.join(", --"))),
+        }
+        // `registry`, `cluster` and `query` check their own positionals.
+        let takes = match command.as_str() {
+            "fit" | "noise" => 1,
+            "registry" | "cluster" | "query" => usize::MAX,
+            _ => 0,
+        };
+        match (positional.get(takes), follows.get(takes)) {
+            (Some(token), Some(Some(switch))) => Err(format!(
+                "{command}: --{switch} takes no value, got `{token}`"
+            )),
+            (Some(token), _) => Err(format!("{command}: unexpected argument `{token}`")),
+            _ => Ok(invocation),
         }
     }
 }
 
-/// The `--name [value]` arguments of one command line. Every lookup marks
-/// the flag as read, so whatever no branch of [`Invocation::parse`] asked
-/// for — a misspelling, or a flag of another command — is left in
-/// [`Flags::unread`].
-struct Flags {
-    entries: Vec<(String, Option<String>, Cell<bool>)>,
-}
-
-impl Flags {
-    /// The value of `--name` (`Some(None)` for a bare flag), or `None`
-    /// when it is absent. A repeated flag yields its first value.
-    fn get(&self, name: &str) -> Option<&Option<String>> {
-        let mut found = None;
-        for (n, value, read) in &self.entries {
-            if n == name {
-                read.set(true);
-                found = found.or(Some(value));
-            }
-        }
-        found
-    }
-
-    /// Whether `--name` was given.
-    fn has(&self, name: &str) -> bool {
-        self.get(name).is_some()
-    }
-
-    /// The value of `--name`, an error if it was given bare.
-    fn value(&self, name: &str) -> Result<Option<String>, String> {
-        match self.get(name) {
-            None => Ok(None),
-            Some(Some(v)) => Ok(Some(v.clone())),
-            Some(None) => Err(format!("--{name} needs a value")),
-        }
-    }
-
-    /// The value of `--name` parsed as a number.
-    fn number<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        self.value(name)?
-            .map(|s| s.parse().map_err(|_| format!("--{name}: not a number")))
-            .transpose()
-    }
-
-    /// Flags no lookup has read, in command-line order.
-    fn unread(&self) -> Vec<&str> {
-        self.entries
-            .iter()
-            .filter(|(_, _, read)| !read.get())
-            .map(|(n, _, _)| n.as_str())
-            .collect()
+/// The DNN modeler `--paper-net` selects (the paper's full architecture, or
+/// the compact default), seeded with `seed` when one is given.
+fn dnn_options(flags: &Flags, seed: Option<u64>) -> DnnOptions {
+    let dnn = if flags.switch("paper-net") {
+        DnnOptions::paper_fidelity()
+    } else {
+        DnnOptions::default()
+    };
+    DnnOptions {
+        seed: seed.unwrap_or(dnn.seed),
+        ..dnn
     }
 }
 
-/// Parses a `--at x1,x2,...` point list.
-fn parse_point_list(raw: &str) -> Result<Vec<f64>, String> {
-    raw.split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<f64>()
-                .map_err(|_| format!("--at: `{s}` is not a number"))
+/// One copy of `template` per parameter count `--params` selects: `1`, `2`
+/// or `3`, or all three when it is absent or `0`.
+fn per_param_count(flags: &Flags, template: SweepConfig) -> Result<Vec<SweepConfig>, String> {
+    let counts = match flags.number("params")?.unwrap_or(0) {
+        0 => vec![1, 2, 3],
+        m @ 1..=3 => vec![m],
+        _ => return Err("--params: must be 1, 2 or 3 (0 runs all three)".to_string()),
+    };
+    Ok(counts
+        .into_iter()
+        .map(|num_params| SweepConfig {
+            num_params,
+            ..template.clone()
         })
-        .collect()
+        .collect())
+}
+
+/// The sweeps of `fig3_accuracy` and `fig3_power`, which read the same
+/// flags; `--top-k` is read only when `top_k` is set (`fig3_accuracy`).
+fn fig3_sweeps(flags: &Flags, top_k: bool) -> Result<Vec<SweepConfig>, String> {
+    let defaults = SweepConfig::default();
+    let seed = flags.number("seed")?;
+    let aggregation = flags.aggregation()?;
+    let mut dnn = dnn_options(flags, seed);
+    if top_k {
+        dnn.top_k = flags.number("top-k")?.unwrap_or(dnn.top_k);
+    }
+    dnn.aggregation = aggregation;
+    if flags.switch("linear-encoding") {
+        dnn.encoding = ValueScaling::MaxAbs;
+    }
+    let template = SweepConfig {
+        noise_levels: flags.list("noise")?.unwrap_or(defaults.noise_levels),
+        functions: flags.number("functions")?.unwrap_or(defaults.functions),
+        seed: seed.unwrap_or(defaults.seed),
+        dnn,
+        adaptation: !flags.switch("no-adaptation"),
+        repetitions: flags.number("reps")?.unwrap_or(defaults.repetitions),
+        aggregation,
+        refined_baseline: flags.switch("refined-baseline"),
+        ..defaults
+    };
+    per_param_count(flags, template)
 }
 
 /// Loads a measurement set from a text or JSON file. Every failure carries
@@ -1081,7 +1168,6 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
             paper_net,
             train_threads,
         } => {
-            use nrpm_core::dnn::{DnnModeler, DnnOptions};
             let mut options = if *paper_net {
                 DnnOptions::paper_fidelity()
             } else {
@@ -1091,13 +1177,18 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
             options.pretrain_epochs = *epochs;
             options.train_threads = *train_threads;
             let modeler = DnnModeler::pretrained(options);
-            modeler
-                .network()
+            let network = modeler.network();
+            let (top1, top3) = held_out_accuracy(network).map_err(|e| CliError {
+                message: format!("held-out evaluation: {e}"),
+                code: 5,
+            })?;
+            network
                 .save(out)
                 .map_err(|e| CliError::io(format!("{}: {e}", out.display())))?;
             Ok(format!(
-                "trained {} parameters, saved to {}\n",
-                modeler.network().num_parameters(),
+                "held-out (full noise range): top-1 {top1:.3}, top-3 {top3:.3}\n\
+                 trained {} parameters, saved to {}\n",
+                network.num_parameters(),
                 out.display()
             ))
         }
@@ -1257,6 +1348,14 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
                 *adapt,
             ),
         },
+        Invocation::Harness(harness) => {
+            // Straight to stdout, so each table shows as soon as it is
+            // computed: a `--paper-net` sweep runs for many minutes.
+            harness
+                .run(&mut std::io::stdout())
+                .map_err(|e| CliError::io(e.to_string()))?;
+            Ok(String::new())
+        }
         Invocation::Query {
             what,
             addr,
@@ -1267,6 +1366,11 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
         } => {
             let socket = resolve_addr(addr)?;
             let connect_timeout = Duration::from_millis(timeout_ms.unwrap_or(30_000).max(1));
+            let mut sets = files
+                .iter()
+                .map(|f| load_measurements(f))
+                .collect::<Result<Vec<_>, String>>()
+                .map_err(CliError::io)?;
             let response = if *retries > 0 {
                 // Overload-aware path: shed/timed-out responses and
                 // transport failures are retried with backoff + jitter.
@@ -1281,18 +1385,8 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
                         .roundtrip_line(r#"{"cmd":"stats"}"#)
                         .map(|response| response.get("stats").cloned().unwrap_or(response)),
                     QueryKind::Shutdown => client.roundtrip_line(r#"{"cmd":"shutdown"}"#),
-                    QueryKind::Model => {
-                        let set = load_measurements(&files[0]).map_err(CliError::io)?;
-                        client.model(set, at.clone(), *timeout_ms)
-                    }
-                    QueryKind::Batch => {
-                        let sets = files
-                            .iter()
-                            .map(|f| load_measurements(f))
-                            .collect::<Result<Vec<_>, String>>()
-                            .map_err(CliError::io)?;
-                        client.batch(sets, *timeout_ms)
-                    }
+                    QueryKind::Model => client.model(sets.remove(0), at.clone(), *timeout_ms),
+                    QueryKind::Batch => client.batch(sets, *timeout_ms),
                 };
                 result.map_err(|e| CliError {
                     message: format!("{addr}: {e}"),
@@ -1305,18 +1399,8 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
                     QueryKind::Health => client.health(),
                     QueryKind::Stats => client.stats(),
                     QueryKind::Shutdown => client.shutdown(),
-                    QueryKind::Model => {
-                        let set = load_measurements(&files[0]).map_err(CliError::io)?;
-                        client.model(set, at.clone(), *timeout_ms)
-                    }
-                    QueryKind::Batch => {
-                        let sets = files
-                            .iter()
-                            .map(|f| load_measurements(f))
-                            .collect::<Result<Vec<_>, String>>()
-                            .map_err(CliError::io)?;
-                        client.batch(sets, *timeout_ms)
-                    }
+                    QueryKind::Model => client.model(sets.remove(0), at.clone(), *timeout_ms),
+                    QueryKind::Batch => client.batch(sets, *timeout_ms),
                 }
                 .map_err(|e| CliError::io(format!("{addr}: {e}")))?
             };
@@ -2204,9 +2288,35 @@ fn response_to_output(response: &Value) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nrpm_extrap::Aggregation;
 
     fn parse(s: &str) -> Result<Invocation, String> {
         Invocation::parse(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    /// Parses and runs one command line.
+    fn run_line(line: &str) -> Result<String, CliError> {
+        run(&parse(line).unwrap())
+    }
+
+    /// A small untrained network (11 → 16 → 43).
+    fn tiny_network(seed: u64) -> Network {
+        use nrpm_core::preprocess::NUM_INPUTS;
+        let config = nrpm_nn::NetworkConfig::new(&[NUM_INPUTS, 16, nrpm_extrap::NUM_CLASSES]);
+        Network::new(&config, seed)
+    }
+
+    /// Writes `dir/name`: one parameter, points 4 … 64, the repetitions of
+    /// the point whose true value is `y` given by `reps(y)`.
+    fn write_linear(dir: &Path, name: &str, reps: fn(u32) -> String) -> PathBuf {
+        std::fs::create_dir_all(dir).unwrap();
+        let mut text = String::from("PARAMS 1 processes\n");
+        for x in [4, 8, 16, 32, 64] {
+            text.push_str(&format!("POINT {x} DATA {}\n", reps(2 * x)));
+        }
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path
     }
 
     #[test]
@@ -2224,6 +2334,11 @@ mod tests {
                 regime: None,
             }
         );
+        // A switch never takes the next token as its value.
+        assert!(matches!(
+            parse("fit --adaptive data.txt").unwrap(),
+            Invocation::Fit { adaptive: true, file, .. } if file == Path::new("data.txt")
+        ));
     }
 
     #[test]
@@ -2258,6 +2373,14 @@ mod tests {
                 policy: SanitizePolicy::Lenient,
                 ..
             }
+        ));
+        assert!(matches!(
+            parse("fit --strict data.txt").unwrap(),
+            Invocation::Fit {
+                policy: SanitizePolicy::Strict,
+                file,
+                ..
+            } if file == Path::new("data.txt")
         ));
         assert!(parse("fit data.txt --strict --lenient").is_err());
     }
@@ -2351,6 +2474,111 @@ mod tests {
         assert!(parse("sweep --noise 0.5,0.2").is_err()); // ascending
         assert!(parse("sweep --matrix-noise 0").is_err());
         assert!(parse("sweep --functions lots").is_err());
+        // A token after a switch is that switch's error on a command that
+        // takes no positional, and an extra positional is never ignored.
+        assert_eq!(
+            parse("fig3_accuracy --paper-net 1").unwrap_err(),
+            "fig3_accuracy: --paper-net takes no value, got `1`"
+        );
+        assert_eq!(
+            parse("pretrain --out n.json --paper-net 1").unwrap_err(),
+            "pretrain: --paper-net takes no value, got `1`"
+        );
+        assert_eq!(
+            parse("fit a.txt b.txt").unwrap_err(),
+            "fit: unexpected argument `b.txt`"
+        );
+        assert!(parse("fig3_accuracy --params 4").is_err());
+        assert!(parse("fig3_power --aggregation mode").is_err());
+        assert!(parse("noise_estimator_eval --noise 0.1,x").is_err());
+        for (command, number) in [
+            ("fig3_accuracy", "functions"),
+            ("fig3_power", "reps"),
+            ("fig4_case_studies", "seed"),
+            ("fig5_noise", "seed"),
+            ("fig6_overhead", "trials"),
+            ("noise_estimator_eval", "sets"),
+            ("threshold_calibration", "functions"),
+            ("chaos_eval", "campaigns"),
+            ("dump_campaigns", "seed"),
+        ] {
+            assert_eq!(
+                parse(&format!("{command} stray")).unwrap_err(),
+                format!("{command}: unexpected argument `stray`")
+            );
+            assert_eq!(
+                parse(&format!("{command} --{number} x")).unwrap_err(),
+                format!("--{number}: `x` is not a number")
+            );
+        }
+    }
+
+    #[test]
+    fn parses_the_harness_subcommands() {
+        let Invocation::Harness(Harness::Fig3Accuracy {
+            sweeps,
+            ci: true,
+            show_dnn: false,
+        }) = parse("fig3_accuracy --functions 10 --seed 7 --top-k 2 --ci").unwrap()
+        else {
+            panic!("not a fig3_accuracy run");
+        };
+        // No --params: one sweep for each of m = 1, 2, 3. --seed seeds both
+        // the sweep and the network.
+        assert_eq!(
+            sweeps.iter().map(|s| s.num_params).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+        assert!(sweeps
+            .iter()
+            .all(|s| s.functions == 10 && s.seed == 7 && s.dnn.seed == 7 && s.dnn.top_k == 2));
+        // Every other field keeps the sweep's defaults (200 functions, 5
+        // repetitions, seed 0xF16).
+        assert_eq!(
+            parse("fig3_power --params 3 --aggregation min --noise 0.1,1 --no-adaptation").unwrap(),
+            Invocation::Harness(Harness::Fig3Power {
+                sweeps: vec![SweepConfig {
+                    num_params: 3,
+                    noise_levels: vec![0.1, 1.0],
+                    adaptation: false,
+                    aggregation: Aggregation::Minimum,
+                    dnn: DnnOptions {
+                        aggregation: Aggregation::Minimum,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                }],
+                ci: false,
+            })
+        );
+        assert_eq!(
+            parse("noise_estimator_eval --sets 5 --reps 1").unwrap(),
+            Invocation::Harness(Harness::NoiseEstimatorEval(EstimatorSpec {
+                sets: 5,
+                reps: 1,
+                ..EstimatorSpec::default()
+            }))
+        );
+        assert_eq!(
+            parse("chaos_eval --campaigns 5 --rates 0.05").unwrap(),
+            Invocation::Harness(Harness::ChaosEval(ChaosConfig {
+                campaigns: 5,
+                rates: vec![0.05],
+                ..ChaosConfig::default()
+            }))
+        );
+        assert_eq!(
+            parse("dump_campaigns").unwrap(),
+            Invocation::Harness(Harness::DumpCampaigns {
+                out: "campaigns".into(),
+                seed: CASE_STUDY_SEED,
+            })
+        );
+        assert!(matches!(
+            parse("fig4_case_studies --seed 3 --no-adaptation").unwrap(),
+            Invocation::Harness(Harness::Fig4CaseStudies { options, seed: 3, show_models: false })
+                if options.dnn.seed == 3 && !options.use_domain_adaptation
+        ));
     }
 
     #[test]
@@ -2746,6 +2974,18 @@ mod tests {
         "cluster status --addr a:1 --timeout-ms 5",
         "cluster drain 1 --addr a:1",
         "cluster rollout --model n.json --addr a:1 --timeout-ms 5",
+        "fig3_accuracy --params 1 --functions 2 --noise 0.1,0.2 --seed 3 --reps 2 \
+         --aggregation mean --paper-net --no-adaptation --linear-encoding --refined-baseline \
+         --ci --show-dnn --top-k 2",
+        "fig3_power --params 1 --functions 2 --noise 0.1,0.2 --seed 3 --reps 2 \
+         --aggregation min --paper-net --no-adaptation --linear-encoding --refined-baseline --ci",
+        "fig4_case_studies --seed 1 --show-models --no-adaptation --paper-net",
+        "fig5_noise --seed 1",
+        "fig6_overhead --seed 1 --trials 2 --paper-net",
+        "noise_estimator_eval --sets 2 --points 3 --reps 2 --seed 1 --noise 0.1,0.2",
+        "threshold_calibration --params 2 --functions 3 --noise 0.1,0.2 --seed 1",
+        "chaos_eval --campaigns 2 --rates 0.1,0.2 --noise 0.05 --seed 1",
+        "dump_campaigns --out d --seed 1",
     ];
 
     #[test]
@@ -2760,7 +3000,28 @@ mod tests {
         for line in EVERY_FLAG {
             let err = parse(&format!("{line} --bogus")).unwrap_err();
             assert!(err.ends_with("unknown flag --bogus"), "{line}: {err}");
+            // A repeated flag is refused by name, never resolved silently.
+            let command = line.split_whitespace().next().unwrap();
+            if let Some(flag) = line.split_whitespace().find(|t| t.starts_with("--")) {
+                assert_eq!(
+                    parse(&format!("{line} {flag} 1")).unwrap_err(),
+                    format!("{command}: {flag} given twice")
+                );
+            }
         }
+        assert_eq!(
+            parse("serve --model n.json --workers 2 --workers 8").unwrap_err(),
+            "serve: --workers given twice"
+        );
+        // fig3_power shares fig3_accuracy's flags but not its extras.
+        assert_eq!(
+            parse("fig3_power --top-k 2").unwrap_err(),
+            "fig3_power: unknown flag --top-k"
+        );
+        assert_eq!(
+            parse("fig3_power --show-dnn").unwrap_err(),
+            "fig3_power: unknown flag --show-dnn"
+        );
         assert_eq!(
             parse("fit lin.txt --adaptve --strickt").unwrap_err(),
             "fit: unknown flags --adaptve, --strickt"
@@ -2776,37 +3037,105 @@ mod tests {
         );
     }
 
-    /// Every `"$NRPM" …` command line of the CI workflow, cut at the first
-    /// shell operator, still parses.
+    /// The arguments of a shell command line after its `nrpm` prefix, cut
+    /// at the first shell operator or comment.
+    fn shell_args(rest: &str) -> Vec<String> {
+        let end = rest
+            .find(['|', '<', '>', ';', '&', ')', '#'])
+            .unwrap_or(rest.len());
+        rest[..end]
+            .replace('"', "")
+            .split_whitespace()
+            .map(String::from)
+            .collect()
+    }
+
+    /// The `nrpm` command lines of a Markdown document: lines of fenced
+    /// blocks (after `VAR=value` prefixes) that start with `nrpm `,
+    /// `target/release/nrpm ` or `cargo run -p nrpm-cli --release -- `, and
+    /// inline code spans that start with either of the last two.
+    fn doc_command_lines(doc: &str) -> Vec<Vec<String>> {
+        const PREFIXES: [&str; 3] = [
+            "cargo run -p nrpm-cli --release -- ",
+            "target/release/nrpm ",
+            "nrpm ",
+        ];
+        let command = |text: &str, prefixes: &[&str]| {
+            prefixes
+                .iter()
+                .find_map(|p| text.strip_prefix(p))
+                .map(shell_args)
+        };
+        let mut lines = Vec::new();
+        let mut fenced = false;
+        for line in doc.replace("\\\n", " ").lines() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+            } else if fenced {
+                let mut rest = line.trim();
+                while let Some((word, tail)) = rest.split_once(' ') {
+                    if !word.contains('=') {
+                        break;
+                    }
+                    rest = tail.trim_start();
+                }
+                lines.extend(command(rest, &PREFIXES));
+            } else {
+                let spans = line.split('`').skip(1).step_by(2);
+                lines.extend(spans.filter_map(|span| command(span, &PREFIXES[..2])));
+            }
+        }
+        lines
+    }
+
+    /// Every `"$NRPM" …` command line of the CI workflow parses, except that
+    /// one marked `# usage error` must not. Every `nrpm` command line of
+    /// the user-facing docs parses, and each doc keeps a floor on their
+    /// count, so a line rewritten to another binary (`cargo run --bin …`)
+    /// fails too.
     #[test]
     fn every_ci_invocation_parses() {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.github/workflows/ci.yml");
-        let workflow = std::fs::read_to_string(&path).unwrap().replace("\\\n", " ");
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let workflow = std::fs::read_to_string(root.join(".github/workflows/ci.yml"))
+            .unwrap()
+            .replace("\\\n", " ");
         let mut seen = 0;
         for line in workflow.lines() {
             for (at, call) in line.match_indices("\"$NRPM\" ") {
-                let rest = &line[at + call.len()..];
-                let end = rest
-                    .find(['|', '<', '>', ';', '&', ')'])
-                    .unwrap_or(rest.len());
-                let args: Vec<String> = rest[..end]
-                    .replace('"', "")
-                    .split_whitespace()
-                    .map(String::from)
-                    .collect();
+                let args = shell_args(&line[at + call.len()..]);
                 let parsed = Invocation::parse(&args);
-                assert!(parsed.is_ok(), "{args:?}: {:?}", parsed.err());
+                if line.contains("# usage error") {
+                    assert!(parsed.is_err(), "{args:?} parses");
+                } else {
+                    assert!(parsed.is_ok(), "{args:?}: {:?}", parsed.err());
+                }
                 seen += 1;
             }
         }
         assert!(seen > 20, "found only {seen} nrpm command lines");
+
+        for (doc, floor) in [
+            ("README.md", 42),
+            ("EXPERIMENTS.md", 8),
+            ("DESIGN.md", 9),
+            (".claude/skills/verify/SKILL.md", 30),
+        ] {
+            let text = std::fs::read_to_string(root.join(doc)).unwrap();
+            let lines = doc_command_lines(&text);
+            for args in &lines {
+                let parsed = Invocation::parse(args);
+                assert!(parsed.is_ok(), "{doc}: {args:?}: {:?}", parsed.err());
+            }
+            assert!(
+                lines.len() >= floor,
+                "{doc}: {} nrpm command lines, expected at least {floor}",
+                lines.len()
+            );
+        }
     }
 
     #[test]
     fn registry_warm_feeds_a_server_cache() {
-        use nrpm_core::preprocess::NUM_INPUTS;
-        use nrpm_nn::NetworkConfig;
-
         let dir =
             std::env::temp_dir().join(format!("nrpm_cli_registry_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2815,73 +3144,37 @@ mod tests {
         std::fs::create_dir_all(&cache_dir).unwrap();
 
         let net_path = dir.join("net.json");
-        let network = Network::new(
-            &NetworkConfig::new(&[NUM_INPUTS, 16, nrpm_extrap::NUM_CLASSES]),
-            7,
-        );
-        network.save(&net_path).unwrap();
+        tiny_network(7).save(&net_path).unwrap();
+        let data = write_linear(&dir, "linear.txt", |y| format!("{y} {y}"));
 
-        let data = dir.join("linear.txt");
-        let mut text = String::from("PARAMS 1 processes\n");
-        for x in [4, 8, 16, 32, 64] {
-            text.push_str(&format!("POINT {x} DATA {} {}\n", 2 * x, 2 * x));
-        }
-        std::fs::write(&data, text).unwrap();
+        let (cache, net, file) = (cache_dir.display(), net_path.display(), data.display());
+        let warm = || run_line(&format!("registry warm --dir {cache} --model {net} {file}"));
+        let maintain = |action: &str| run_line(&format!("registry {action} --dir {cache}"));
 
-        let warm = |files: Vec<PathBuf>| {
-            run(&Invocation::Registry {
-                action: RegistryAction::Warm,
-                dir: cache_dir.clone(),
-                model: Some(net_path.clone()),
-                files,
-                ref_name: None,
-                cache_capacity: 1024,
-                adapt: false,
-                dry_run: false,
-            })
-        };
-        let maintain = |action| {
-            run(&Invocation::Registry {
-                action,
-                dir: cache_dir.clone(),
-                model: None,
-                files: vec![],
-                ref_name: None,
-                cache_capacity: 1024,
-                adapt: false,
-                dry_run: false,
-            })
-        };
-
-        let warmed = warm(vec![data.clone()]).unwrap();
+        let warmed = warm().unwrap();
         assert!(warmed.contains("warmed 1 outcome(s)"), "{warmed}");
         assert!(warmed.contains("(ref default)"), "{warmed}");
 
         // Idempotent: the outcome is already journaled.
-        let again = warm(vec![data.clone()]).unwrap();
+        let again = warm().unwrap();
         assert!(
             again.contains("warmed 0 outcome(s), 1 already cached"),
             "{again}"
         );
 
-        let stats = maintain(RegistryAction::Stats).unwrap();
+        let stats = maintain("stats").unwrap();
         assert!(stats.contains("checkpoints:   1"), "{stats}");
         assert!(stats.contains("default ->"), "{stats}");
         assert!(stats.contains("cache journal: 1 records"), "{stats}");
 
-        let verified = maintain(RegistryAction::Verify).unwrap();
+        let verified = maintain("verify").unwrap();
         assert!(verified.contains("registry clean"), "{verified}");
 
         // An unreferenced checkpoint is swept by gc; the referenced one and
         // the journal survive.
         let registry = CheckpointRegistry::open(&cache_dir).unwrap();
-        let stray = registry
-            .put(&Network::new(
-                &NetworkConfig::new(&[NUM_INPUTS, 16, nrpm_extrap::NUM_CLASSES]),
-                8,
-            ))
-            .unwrap();
-        let swept = maintain(RegistryAction::Gc).unwrap();
+        let stray = registry.put(&tiny_network(8)).unwrap();
+        let swept = maintain("gc").unwrap();
         assert!(swept.contains(&hex16(stray)), "{swept}");
         assert!(swept.contains("checkpoints removed: 1"), "{swept}");
         assert!(swept.contains("compacted: 1 -> 1 records"), "{swept}");
@@ -2899,56 +3192,24 @@ mod tests {
             },
         )
         .unwrap();
-        let addr = server.addr().to_string();
-        let modeled = run(&Invocation::Query {
-            what: QueryKind::Model,
-            addr: addr.clone(),
-            files: vec![data.clone()],
-            at: Some(vec![1024.0]),
-            timeout_ms: Some(30_000),
-            retries: 0,
-        })
-        .unwrap();
+        let addr = server.addr();
+        let modeled = run_line(&format!("query model {file} --at 1024 --addr {addr}")).unwrap();
         assert!(modeled.contains("2048"), "{modeled}");
-        let stats = run(&Invocation::Query {
-            what: QueryKind::Stats,
-            addr: addr.clone(),
-            files: vec![],
-            at: None,
-            timeout_ms: Some(30_000),
-            retries: 0,
-        })
-        .unwrap();
+        let stats = run_line(&format!("query stats --addr {addr}")).unwrap();
         assert!(stats.contains("\"kernels_modeled\": 0"), "{stats}");
         assert!(stats.contains("\"cache_hits\": 1"), "{stats}");
-        run(&Invocation::Query {
-            what: QueryKind::Shutdown,
-            addr,
-            files: vec![],
-            at: None,
-            timeout_ms: Some(30_000),
-            retries: 0,
-        })
-        .unwrap();
+        run_line(&format!("query shutdown --addr {addr}")).unwrap();
         server.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn gc_pins_checkpoints_the_swap_journal_still_names() {
-        use nrpm_core::preprocess::NUM_INPUTS;
-        use nrpm_nn::NetworkConfig;
-
         let dir = std::env::temp_dir().join("nrpm_cli_gc_pins_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
 
-        let net = |seed| {
-            Network::new(
-                &NetworkConfig::new(&[NUM_INPUTS, 16, nrpm_extrap::NUM_CLASSES]),
-                seed,
-            )
-        };
+        let net = tiny_network;
         let registry = CheckpointRegistry::open(&dir).unwrap();
         let referenced = registry.put(&net(1)).unwrap();
         registry.set_ref("default", referenced).unwrap();
@@ -3005,19 +3266,11 @@ mod tests {
 
     #[test]
     fn gc_pins_the_target_of_an_interrupted_rollout() {
-        use nrpm_core::preprocess::NUM_INPUTS;
-        use nrpm_nn::NetworkConfig;
-
         let dir = std::env::temp_dir().join("nrpm_cli_gc_rollout_pins_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
 
-        let net = |seed| {
-            Network::new(
-                &NetworkConfig::new(&[NUM_INPUTS, 16, nrpm_extrap::NUM_CLASSES]),
-                seed,
-            )
-        };
+        let net = tiny_network;
         let registry = CheckpointRegistry::open(&dir).unwrap();
         let incumbent = registry.put(&net(1)).unwrap();
         registry.set_ref("default", incumbent).unwrap();
@@ -3095,66 +3348,35 @@ mod tests {
 
     #[test]
     fn query_round_trips_against_a_live_server() {
-        use nrpm_core::preprocess::NUM_INPUTS;
-        use nrpm_nn::NetworkConfig;
-        use nrpm_serve::store::ModelStore;
-
         let dir = std::env::temp_dir().join("nrpm_cli_query_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data = dir.join("linear.txt");
-        let mut text = String::from("PARAMS 1 processes\n");
-        for x in [4, 8, 16, 32, 64] {
-            text.push_str(&format!("POINT {x} DATA {} {}\n", 2 * x, 2 * x));
-        }
-        std::fs::write(&data, text).unwrap();
-
-        let net = Network::new(
-            &NetworkConfig::new(&[NUM_INPUTS, 16, nrpm_extrap::NUM_CLASSES]),
-            7,
-        );
-        let store = ModelStore::from_network(net, AdaptiveOptions::default()).unwrap();
+        let data = write_linear(&dir, "linear.txt", |y| format!("{y} {y}"));
+        let store = ModelStore::from_network(tiny_network(7), AdaptiveOptions::default()).unwrap();
         let server = Server::start("127.0.0.1:0", store, ServeOptions::default()).unwrap();
-        let addr = server.addr().to_string();
-        let query = |what, files: &[&std::path::Path], at: Option<Vec<f64>>| {
-            run(&Invocation::Query {
-                what,
-                addr: addr.clone(),
-                files: files.iter().map(PathBuf::from).collect(),
-                at,
-                timeout_ms: Some(30_000),
-                retries: 0,
-            })
-        };
+        let addr = server.addr();
+        let query = |request: &str| run_line(&format!("query {request} --addr {addr}"));
 
-        let health = query(QueryKind::Health, &[], None).unwrap();
+        let health = query("health").unwrap();
         assert!(health.contains("\"status\": \"ok\""), "{health}");
 
         // The retrying path answers identically on a healthy server.
-        let retried = run(&Invocation::Query {
-            what: QueryKind::Health,
-            addr: addr.clone(),
-            files: vec![],
-            at: None,
-            timeout_ms: Some(30_000),
-            retries: 2,
-        })
-        .unwrap();
+        let retried = query("health --retries 2").unwrap();
         assert!(retried.contains("\"status\": \"ok\""), "{retried}");
 
-        let modeled = query(QueryKind::Model, &[&data], Some(vec![1024.0])).unwrap();
+        let file = data.display();
+        let modeled = query(&format!("model {file} --at 1024")).unwrap();
         assert!(modeled.contains("\"choice\": \"regression\""), "{modeled}");
         assert!(modeled.contains("2048"), "{modeled}");
         // Provenance trailer: which checkpoint answered, at which epoch.
         assert!(modeled.contains("served by checkpoint"), "{modeled}");
         assert!(modeled.contains("(epoch 0)"), "{modeled}");
 
-        let batched = query(QueryKind::Batch, &[&data, &data], None).unwrap();
+        let batched = query(&format!("batch {file} {file}")).unwrap();
         assert!(batched.contains("\"kernels\": 2"), "{batched}");
 
-        let stats = query(QueryKind::Stats, &[], None).unwrap();
+        let stats = query("stats").unwrap();
         assert!(stats.contains("\"requests_batch\": 1"), "{stats}");
 
-        let drained = query(QueryKind::Shutdown, &[], None).unwrap();
+        let drained = query("shutdown").unwrap();
         assert!(drained.contains("\"draining\": true"), "{drained}");
         server.join().unwrap();
         std::fs::remove_file(&data).ok();
@@ -3166,24 +3388,10 @@ mod tests {
     /// the answering shard.
     #[test]
     fn cluster_cli_round_trips_against_a_live_router() {
-        use nrpm_core::preprocess::NUM_INPUTS;
-        use nrpm_nn::NetworkConfig;
-
         let dir = std::env::temp_dir().join("nrpm_cli_cluster_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data = dir.join("linear.txt");
-        let mut text = String::from("PARAMS 1 processes\n");
-        for x in [4, 8, 16, 32, 64] {
-            text.push_str(&format!("POINT {x} DATA {} {}\n", 2 * x, 2 * x));
-        }
-        std::fs::write(&data, text).unwrap();
-
-        let network = Network::new(
-            &NetworkConfig::new(&[NUM_INPUTS, 16, nrpm_extrap::NUM_CLASSES]),
-            7,
-        );
+        let data = write_linear(&dir, "linear.txt", |y| format!("{y} {y}"));
         let cluster = Cluster::launch(
-            network,
+            tiny_network(7),
             ClusterOptions {
                 shards: 2,
                 workers_per_shard: 1,
@@ -3193,39 +3401,15 @@ mod tests {
             },
         )
         .unwrap();
-        let addr = cluster.router_addr().to_string();
-        let cluster_cmd = |action, shard| {
-            run(&Invocation::Cluster {
-                action,
-                model: None,
-                shards: 3,
-                addr: addr.clone(),
-                workers: 2,
-                vnodes: nrpm_cluster::DEFAULT_VNODES,
-                registry_dir: None,
-                debug_hooks: false,
-                shard,
-                timeout_ms: Some(30_000),
-                replication: 1,
-                join_token: None,
-                lease_ms: None,
-                standby: false,
-            })
-        };
+        let addr = cluster.router_addr();
+        let cluster_cmd = |action: &str| run_line(&format!("cluster {action} --addr {addr}"));
 
-        let modeled = run(&Invocation::Query {
-            what: QueryKind::Model,
-            addr: addr.clone(),
-            files: vec![data.clone()],
-            at: Some(vec![1024.0]),
-            timeout_ms: Some(30_000),
-            retries: 0,
-        })
-        .unwrap();
+        let file = data.display();
+        let modeled = run_line(&format!("query model {file} --at 1024 --addr {addr}")).unwrap();
         assert!(modeled.contains("2048"), "{modeled}");
         assert!(modeled.contains("served by shard"), "{modeled}");
 
-        let status = cluster_cmd(ClusterAction::Status, None).unwrap();
+        let status = cluster_cmd("status").unwrap();
         assert!(status.contains("shards:     2 (2 routable)"), "{status}");
         assert!(status.contains("requests:   1 routed"), "{status}");
         assert!(status.contains("serving:    (no registry)"), "{status}");
@@ -3234,49 +3418,25 @@ mod tests {
 
         // `status` against a plain backend refuses rather than rendering
         // nonsense.
-        let shard_addr = cluster.shard_addr(0).unwrap().to_string();
-        let not_router = run(&Invocation::Cluster {
-            action: ClusterAction::Status,
-            model: None,
-            shards: 3,
-            addr: shard_addr,
-            workers: 2,
-            vnodes: nrpm_cluster::DEFAULT_VNODES,
-            registry_dir: None,
-            debug_hooks: false,
-            shard: None,
-            timeout_ms: Some(30_000),
-            replication: 1,
-            join_token: None,
-            lease_ms: None,
-            standby: false,
-        })
-        .unwrap_err();
+        let shard_addr = cluster.shard_addr(0).unwrap();
+        let not_router = run_line(&format!("cluster status --addr {shard_addr}")).unwrap_err();
         assert!(not_router.message.contains("not an nrpm-cluster router"));
 
-        let drained = cluster_cmd(ClusterAction::Drain, Some(1)).unwrap();
+        let drained = cluster_cmd("drain 1").unwrap();
         assert!(drained.contains("\"draining\": true"), "{drained}");
         // Draining the same shard twice is a usage error (exit 2).
-        let again = cluster_cmd(ClusterAction::Drain, Some(1)).unwrap_err();
+        let again = cluster_cmd("drain 1").unwrap_err();
         assert_eq!(again.code, 2, "{again:?}");
 
-        let killed = cluster_cmd(ClusterAction::Kill, Some(0)).unwrap();
+        let killed = cluster_cmd("kill 0").unwrap();
         assert!(killed.contains("\"killed\": true"), "{killed}");
 
-        let status = cluster_cmd(ClusterAction::Status, None).unwrap();
+        let status = cluster_cmd("status").unwrap();
         assert!(status.contains("(0 routable)"), "{status}");
         assert!(status.contains("shard 0: killed"), "{status}");
         assert!(status.contains("shard 1: draining"), "{status}");
 
-        run(&Invocation::Query {
-            what: QueryKind::Shutdown,
-            addr,
-            files: vec![],
-            at: None,
-            timeout_ms: Some(30_000),
-            retries: 0,
-        })
-        .unwrap();
+        run_line(&format!("query shutdown --addr {addr}")).unwrap();
         cluster.join().unwrap();
         std::fs::remove_file(&data).ok();
     }
@@ -3284,24 +3444,8 @@ mod tests {
     #[test]
     fn fit_runs_on_a_text_file() {
         let dir = std::env::temp_dir().join("nrpm_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("linear.txt");
-        let mut text = String::from("PARAMS 1 processes\n");
-        for x in [4, 8, 16, 32, 64] {
-            text.push_str(&format!("POINT {x} DATA {} {} {}\n", 2 * x, 2 * x, 2 * x));
-        }
-        std::fs::write(&path, text).unwrap();
-
-        let out = run(&Invocation::Fit {
-            file: path.clone(),
-            adaptive: false,
-            network: None,
-            at: Some(vec![1024.0]),
-            policy: SanitizePolicy::Lenient,
-            thresholds: None,
-            regime: None,
-        })
-        .unwrap();
+        let path = write_linear(&dir, "linear.txt", |y| format!("{y} {y} {y}"));
+        let out = run_line(&format!("fit {} --at 1024", path.display())).unwrap();
         assert!(out.contains("O(x1)"), "{out}");
         assert!(out.contains("2048"), "{out}"); // 2 * 1024
         std::fs::remove_file(&path).ok();
@@ -3310,38 +3454,13 @@ mod tests {
     #[test]
     fn corrupt_input_is_repaired_leniently_and_refused_strictly() {
         let dir = std::env::temp_dir().join("nrpm_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corrupt.txt");
-        let mut text = String::from("PARAMS 1 processes\n");
-        for x in [4, 8, 16, 32, 64] {
-            // One NaN repetition per point.
-            text.push_str(&format!("POINT {x} DATA {} {} nan\n", 2 * x, 2 * x));
-        }
-        std::fs::write(&path, text).unwrap();
-
-        let lenient = run(&Invocation::Fit {
-            file: path.clone(),
-            adaptive: false,
-            network: None,
-            at: None,
-            policy: SanitizePolicy::Lenient,
-            thresholds: None,
-            regime: None,
-        })
-        .unwrap();
+        // One NaN repetition per point.
+        let path = write_linear(&dir, "corrupt.txt", |y| format!("{y} {y} nan"));
+        let lenient = run_line(&format!("fit {}", path.display())).unwrap();
         assert!(lenient.contains("quality:"), "{lenient}");
         assert!(lenient.contains("5 repetitions dropped"), "{lenient}");
 
-        let strict = run(&Invocation::Fit {
-            file: path.clone(),
-            adaptive: false,
-            network: None,
-            at: None,
-            policy: SanitizePolicy::Strict,
-            thresholds: None,
-            regime: None,
-        })
-        .unwrap_err();
+        let strict = run_line(&format!("fit --strict {}", path.display())).unwrap_err();
         assert_eq!(strict.code, 4, "CorruptData is recoverable: {strict:?}");
         std::fs::remove_file(&path).ok();
     }

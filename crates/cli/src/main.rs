@@ -7,7 +7,9 @@
 //! nrpm serve --model net.json [--addr HOST:PORT] [--workers N]
 //! nrpm query health|stats|shutdown|model|batch [...]
 //! nrpm registry stats|verify|gc|warm --dir DIR [...]
-//! nrpm cluster launch|status|drain|kill [...]
+//! nrpm cluster launch|status|drain|kill|rollout [...]
+//! nrpm fig3_accuracy|fig3_power|fig4_case_studies|fig5_noise|fig6_overhead [...]
+//! nrpm noise_estimator_eval|threshold_calibration|chaos_eval|dump_campaigns [...]
 //! ```
 //!
 //! Measurement files use the `PARAMS`/`POINT … DATA …` text format (see

@@ -44,7 +44,7 @@ pub enum ModelerChoice {
 }
 
 /// Options of the adaptive modeler.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveOptions {
     /// DNN modeler configuration (network, pretraining, adaptation).
     pub dnn: DnnOptions,

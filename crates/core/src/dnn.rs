@@ -27,7 +27,7 @@ use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 
 /// Options of the DNN modeler.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DnnOptions {
     /// Network architecture. Default: [`NetworkConfig::compact`]; switch to
     /// [`NetworkConfig::paper`] for full fidelity (see DESIGN.md).

@@ -3,8 +3,8 @@
 //! The regression modeler wins at low noise, the DNN modeler at high noise;
 //! the switch point is where their accuracy-vs-noise curves intersect. The
 //! paper determines the thresholds from an in-depth synthetic analysis; the
-//! same analysis is reproducible here via the `threshold_calibration` bench
-//! binary, whose output feeds [`intersection_threshold`]. The defaults below
+//! same analysis is reproducible here via `nrpm threshold_calibration`,
+//! whose sweep feeds [`intersection_threshold`]. The defaults below
 //! come from our own calibration run (see EXPERIMENTS.md).
 
 use serde::{Deserialize, Serialize};

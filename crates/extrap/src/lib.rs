@@ -82,7 +82,7 @@ pub struct ModelingResult {
 ///
 /// Builds single-parameter models directly, and multi-parameter models by
 /// combining per-parameter hypotheses (Sec. III of the paper).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegressionModeler {
     /// Options controlling the single-parameter search.
     pub single: SingleParameterOptions,

@@ -16,7 +16,7 @@ use crate::single::{validate, SingleParameterOptions};
 use crate::{ExponentPair, MeasurementSet, ModelError, ModelingResult, TermFactor};
 
 /// Options of the multi-parameter combination step.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiParameterOptions {
     /// How many top-ranked single-parameter hypotheses per parameter enter
     /// the combination step.

@@ -5,7 +5,7 @@ use crate::search::single_parameter_hypotheses;
 use crate::{Aggregation, MeasurementSet, ModelError, ModelingResult};
 
 /// Options of the single-parameter search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SingleParameterOptions {
     /// Repetition aggregation (the paper's default: median).
     pub aggregation: Aggregation,

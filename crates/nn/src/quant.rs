@@ -32,7 +32,7 @@ use nrpm_linalg::{gemm_i8, Matrix, QuantizedGemmB};
 use std::fmt;
 
 /// Acceptance thresholds for [`QuantizedNetwork::validated`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantGate {
     /// Maximum allowed absolute drift of any class probability on the
     /// calibration set.

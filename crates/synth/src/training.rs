@@ -41,7 +41,7 @@ pub struct TrainingSample {
 /// `sequence` to the real measurement positions and `noise_range` to the
 /// range estimated from the real measurements (Sec. IV-E/VI-A: for Kripke,
 /// `[3.66, 53.67] %`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingSpec {
     /// Samples generated per class (paper's domain adaptation: 2000).
     pub samples_per_class: usize,
