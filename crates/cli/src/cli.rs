@@ -121,6 +121,16 @@ impl Flags {
             .transpose()
     }
 
+    /// The value of `--name` as a count of at least `min` (`default` when
+    /// absent): a smaller count is an error naming the flag.
+    pub(crate) fn count(&self, name: &str, default: usize, min: usize) -> Result<usize, String> {
+        let n = self.number(name)?.unwrap_or(default);
+        if n < min {
+            return Err(format!("--{name}: must be at least {min}, got {n}"));
+        }
+        Ok(n)
+    }
+
     /// The value of `--name` as a comma-separated list of numbers.
     pub(crate) fn list(&self, name: &str) -> Result<Option<Vec<f64>>, String> {
         self.value(name)?

@@ -904,16 +904,16 @@ impl Invocation {
                         ..Default::default()
                     },
                     seed,
-                    trials: flags.number("trials")?.unwrap_or(3),
+                    trials: flags.count("trials", 3, 1)?,
                 }))
             }
             "noise_estimator_eval" => {
                 let defaults = EstimatorSpec::default();
                 Ok(Invocation::Harness(Harness::NoiseEstimatorEval(
                     EstimatorSpec {
-                        sets: flags.number("sets")?.unwrap_or(defaults.sets),
-                        points: flags.number("points")?.unwrap_or(defaults.points),
-                        reps: flags.number("reps")?.unwrap_or(defaults.reps),
+                        sets: flags.count("sets", defaults.sets, 1)?,
+                        points: flags.count("points", defaults.points, 2)?,
+                        reps: flags.count("reps", defaults.reps, 2)?,
                         seed: flags.number("seed")?.unwrap_or(defaults.seed),
                         levels: flags.list("noise")?.unwrap_or(defaults.levels),
                     },
@@ -924,7 +924,7 @@ impl Invocation {
                     noise_levels: flags
                         .list("noise")?
                         .unwrap_or(CALIBRATION_NOISE_LEVELS.to_vec()),
-                    functions: flags.number("functions")?.unwrap_or(150),
+                    functions: flags.count("functions", 150, 1)?,
                     seed: flags.number("seed")?.unwrap_or(0x7123),
                     adaptation: true,
                     ..Default::default()
@@ -936,7 +936,7 @@ impl Invocation {
             "chaos_eval" => {
                 let defaults = ChaosConfig::default();
                 Ok(Invocation::Harness(Harness::ChaosEval(ChaosConfig {
-                    campaigns: flags.number("campaigns")?.unwrap_or(defaults.campaigns),
+                    campaigns: flags.count("campaigns", defaults.campaigns, 1)?,
                     seed: flags.number("seed")?.unwrap_or(defaults.seed),
                     noise: flags.number("noise")?.unwrap_or(defaults.noise),
                     rates: flags.list("rates")?.unwrap_or(defaults.rates),
@@ -1019,11 +1019,11 @@ fn fig3_sweeps(flags: &Flags, top_k: bool) -> Result<Vec<SweepConfig>, String> {
     }
     let template = SweepConfig {
         noise_levels: flags.list("noise")?.unwrap_or(defaults.noise_levels),
-        functions: flags.number("functions")?.unwrap_or(defaults.functions),
+        functions: flags.count("functions", defaults.functions, 1)?,
         seed: seed.unwrap_or(defaults.seed),
         dnn,
         adaptation: !flags.switch("no-adaptation"),
-        repetitions: flags.number("reps")?.unwrap_or(defaults.repetitions),
+        repetitions: flags.count("reps", defaults.repetitions, 1)?,
         aggregation,
         refined_baseline: flags.switch("refined-baseline"),
         ..defaults
@@ -2491,6 +2491,25 @@ mod tests {
         assert!(parse("fig3_accuracy --params 4").is_err());
         assert!(parse("fig3_power --aggregation mode").is_err());
         assert!(parse("noise_estimator_eval --noise 0.1,x").is_err());
+        // A count below what the harness can compute with is named, not
+        // turned into a NaN table, a 0 % estimate or a panic.
+        for (command, flag, value, min) in [
+            ("noise_estimator_eval", "reps", 1, 2),
+            ("noise_estimator_eval", "points", 1, 2),
+            ("noise_estimator_eval", "points", 0, 2),
+            ("noise_estimator_eval", "sets", 0, 1),
+            ("chaos_eval", "campaigns", 0, 1),
+            ("fig6_overhead", "trials", 0, 1),
+            ("fig3_accuracy", "functions", 0, 1),
+            ("fig3_power", "functions", 0, 1),
+            ("fig3_power", "reps", 0, 1),
+            ("threshold_calibration", "functions", 0, 1),
+        ] {
+            assert_eq!(
+                parse(&format!("{command} --{flag} {value}")).unwrap_err(),
+                format!("--{flag}: must be at least {min}, got {value}")
+            );
+        }
         for (command, number) in [
             ("fig3_accuracy", "functions"),
             ("fig3_power", "reps"),
@@ -2552,10 +2571,10 @@ mod tests {
             })
         );
         assert_eq!(
-            parse("noise_estimator_eval --sets 5 --reps 1").unwrap(),
+            parse("noise_estimator_eval --sets 5 --reps 2").unwrap(),
             Invocation::Harness(Harness::NoiseEstimatorEval(EstimatorSpec {
                 sets: 5,
-                reps: 1,
+                reps: 2,
                 ..EstimatorSpec::default()
             }))
         );

@@ -2,21 +2,18 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Element-wise activation functions for hidden layers.
+/// The element-wise activation of a layer.
 ///
 /// The paper's architecture uses the hyperbolic tangent throughout its
-/// hidden layers; ReLU and sigmoid are provided for ablations. The output
-/// layer uses [`softmax_rows`] instead, fused with the cross-entropy loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// hidden layers; the logits layer is the identity, and [`softmax_rows`]
+/// turns its output into probabilities, fused with the cross-entropy loss.
+/// Each layer names its activation in the checkpoint JSON, so a checkpoint
+/// naming any other activation fails to load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
-    /// Hyperbolic tangent (the paper's choice).
-    #[default]
+    /// Hyperbolic tangent (every hidden layer).
     Tanh,
-    /// Rectified linear unit.
-    ReLU,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Identity (used by the logits layer).
+    /// Identity (the logits layer).
     Identity,
 }
 
@@ -26,30 +23,19 @@ impl Activation {
     pub fn apply(&self, z: f64) -> f64 {
         match self {
             Activation::Tanh => z.tanh(),
-            Activation::ReLU => z.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-z).exp()),
             Activation::Identity => z,
         }
     }
 
     /// Derivative expressed in terms of the *activated* value `a = f(z)`.
     ///
-    /// All four supported activations admit this form (`tanh' = 1 - a²`,
-    /// `relu' = [a > 0]`, `sigmoid' = a(1-a)`, `id' = 1`), which lets the
-    /// backward pass reuse the stored activations instead of the
-    /// pre-activations.
+    /// Both activations admit this form (`tanh' = 1 - a²`, `id' = 1`),
+    /// which lets the backward pass reuse the stored activations instead of
+    /// the pre-activations.
     #[inline]
     pub fn derivative_from_output(&self, a: f64) -> f64 {
         match self {
             Activation::Tanh => 1.0 - a * a,
-            Activation::ReLU => {
-                if a > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Sigmoid => a * (1.0 - a),
             Activation::Identity => 1.0,
         }
     }
@@ -87,27 +73,9 @@ mod tests {
     }
 
     #[test]
-    fn relu_clamps_negatives() {
-        let a = Activation::ReLU;
-        assert_eq!(a.apply(-3.0), 0.0);
-        assert_eq!(a.apply(2.0), 2.0);
-        assert_eq!(a.derivative_from_output(0.0), 0.0);
-        assert_eq!(a.derivative_from_output(5.0), 1.0);
-    }
-
-    #[test]
-    fn sigmoid_is_centered_at_half() {
-        let a = Activation::Sigmoid;
-        assert!((a.apply(0.0) - 0.5).abs() < 1e-15);
-        assert!((a.derivative_from_output(0.5) - 0.25).abs() < 1e-15);
-        assert!(a.apply(100.0) <= 1.0);
-        assert!(a.apply(-100.0) >= 0.0);
-    }
-
-    #[test]
     fn derivatives_match_finite_differences() {
         let h = 1e-6;
-        for act in [Activation::Tanh, Activation::Sigmoid, Activation::Identity] {
+        for act in [Activation::Tanh, Activation::Identity] {
             for z in [-2.0, -0.5, 0.1, 1.5] {
                 let numeric = (act.apply(z + h) - act.apply(z - h)) / (2.0 * h);
                 let analytic = act.derivative_from_output(act.apply(z));

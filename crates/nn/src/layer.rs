@@ -30,16 +30,13 @@ pub struct LayerGradients {
 
 impl DenseLayer {
     /// Creates a layer with Xavier/Glorot-uniform weights (the right scale
-    /// for tanh, the paper's hidden activation) or He-uniform for ReLU.
+    /// for tanh, the paper's hidden activation).
     pub fn new(in_dim: usize, out_dim: usize, activation: Activation, rng: &mut impl Rng) -> Self {
         assert!(
             in_dim > 0 && out_dim > 0,
             "layer dimensions must be positive"
         );
-        let limit = match activation {
-            Activation::ReLU => (6.0 / in_dim as f64).sqrt(),
-            _ => (6.0 / (in_dim + out_dim) as f64).sqrt(),
-        };
+        let limit = (6.0 / (in_dim + out_dim) as f64).sqrt();
         let weights = Matrix::from_fn(in_dim, out_dim, |_, _| rng.gen_range(-limit..limit));
         DenseLayer {
             weights,
@@ -84,7 +81,8 @@ impl DenseLayer {
         bias_and_activate(z, &self.biases, self.activation);
     }
 
-    /// Backward pass.
+    /// Allocating backward pass, the per-layer step of the reference
+    /// gradient the pooled training engine is checked against.
     ///
     /// * `input` — the batch fed to [`forward`](Self::forward) (`A_{l-1}`),
     /// * `output` — the activated output produced by the forward pass,
@@ -93,7 +91,8 @@ impl DenseLayer {
     /// Returns the parameter gradients and `∂L/∂A_{l-1}` for the previous
     /// layer. For the logits layer (identity activation with fused
     /// softmax/cross-entropy) pass `∂L/∂Z` directly as `grad_output`.
-    pub fn backward(
+    #[cfg(test)]
+    pub(crate) fn backward(
         &self,
         input: &Matrix,
         output: &Matrix,
@@ -250,7 +249,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let layer = DenseLayer::new(3, 2, Activation::Sigmoid, &mut rng());
+        let layer = DenseLayer::new(3, 2, Activation::Tanh, &mut rng());
         let json = serde_json::to_string(&layer).unwrap();
         let back: DenseLayer = serde_json::from_str(&json).unwrap();
         assert_eq!(layer, back);

@@ -3,13 +3,15 @@
 //! This crate provides everything the DNN performance modeler of
 //! *Ritter et al., IPDPS 2021* needs, without any external ML framework:
 //!
-//! * dense (fully connected) layers with tanh/ReLU/sigmoid activations,
+//! * dense (fully connected) layers with tanh hidden activations and
+//!   Xavier initialization,
 //! * a softmax + cross-entropy classification head,
-//! * the **AdaMax** optimizer used by the paper (plus SGD and Adam for the
-//!   ablation benches),
-//! * Xavier/He initialization,
-//! * a mini-batch trainer whose inner products run on the multi-threaded
-//!   blocked matmul from [`nrpm_linalg`],
+//! * one training loop, [`Network::train`]: mini-batch **AdaMax** (the
+//!   paper's optimizer) under a watchdog that clips gradients and rolls
+//!   back numerical faults, with a validation-gated variant
+//!   ([`Network::train_validated`]) for retraining a deployed network,
+//! * a chunk-parallel gradient engine whose result is bitwise identical at
+//!   any thread count,
 //! * serde-based model persistence so the pretrained network can be shipped
 //!   and later retrained (domain adaptation).
 //!
@@ -50,9 +52,9 @@ pub use dataset::Dataset;
 pub use layer::DenseLayer;
 pub use metrics::{accuracy, confusion_matrix, top_k_accuracy, top_k_classes};
 pub use network::{Network, NetworkConfig, NetworkError};
-pub use optimizer::{Optimizer, OptimizerKind};
+pub use optimizer::OptimizerKind;
 pub use packed::PackedNetwork;
 pub use quant::{QuantError, QuantGate, QuantReport, QuantizedNetwork};
 pub use trainer::{TrainerOptions, TrainingReport};
-pub use validate::{ValidatedReport, ValidationOptions};
-pub use watchdog::{FaultDetected, FaultEvent, GuardedReport, WatchdogOptions};
+pub use validate::ValidatedReport;
+pub use watchdog::{FaultDetected, FaultEvent};

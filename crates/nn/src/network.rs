@@ -15,15 +15,13 @@ use std::path::Path;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetworkConfig {
     /// Layer widths, from the input dimension to the number of classes,
-    /// e.g. `[11, 1500, 1500, 750, 250, 250, 43]`.
+    /// e.g. `[11, 1500, 1500, 750, 250, 250, 43]`. Hidden layers are tanh;
+    /// the output is a softmax, fused with the cross-entropy loss.
     pub layer_sizes: Vec<usize>,
-    /// Activation of the hidden layers (output is always softmax, fused
-    /// with the cross-entropy loss).
-    pub hidden_activation: Activation,
 }
 
 impl NetworkConfig {
-    /// A config from explicit layer sizes with tanh hidden activations.
+    /// A config from explicit layer sizes.
     pub fn new(layer_sizes: &[usize]) -> Self {
         assert!(
             layer_sizes.len() >= 2,
@@ -31,7 +29,6 @@ impl NetworkConfig {
         );
         NetworkConfig {
             layer_sizes: layer_sizes.to_vec(),
-            hidden_activation: Activation::Tanh,
         }
     }
 
@@ -122,7 +119,7 @@ impl Network {
             let activation = if w == n - 2 {
                 Activation::Identity // logits; softmax is fused with the loss
             } else {
-                config.hidden_activation
+                Activation::Tanh
             };
             layers.push(DenseLayer::new(
                 config.layer_sizes[w],
@@ -161,6 +158,7 @@ impl Network {
 
     /// Forward pass returning every layer's activation (index 0 is the
     /// input batch itself); the last entry holds the raw logits.
+    #[cfg(test)]
     pub(crate) fn forward_all(&self, x: &Matrix) -> Vec<Matrix> {
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
         acts.push(x.clone());
@@ -481,6 +479,18 @@ mod tests {
             net.validate(),
             Err(NetworkError::InvalidCheckpoint(ref m)) if m.contains("no layers")
         ));
+    }
+
+    #[test]
+    fn unknown_activation_is_an_error_not_a_panic() {
+        let json = Network::new(&NetworkConfig::new(&[2, 3, 2]), 5).to_json();
+        assert!(json.contains("\"activation\":\"Tanh\""), "{json}");
+        let relu = json.replacen("\"activation\":\"Tanh\"", "\"activation\":\"ReLU\"", 1);
+        let err = Network::from_json(&relu).unwrap_err();
+        assert!(
+            matches!(err, NetworkError::Io(ref m) if m.contains("ReLU")),
+            "{err}"
+        );
     }
 
     #[test]

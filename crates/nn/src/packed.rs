@@ -123,9 +123,9 @@ mod tests {
 
     #[test]
     fn every_activation_matches_the_reference() {
+        // Tanh hidden layers and the identity logits layer, with non-zero
+        // biases so the fused epilogue is exercised.
         let mut net = Network::new(&NetworkConfig::new(&[5, 40, 33, 7]), 3);
-        net.layers_mut()[0].activation = Activation::ReLU;
-        net.layers_mut()[1].activation = Activation::Sigmoid;
         for layer in net.layers_mut() {
             for (i, b) in layer.biases.iter_mut().enumerate() {
                 *b = (i as f64 * 0.37).sin();

@@ -123,15 +123,6 @@ fn tanh_fast(v: f32) -> f32 {
     p / q
 }
 
-fn apply_f32(act: Activation, v: f32) -> f32 {
-    match act {
-        Activation::Tanh => tanh_fast(v),
-        Activation::ReLU => v.max(0.0),
-        Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
-        Activation::Identity => v,
-    }
-}
-
 /// `v` clamped to [-127, 127] and rounded half away from zero: the
 /// truncation of `y + copysign(0.5, y)`, with NaN mapped to 0 as the
 /// saturating cast maps it.
@@ -322,9 +313,9 @@ impl QuantizedNetwork {
                             *nv = tanh_fast(av as f32 * (sa * sw) + bias);
                         }
                     }
-                    act => {
+                    Activation::Identity => {
                         for ((nv, &av), (&sw, &bias)) in dequant {
-                            *nv = apply_f32(act, av as f32 * (sa * sw) + bias);
+                            *nv = av as f32 * (sa * sw) + bias;
                         }
                     }
                 }

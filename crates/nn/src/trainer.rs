@@ -1,4 +1,6 @@
-//! Mini-batch training with softmax + cross-entropy.
+//! Mini-batch training with softmax + cross-entropy: the options and report
+//! of a run, and the optimizer step. The loop itself, with its watchdog,
+//! is [`Network::train`] in [`crate::watchdog`].
 //!
 //! The gradient of a mini-batch is embarrassingly data-parallel: the batch
 //! is cut into fixed-size row chunks (see [`crate::arena`]), each worker
@@ -8,13 +10,10 @@
 //! never depend on the worker count, training is **bitwise identical** at
 //! any thread count for a fixed seed — the thread knob only changes speed.
 
-use crate::activation::softmax_rows;
-use crate::dataset::Dataset;
 use crate::layer::LayerGradients;
-use crate::network::{Network, NetworkError};
+use crate::network::Network;
 use crate::optimizer::{Optimizer, OptimizerKind};
-use crate::watchdog::WatchdogOptions;
-use nrpm_linalg::Matrix;
+use crate::watchdog::FaultEvent;
 
 /// Options of a training run.
 #[derive(Debug, Clone)]
@@ -23,7 +22,7 @@ pub struct TrainerOptions {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Optimizer configuration (default: the paper's AdaMax).
+    /// Optimizer configuration (the paper's AdaMax; default α = 0.01).
     pub optimizer: OptimizerKind,
     /// Seed of the shuffling RNG, for reproducible runs.
     pub shuffle_seed: u64,
@@ -34,14 +33,6 @@ pub struct TrainerOptions {
     /// is bitwise identical at every thread count — the knob only changes
     /// speed.
     pub threads: usize,
-    /// L2 weight decay coefficient added to the weight gradients (biases
-    /// are exempt, as usual). `0` disables it.
-    pub weight_decay: f64,
-    /// Early stopping: end training when the epoch loss has not improved
-    /// by at least `min_delta` for `patience` consecutive epochs.
-    pub patience: Option<usize>,
-    /// Minimum loss improvement that counts for [`Self::patience`].
-    pub min_delta: f64,
 }
 
 impl Default for TrainerOptions {
@@ -49,23 +40,29 @@ impl Default for TrainerOptions {
         TrainerOptions {
             epochs: 10,
             batch_size: 128,
-            optimizer: OptimizerKind::adamax_default(),
+            optimizer: OptimizerKind::default(),
             shuffle_seed: 0x5eed,
             threads: 0,
-            weight_decay: 0.0,
-            patience: None,
-            min_delta: 1e-4,
         }
     }
 }
 
 /// Summary of a completed training run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainingReport {
-    /// Mean cross-entropy per epoch, in order.
+    /// Mean cross-entropy per completed epoch, in order.
     pub epoch_losses: Vec<f64>,
     /// Number of optimizer steps taken.
     pub steps: u64,
+    /// Every fault the watchdog detected, in order.
+    pub faults: Vec<FaultEvent>,
+    /// Rollback-and-retry cycles consumed.
+    pub retries_used: usize,
+    /// `true` when the retry budget was exhausted and training stopped on
+    /// the last good snapshot instead of completing.
+    pub gave_up: bool,
+    /// Steps whose gradients were norm-clipped.
+    pub clipped_steps: u64,
 }
 
 impl TrainingReport {
@@ -76,26 +73,15 @@ impl TrainingReport {
 }
 
 impl Network {
-    /// Trains the network in place with mini-batch gradient descent and the
-    /// fused softmax/cross-entropy head. Returns the per-epoch losses.
-    ///
-    /// This is [`Network::train_guarded`] with clipping off, no explosion
-    /// threshold and no retries: a run without a non-finite loss or
-    /// gradient is exactly the plain mini-batch loop, and one with such a
-    /// fault stops on the last finite weights instead of training on NaN.
-    pub fn train(
-        &mut self,
-        data: &Dataset,
-        opts: &TrainerOptions,
-    ) -> Result<TrainingReport, NetworkError> {
-        Ok(self
-            .train_guarded(data, opts, &WatchdogOptions::unguarded())?
-            .report)
-    }
-
     /// Computes the mean cross-entropy loss and parameter gradients of one
-    /// batch without touching the network's weights.
-    pub fn compute_gradients(&self, x: &Matrix, y_one_hot: &Matrix) -> (f64, Vec<LayerGradients>) {
+    /// batch without touching the network's weights: the allocating
+    /// reference the pooled engine of [`crate::arena`] is checked against.
+    #[cfg(test)]
+    pub(crate) fn compute_gradients(
+        &self,
+        x: &nrpm_linalg::Matrix,
+        y_one_hot: &nrpm_linalg::Matrix,
+    ) -> (f64, Vec<LayerGradients>) {
         let batch = x.rows() as f64;
         let classes = self.num_classes();
 
@@ -103,7 +89,7 @@ impl Network {
 
         // Fused softmax + cross-entropy.
         let mut probs = activations.last().expect("non-empty").clone();
-        softmax_rows(probs.as_mut_slice(), classes);
+        crate::activation::softmax_rows(probs.as_mut_slice(), classes);
         let mut loss = 0.0;
         for (p, y) in probs.as_slice().iter().zip(y_one_hot.as_slice()) {
             if *y > 0.0 {
@@ -131,18 +117,8 @@ impl Network {
         )
     }
 
-    /// Multiplicative L2 shrink of the weight matrices (decoupled weight
-    /// decay, AdamW-style: applied directly to the parameters rather than
-    /// mixed into the adaptive gradient statistics). Biases are exempt.
-    pub(crate) fn apply_weight_decay(&mut self, decay: f64) {
-        let factor = 1.0 - decay;
-        for layer in self.layers_mut() {
-            layer.weights.scale_inplace(factor);
-        }
-    }
-
     /// Applies precomputed gradients with one optimizer step.
-    pub fn apply_gradients(&mut self, grads: &[LayerGradients], optimizer: &mut Optimizer) {
+    pub(crate) fn apply_gradients(&mut self, grads: &[LayerGradients], optimizer: &mut Optimizer) {
         assert_eq!(
             grads.len(),
             self.layers().len(),
@@ -160,6 +136,8 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::softmax_rows;
+    use crate::dataset::Dataset;
     use crate::network::NetworkConfig;
     use nrpm_linalg::Matrix;
     use rand::rngs::StdRng;
@@ -218,31 +196,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(net.accuracy(&data).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn all_optimizers_make_progress() {
-        let data = blobs(40, 3);
-        for kind in [
-            OptimizerKind::sgd(0.5),
-            OptimizerKind::adam_default(),
-            OptimizerKind::adamax_default(),
-        ] {
-            let mut net = Network::new(&NetworkConfig::new(&[2, 8, 2]), 5);
-            let before = net.cross_entropy(&data).unwrap();
-            net.train(
-                &data,
-                &TrainerOptions {
-                    epochs: 15,
-                    batch_size: 20,
-                    optimizer: kind,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let after = net.cross_entropy(&data).unwrap();
-            assert!(after < before, "{kind:?}: {after} !< {before}");
-        }
     }
 
     #[test]
@@ -319,59 +272,6 @@ mod tests {
                 assert!((sv - (av * w1 + bv * w2)).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let data = blobs(20, 41);
-        let mut decayed = Network::new(&NetworkConfig::new(&[2, 8, 2]), 43);
-        let mut plain = decayed.clone();
-        let base = TrainerOptions {
-            epochs: 10,
-            batch_size: 20,
-            optimizer: OptimizerKind::sgd(0.0), // isolate the decay effect
-            ..Default::default()
-        };
-        plain.train(&data, &base.clone()).unwrap();
-        decayed
-            .train(
-                &data,
-                &TrainerOptions {
-                    weight_decay: 0.1,
-                    ..base
-                },
-            )
-            .unwrap();
-        // With lr = 0 the plain run leaves weights untouched; the decayed
-        // run must have strictly smaller norms.
-        for (p, d) in plain.layers().iter().zip(decayed.layers()) {
-            assert!(d.weights.frobenius_norm() < p.weights.frobenius_norm() * 0.5);
-        }
-    }
-
-    #[test]
-    fn early_stopping_cuts_training_short() {
-        let data = blobs(30, 47);
-        let mut net = Network::new(&NetworkConfig::new(&[2, 8, 2]), 53);
-        let report = net
-            .train(
-                &data,
-                &TrainerOptions {
-                    epochs: 200,
-                    batch_size: 16,
-                    patience: Some(3),
-                    min_delta: 1e-3,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert!(
-            report.epoch_losses.len() < 200,
-            "expected early stop, ran all {} epochs",
-            report.epoch_losses.len()
-        );
-        // Must still have learned the blobs.
-        assert!(net.accuracy(&data).unwrap() > 0.95);
     }
 
     #[test]

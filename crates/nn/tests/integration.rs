@@ -2,7 +2,7 @@
 //! training end to end, validation splits, persistence mid-training.
 
 use nrpm_linalg::Matrix;
-use nrpm_nn::{Dataset, Network, NetworkConfig, OptimizerKind, TrainerOptions};
+use nrpm_nn::{Dataset, Network, NetworkConfig, TrainerOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -141,24 +141,4 @@ fn threaded_and_sequential_training_reach_similar_quality() {
     let a_par = par.accuracy(&data).unwrap();
     assert!((a_seq - a_par).abs() < 0.05, "{a_seq} vs {a_par}");
     assert!(a_seq > 0.9 && a_par > 0.9);
-}
-
-#[test]
-fn sgd_with_momentum_trains_the_classifier_too() {
-    let data = ring_blobs(3, 60, 0.4, 29);
-    let mut net = Network::new(&NetworkConfig::new(&[2, 16, 3]), 37);
-    net.train(
-        &data,
-        &TrainerOptions {
-            epochs: 40,
-            batch_size: 32,
-            optimizer: OptimizerKind::Sgd {
-                learning_rate: 0.05,
-                momentum: 0.9,
-            },
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(net.accuracy(&data).unwrap() > 0.95);
 }

@@ -47,7 +47,7 @@ use nrpm_core::accumulate::NoiseAccumulator;
 use nrpm_core::adaptive::{AdaptiveModeler, AdaptiveOptions};
 use nrpm_core::dnn::DnnModeler;
 use nrpm_extrap::MeasurementSet;
-use nrpm_nn::{Network, ValidationOptions};
+use nrpm_nn::Network;
 use nrpm_registry::{CheckpointRegistry, SwapJournal};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -508,7 +508,7 @@ impl Engine {
         let spec =
             profile.training_spec(dnn_opts.adaptation_samples_per_class, dnn_opts.aggregation);
         let mut dnn = DnnModeler::from_network(dnn_opts, incumbent.clone());
-        let report = dnn.adapt_with_spec_validated(&spec, &ValidationOptions::default());
+        let report = dnn.adapt_with_spec_validated(&spec);
         if !report.accepted {
             rejected();
             return;
