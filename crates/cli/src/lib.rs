@@ -686,8 +686,8 @@ impl Invocation {
                 Ok(Invocation::Sweep {
                     out: flags.value("out")?.map(PathBuf::from),
                     thresholds_out: flags.value("thresholds-out")?.map(PathBuf::from),
-                    functions: flags.number("functions")?.unwrap_or(100),
-                    params: flags.number("params")?.unwrap_or(1),
+                    functions: flags.count("functions", 100, 1)?,
+                    params: flags.count("params", 1, 1)?,
                     noise_levels,
                     matrix_noise,
                     seed: flags.number("seed")?.unwrap_or(0x1265),
@@ -799,20 +799,9 @@ impl Invocation {
                         }
                     }
                 }
-                let shards = flags.number("shards")?.unwrap_or(3);
-                if shards == 0 {
-                    return Err("--shards: need at least one shard".to_string());
-                }
-                let vnodes = flags
-                    .number("vnodes")?
-                    .unwrap_or(nrpm_cluster::DEFAULT_VNODES);
-                if vnodes == 0 {
-                    return Err("--vnodes: need at least one virtual node".to_string());
-                }
-                let replication = flags.number("replication")?.unwrap_or(1);
-                if replication == 0 {
-                    return Err("--replication: need at least one replica".to_string());
-                }
+                let shards = flags.count("shards", 3, 1)?;
+                let vnodes = flags.count("vnodes", nrpm_cluster::DEFAULT_VNODES, 1)?;
+                let replication = flags.count("replication", 1, 1)?;
                 let lease_ms = flags.number("lease-ms")?;
                 if lease_ms == Some(0) {
                     return Err("--lease-ms: must be at least 1 ms".to_string());
@@ -1498,8 +1487,8 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
             out.as_deref(),
             thresholds_out.as_deref(),
             RegimeSweepConfig {
-                num_params: (*params).max(1),
-                functions: (*functions).max(1),
+                num_params: *params,
+                functions: *functions,
                 seed: *seed,
                 ..Default::default()
             },
@@ -2210,13 +2199,16 @@ fn registry_warm(
     cache_capacity: usize,
     adapt: bool,
 ) -> Result<String, CliError> {
-    let network = Network::load(model).map_err(|e| in_dir(model, e))?;
+    let json = std::fs::read_to_string(model).map_err(|e| in_dir(model, e))?;
     let registry = open_registry(dir, false)?;
-    let hash = registry.put(&network).map_err(|e| in_dir(dir, e))?;
+    // The file's own bytes are stored and named, so the hash is the one
+    // `nrpm serve --model` gives the same file.
+    let (network, hash) = registry.put_bytes(&json).map_err(|e| in_dir(model, e))?;
+    drop(json);
     registry
         .set_ref(ref_name, hash)
         .map_err(|e| in_dir(dir, e))?;
-    let store = ModelStore::from_network(network, AdaptiveOptions::default())
+    let store = ModelStore::from_checkpoint(network, hash, AdaptiveOptions::default())
         .map_err(|e| in_dir(model, e))?
         .with_adaptation(adapt);
     let cache: ResultCache<AdaptiveOutcome> =
@@ -2297,6 +2289,26 @@ mod tests {
     /// Parses and runs one command line.
     fn run_line(line: &str) -> Result<String, CliError> {
         run(&parse(line).unwrap())
+    }
+
+    /// A zero count is a usage error naming the flag, not a clamp or a
+    /// hand-written message: one case per flag.
+    #[test]
+    fn zero_cluster_and_sweep_counts_are_usage_errors() {
+        for (command, flag) in [
+            ("cluster launch --model n.json", "shards"),
+            ("cluster launch --model n.json", "vnodes"),
+            ("cluster launch --model n.json", "replication"),
+            ("sweep", "functions"),
+            ("sweep", "params"),
+        ] {
+            assert_eq!(
+                parse(&format!("{command} --{flag} 0")).unwrap_err(),
+                format!("--{flag}: must be at least 1, got 0"),
+                "{command} --{flag} 0"
+            );
+            assert!(parse(&format!("{command} --{flag} 1")).is_ok());
+        }
     }
 
     /// A small untrained network (11 → 16 → 43).

@@ -367,13 +367,21 @@ impl Cluster {
     /// any request is routed.
     pub fn launch(network: Network, opts: ClusterOptions) -> std::io::Result<Cluster> {
         let count = opts.shards.max(1) as u32;
-        let (serving_hash, shard_networks) = distribute_checkpoint(network, &opts, count)?;
+        let (serving_hash, network) = distribute_checkpoint(network, &opts, count)?;
 
+        // Every shard serves the same checkpoint under one name: the
+        // registry's, or — without one — the name the first shard's store
+        // gives the in-memory network. It is computed once, not per shard.
+        let mut checkpoint_hash = serving_hash;
         let mut members = Vec::with_capacity(count as usize);
-        for (i, net) in shard_networks.into_iter().enumerate() {
-            let id = i as u32;
-            let store =
-                ModelStore::from_network(net, AdaptiveOptions::default()).map_err(io_other)?;
+        for id in 0..count {
+            let net = network.clone();
+            let store = match checkpoint_hash {
+                Some(hash) => ModelStore::from_checkpoint(net, hash, AdaptiveOptions::default()),
+                None => ModelStore::from_network(net, AdaptiveOptions::default()),
+            }
+            .map_err(io_other)?;
+            checkpoint_hash = Some(store.checkpoint_hash());
             let server = Server::start("127.0.0.1:0", store.clone(), shard_serve_opts(&opts, id))?;
             let addr = server.addr();
             members.push(Arc::new(ShardRuntime::local(id, addr, store, server)));
@@ -529,10 +537,11 @@ impl Cluster {
     }
 }
 
-/// Publishes the serving checkpoint and produces each shard's copy of the
-/// network. With a registry, every shard loads from its own synced
-/// registry — the same object bytes, so every store computes the same
-/// `checkpoint_hash`.
+/// Publishes the serving checkpoint and returns its registry hash (`None`
+/// without a registry) with the network every shard serves. With a
+/// registry, the object is synced into every shard's own registry; the
+/// sync checks the bytes against the hash, so the shards serve the network
+/// already in hand under that hash instead of parsing their copies.
 ///
 /// A rollout the previous run crashed mid-walk wins over the operator's
 /// (stale) launch network: the fleet must not come up serving a mix of
@@ -541,38 +550,42 @@ fn distribute_checkpoint(
     network: Network,
     opts: &ClusterOptions,
     count: u32,
-) -> std::io::Result<(Option<u64>, Vec<Network>)> {
+) -> std::io::Result<(Option<u64>, Network)> {
     let Some(dir) = &opts.registry_dir else {
-        return Ok((None, vec![network; count as usize]));
+        return Ok((None, network));
     };
     let source = CheckpointRegistry::open(dir).map_err(io_other)?;
     let (mut journal, _) = RolloutJournal::open(dir)?;
-    let network = match journal.pending() {
+    let recovered = match journal.pending() {
         Some(pending) if source.contains(pending.target) => {
             let recovered = source.get(pending.target).map_err(io_other)?;
             // The distribution loop below lands every shard on the target,
             // which is exactly the walk the crashed rollout owed.
             journal.finish(pending.seq)?;
-            recovered
+            Some((recovered, pending.target))
         }
         Some(pending) => {
             // The target object is gone (GC'd or never fully written); the
             // rollout cannot be completed, so call it off explicitly.
             journal.abort(pending.seq)?;
-            network
+            None
         }
-        None => network,
+        None => None,
     };
-    let hash = source.put(&network).map_err(io_other)?;
+    let (network, hash) = match recovered {
+        Some(target) => target,
+        None => {
+            let hash = source.put(&network).map_err(io_other)?;
+            (network, hash)
+        }
+    };
     source.set_ref(&opts.serving_ref, hash).map_err(io_other)?;
-    let mut networks = Vec::with_capacity(count as usize);
     for i in 0..count {
         let dest = CheckpointRegistry::open(dir.join("shards").join(format!("shard-{i}")))
             .map_err(io_other)?;
         source.sync_to(&dest, hash).map_err(io_other)?;
-        networks.push(dest.get(hash).map_err(io_other)?);
     }
-    Ok((Some(hash), networks))
+    Ok((Some(hash), network))
 }
 
 /// Wire-polls every probed member's `health` and `stats` each tick,

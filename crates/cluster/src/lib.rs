@@ -17,10 +17,11 @@
 //!
 //! Checkpoint distribution goes through the content-addressed registry:
 //! `launch` publishes the serving network under a ref, syncs the object
-//! into a per-shard registry, and each shard loads its weights from its
-//! own copy — so "every shard serves the same `checkpoint_hash`" is a
-//! verifiable property (router `stats` reports per-shard hash/epoch and a
-//! divergence flag), not an assumption.
+//! into a per-shard registry (checking its bytes against the hash), and
+//! every shard serves the network under that one hash — so "every shard
+//! serves the same `checkpoint_hash`" is a verifiable property (router
+//! `stats` reports per-shard hash/epoch and a divergence flag), not an
+//! assumption.
 //!
 //! Beyond the locally-spawned fleet, the tier is replicated and
 //! cross-machine capable:

@@ -142,10 +142,10 @@ pub(crate) fn run_rollout(
             CheckpointRegistry::open(dir.join("shards").join(format!("shard-{}", member.id)))
                 .map_err(|e| e.to_string())?;
         source.sync_to(&dest, target).map_err(|e| e.to_string())?;
-        let shard_copy = dest.get(target).map_err(|e| e.to_string())?;
 
-        // 3. swap.
-        if let Err(e) = store.swap(shard_copy) {
+        // 3. swap. The sync checked the shard's copy against `target`, so
+        // the shard serves the network already in hand under that name.
+        if let Err(e) = store.swap(network.clone(), target) {
             member.finish_update(false);
             return Err(format!("shard {} refused the swap: {e}", member.id));
         }

@@ -4,7 +4,7 @@
 //! TCP on ephemeral ports.
 
 use nrpm_cluster::{Availability, Cluster, ClusterOptions, HashRing};
-use nrpm_core::fingerprint::set_fingerprint;
+use nrpm_core::fingerprint::{bytes_hash, set_fingerprint};
 use nrpm_core::preprocess::NUM_INPUTS;
 use nrpm_extrap::{MeasurementSet, NUM_CLASSES};
 use nrpm_nn::{Network, NetworkConfig};
@@ -272,6 +272,11 @@ fn registry_distribution_gives_every_shard_the_same_checkpoint() {
         let dest =
             CheckpointRegistry::open(dir.join("shards").join(format!("shard-{shard}"))).unwrap();
         assert!(dest.contains(serving), "shard {shard} missing the object");
+        assert_eq!(
+            cluster.shard_store(shard).unwrap().checkpoint_hash(),
+            serving,
+            "shard {shard} serves under the registry's name"
+        );
     }
 
     // The router's polled view converges on one hash everywhere: the
@@ -306,10 +311,12 @@ fn registry_distribution_gives_every_shard_the_same_checkpoint() {
 
     // Hot-swap one shard's store directly: the router's stats must
     // surface the divergence operators would chase during a rolling swap.
+    let other = test_network(8);
+    let other_hash = bytes_hash(other.to_json().as_bytes());
     cluster
         .shard_store(0)
         .unwrap()
-        .swap(test_network(8))
+        .swap(other, other_hash)
         .unwrap();
     let stats = wait_for_stats(&cluster, Duration::from_secs(10), |stats| {
         stats.get("checkpoint_divergence").and_then(Value::as_bool) == Some(true)
@@ -322,6 +329,22 @@ fn registry_distribution_gives_every_shard_the_same_checkpoint() {
 
     join_within(cluster, Duration::from_secs(20));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn without_a_registry_every_shard_serves_the_canonical_hash() {
+    let network = test_network(7);
+    let canonical = bytes_hash(network.to_json().as_bytes());
+    let cluster = Cluster::launch(network, fast_options()).unwrap();
+    assert_eq!(cluster.serving_hash(), None);
+    for shard in 0..3 {
+        assert_eq!(
+            cluster.shard_store(shard).unwrap().checkpoint_hash(),
+            canonical,
+            "shard {shard}"
+        );
+    }
+    join_within(cluster, Duration::from_secs(20));
 }
 
 #[test]

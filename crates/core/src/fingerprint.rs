@@ -146,8 +146,8 @@ pub fn set_fingerprint(set: &MeasurementSet) -> u64 {
 pub struct ModelKey {
     /// [`set_fingerprint`] of the measurement set.
     pub set_fingerprint: u64,
-    /// Content hash of the active checkpoint (e.g. [`bytes_hash`] of its
-    /// canonical JSON).
+    /// Content hash of the active checkpoint ([`bytes_hash`] of the bytes
+    /// it was loaded from, or of its canonical JSON).
     pub checkpoint_hash: u64,
     /// Whether domain adaptation runs before modeling (it changes the
     /// weights used, hence the outcome).

@@ -1,8 +1,11 @@
 //! A content-addressed store of trained [`Network`] checkpoints.
 //!
-//! Every checkpoint is addressed by the FNV-1a-64 hash of its canonical
-//! JSON serialization (the same bytes [`Network::save`] writes), rendered
-//! as 16 lowercase hex digits. Layout under the registry root:
+//! Every checkpoint is addressed by the FNV-1a-64 hash of its stored
+//! bytes, rendered as 16 lowercase hex digits. For a network stored with
+//! [`CheckpointRegistry::put`] those bytes are its canonical JSON (what
+//! [`Network::save`] writes); [`CheckpointRegistry::put_bytes`] keeps the
+//! caller's bytes as they are, and [`parse_checkpoint`] names a file read
+//! from disk the same way. Layout under the registry root:
 //!
 //! ```text
 //! objects/<hex16>.json   the checkpoint bytes, named by their own hash
@@ -12,8 +15,10 @@
 //! Writes go through a temp file plus rename, so an object file either
 //! exists with its full content or not at all — and because the name *is*
 //! the content hash, re-putting an existing checkpoint is a no-op.
-//! [`CheckpointRegistry::verify`] re-hashes every object against its file
-//! name and checks every ref resolves; [`CheckpointRegistry::gc`] deletes
+//! [`CheckpointRegistry::get`] re-hashes an object against its name before
+//! parsing it, so a damaged object is never handed out under a hash it does
+//! not have; [`CheckpointRegistry::verify`] does the same for every object
+//! and checks every ref resolves; [`CheckpointRegistry::gc`] deletes
 //! objects no ref points to.
 
 use std::collections::HashSet;
@@ -21,7 +26,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use nrpm_core::fingerprint::bytes_hash;
-use nrpm_nn::Network;
+use nrpm_nn::{Network, NetworkError};
 
 /// Why checkpoint-registry operations fail.
 #[derive(Debug)]
@@ -33,7 +38,8 @@ pub enum RegistryError {
     /// A ref was asked to point at (or a lookup named) a hash with no
     /// stored object.
     UnknownCheckpoint(String),
-    /// A stored object failed to parse back into a [`Network`].
+    /// A stored object failed to parse back into a [`Network`], or its
+    /// bytes no longer hash to the name it is stored under.
     Corrupt(String),
 }
 
@@ -71,6 +77,13 @@ pub fn parse_hex16(s: &str) -> Option<u64> {
     } else {
         None
     }
+}
+
+/// Parses checkpoint bytes and names them by their own hash — the name the
+/// registry gives the same bytes.
+pub fn parse_checkpoint(json: &str) -> Result<(Network, u64), NetworkError> {
+    let hash = bytes_hash(json.as_bytes());
+    Network::from_json(json).map(|network| (network, hash))
 }
 
 fn valid_ref_name(name: &str) -> bool {
@@ -146,41 +159,61 @@ impl CheckpointRegistry {
         self.objects.join(format!("{}.json", hex16(hash)))
     }
 
-    /// Stores `network`, returning its content hash. Idempotent: storing
-    /// the same network twice writes nothing the second time.
-    pub fn put(&self, network: &Network) -> Result<u64, RegistryError> {
-        let json = network.to_json();
-        let hash = bytes_hash(json.as_bytes());
-        let path = self.object_path(hash);
-        if !path.exists() {
-            let tmp = path.with_extension("json.tmp");
-            fs::write(&tmp, &json)?;
-            fs::rename(&tmp, &path)?;
-        }
-        Ok(hash)
-    }
-
-    /// Registers already-serialized checkpoint bytes (e.g. a file trained
-    /// elsewhere) after checking they load. Returns the content hash.
-    pub fn put_bytes(&self, json: &str) -> Result<u64, RegistryError> {
-        Network::from_json(json).map_err(|e| RegistryError::Corrupt(e.to_string()))?;
-        let hash = bytes_hash(json.as_bytes());
+    /// Writes `json` as the object named `hash` (temp file plus rename),
+    /// unless that object is already stored.
+    fn write_object(&self, hash: u64, json: &str) -> Result<(), RegistryError> {
         let path = self.object_path(hash);
         if !path.exists() {
             let tmp = path.with_extension("json.tmp");
             fs::write(&tmp, json)?;
             fs::rename(&tmp, &path)?;
         }
-        Ok(hash)
+        Ok(())
     }
 
-    /// Loads the checkpoint stored under `hash`.
-    pub fn get(&self, hash: u64) -> Result<Network, RegistryError> {
+    /// Reads the bytes stored under `hash`, checking they still hash to it.
+    fn read_object(&self, hash: u64) -> Result<String, RegistryError> {
         let path = self.object_path(hash);
         if !path.exists() {
             return Err(RegistryError::UnknownCheckpoint(hex16(hash)));
         }
         let json = fs::read_to_string(&path)?;
+        let actual = bytes_hash(json.as_bytes());
+        if actual != hash {
+            return Err(RegistryError::Corrupt(format!(
+                "object {} holds bytes hashing to {}",
+                hex16(hash),
+                hex16(actual)
+            )));
+        }
+        Ok(json)
+    }
+
+    /// Stores `network`, returning its content hash. Idempotent: storing
+    /// the same network twice writes nothing the second time.
+    pub fn put(&self, network: &Network) -> Result<u64, RegistryError> {
+        let json = network.to_json();
+        let hash = bytes_hash(json.as_bytes());
+        self.write_object(hash, &json)?;
+        Ok(hash)
+    }
+
+    /// Registers already-serialized checkpoint bytes (e.g. a file trained
+    /// elsewhere) after checking they load, keeping the bytes as they are.
+    /// Returns the network they hold and their content hash.
+    pub fn put_bytes(&self, json: &str) -> Result<(Network, u64), RegistryError> {
+        let (network, hash) =
+            parse_checkpoint(json).map_err(|e| RegistryError::Corrupt(e.to_string()))?;
+        self.write_object(hash, json)?;
+        Ok((network, hash))
+    }
+
+    /// Loads the checkpoint stored under `hash`. The object's bytes are
+    /// checked against `hash` before they are parsed: a mismatch is
+    /// [`RegistryError::Corrupt`], so the network returned is always the
+    /// one `hash` names.
+    pub fn get(&self, hash: u64) -> Result<Network, RegistryError> {
+        let json = self.read_object(hash)?;
         Network::from_json(&json)
             .map_err(|e| RegistryError::Corrupt(format!("checkpoint {}: {e}", hex16(hash))))
     }
@@ -347,17 +380,14 @@ impl CheckpointRegistry {
             .collect())
     }
 
-    /// Writes the checkpoint stored under `hash` to `path` — the exact
-    /// bytes [`Network::save`] would produce, via a temp file plus rename
-    /// so a crashed export never leaves a half-written model behind. A
-    /// shard can load the exported file directly.
+    /// Writes the checkpoint stored under `hash` to `path` — the object's
+    /// bytes, checked against `hash`, so the file opens under the same
+    /// name — via a temp file plus rename so a crashed export never leaves
+    /// a half-written model behind. A shard can load the exported file
+    /// directly.
     pub fn export(&self, hash: u64, path: impl AsRef<Path>) -> Result<(), RegistryError> {
-        let src = self.object_path(hash);
-        if !src.exists() {
-            return Err(RegistryError::UnknownCheckpoint(hex16(hash)));
-        }
+        let json = self.read_object(hash)?;
         let path = path.as_ref();
-        let json = fs::read_to_string(&src)?;
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
@@ -370,24 +400,15 @@ impl CheckpointRegistry {
     /// already holds it, because the name is the content hash). Returns
     /// `true` when bytes actually moved. This is the checkpoint
     /// distribution primitive: the cluster supervisor fans the serving
-    /// checkpoint out to per-shard registries with it.
+    /// checkpoint out to per-shard registries with it. The bytes are
+    /// checked against `hash`, not parsed: they are the bytes that were
+    /// validated when the object was stored.
     pub fn sync_to(&self, dest: &CheckpointRegistry, hash: u64) -> Result<bool, RegistryError> {
         if dest.contains(hash) {
             return Ok(false);
         }
-        let src = self.object_path(hash);
-        if !src.exists() {
-            return Err(RegistryError::UnknownCheckpoint(hex16(hash)));
-        }
-        let json = fs::read_to_string(&src)?;
-        let stored = dest.put_bytes(&json)?;
-        if stored != hash {
-            return Err(RegistryError::Corrupt(format!(
-                "object {} re-hashed to {} during sync",
-                hex16(hash),
-                hex16(stored)
-            )));
-        }
+        let json = self.read_object(hash)?;
+        dest.write_object(hash, &json)?;
         Ok(true)
     }
 }
@@ -479,6 +500,69 @@ mod tests {
             .issues
             .iter()
             .any(|i| matches!(i, VerifyIssue::DanglingRef { name, .. } if name == "stale")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn get_refuses_an_object_whose_bytes_changed_under_its_name() {
+        let dir = tmp_dir("ckpt-get-corrupt");
+        let dest_dir = tmp_dir("ckpt-get-corrupt-dest");
+        let registry = CheckpointRegistry::open(&dir).unwrap();
+        let dest = CheckpointRegistry::open(&dest_dir).unwrap();
+        let hash = registry.put(&tiny_network(4)).unwrap();
+
+        // Flip one digit of a weight: the bytes still parse into a
+        // network — a different one — so only the name check can tell.
+        let path = dir.join("objects").join(format!("{}.json", hex16(hash)));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let json = String::from_utf8(bytes.clone()).unwrap();
+        let weights = json.find("\"data\":[").unwrap();
+        let at = weights + json[weights..].find('.').unwrap() + 1;
+        bytes[at] = if bytes[at] == b'9' {
+            b'0'
+        } else {
+            bytes[at] + 1
+        };
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(Network::from_json(std::str::from_utf8(&bytes).unwrap()).is_ok());
+
+        assert!(
+            matches!(registry.get(hash), Err(RegistryError::Corrupt(_))),
+            "a damaged object must not load under its old name"
+        );
+        assert!(matches!(
+            registry.sync_to(&dest, hash),
+            Err(RegistryError::Corrupt(_))
+        ));
+        assert!(!dest.contains(hash), "nothing damaged is distributed");
+        assert!(matches!(
+            registry.export(hash, dir.join("out.json")),
+            Err(RegistryError::Corrupt(_))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dest_dir);
+    }
+
+    #[test]
+    fn put_bytes_keeps_and_names_the_bytes_as_given() {
+        let dir = tmp_dir("ckpt-put-bytes");
+        let registry = CheckpointRegistry::open(&dir).unwrap();
+        let network = tiny_network(17);
+        let pretty = serde_json::to_string_pretty(&network).unwrap();
+        let (parsed, hash) = registry.put_bytes(&pretty).unwrap();
+        assert_eq!(hash, bytes_hash(pretty.as_bytes()));
+        assert_eq!(parse_checkpoint(&pretty).unwrap(), (network.clone(), hash));
+        assert_eq!(parsed, network);
+        assert_ne!(
+            hash,
+            registry.put(&network).unwrap(),
+            "other bytes, other name"
+        );
+        assert_eq!(registry.get(hash).unwrap(), network);
+        assert!(matches!(
+            registry.put_bytes("{\"layers\": oops"),
+            Err(RegistryError::Corrupt(_))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

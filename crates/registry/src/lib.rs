@@ -41,7 +41,9 @@ pub mod singleflight;
 pub mod swap;
 
 pub use cache::{CacheStats, ResultCache};
-pub use checkpoints::{hex16, parse_hex16, CheckpointRegistry, RegistryError, VerifyOutcome};
+pub use checkpoints::{
+    hex16, parse_checkpoint, parse_hex16, CheckpointRegistry, RegistryError, VerifyOutcome,
+};
 pub use journal::{Journal, JournalError, Record, RecoveryReport};
 pub use lru::{LruStats, ShardedLru};
 pub use singleflight::{Joined, SingleFlight};

@@ -48,7 +48,7 @@ use nrpm_core::adaptive::{AdaptiveModeler, AdaptiveOptions};
 use nrpm_core::dnn::DnnModeler;
 use nrpm_extrap::MeasurementSet;
 use nrpm_nn::Network;
-use nrpm_registry::{CheckpointRegistry, SwapJournal};
+use nrpm_registry::{parse_checkpoint, CheckpointRegistry, SwapJournal};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -334,7 +334,7 @@ impl Engine {
         }
         if let Some(registry) = &self.registry {
             if let Ok(network) = registry.get(committed) {
-                let _ = self.shared.store.swap(network);
+                let _ = self.shared.store.swap(network, committed);
             }
         }
     }
@@ -390,7 +390,12 @@ impl Engine {
         if !regressed {
             return;
         }
-        if self.shared.store.swap(watch.previous.clone()).is_err() {
+        if self
+            .shared
+            .store
+            .swap(watch.previous.clone(), watch.previous_hash)
+            .is_err()
+        {
             return;
         }
         if let Some(journal) = &mut self.journal {
@@ -448,14 +453,14 @@ impl Engine {
                 return;
             }
         }
-        if self.shared.store.swap(candidate).is_err() {
+        if self.shared.store.swap(candidate, hash).is_err() {
             if let (Some(journal), Some(seq)) = (&mut self.journal, seq) {
                 let _ = journal.abort(seq);
             }
             return;
         }
         if let Some(registry) = &self.registry {
-            let _ = registry.put(&incumbent); // pin the rollback target
+            pin(registry, &incumbent, incumbent_hash);
             let _ = registry.set_ref(SERVING_REF, hash);
             let _ = registry.set_ref(SERVING_PREVIOUS_REF, incumbent_hash);
         }
@@ -526,14 +531,14 @@ impl Engine {
         };
         let candidate_hash = match &self.registry {
             Some(registry) => match registry.put_bytes(&stored) {
-                Ok(hash) => hash,
+                Ok((_, hash)) => hash,
                 Err(_) => {
                     rejected();
                     return;
                 }
             },
-            None => match Network::from_json(&stored) {
-                Ok(net) => nrpm_core::fingerprint::bytes_hash(net.to_json().as_bytes()),
+            None => match parse_checkpoint(&stored) {
+                Ok((_, hash)) => hash,
                 Err(_) => {
                     rejected();
                     return;
@@ -585,7 +590,7 @@ impl Engine {
             // it and leave the incumbent serving.
             panic!("adapt fault: killed mid-commit");
         }
-        if self.shared.store.swap(candidate).is_err() {
+        if self.shared.store.swap(candidate, candidate_hash).is_err() {
             if let (Some(journal), Some(seq)) = (&mut self.journal, seq) {
                 let _ = journal.abort(seq);
             }
@@ -593,7 +598,7 @@ impl Engine {
             return;
         }
         if let Some(registry) = &self.registry {
-            let _ = registry.put(&incumbent); // pin the rollback target
+            pin(registry, &incumbent, incumbent_hash);
             let _ = registry.set_ref(SERVING_REF, candidate_hash);
             let _ = registry.set_ref(SERVING_PREVIOUS_REF, incumbent_hash);
         }
@@ -614,6 +619,15 @@ impl Engine {
             collected: Vec::new(),
             inflate: has(AdaptFaultKind::RegressSwap),
         });
+    }
+}
+
+/// Pins the rollback target `network`, named `hash`, in the registry. Only
+/// a checkpoint the registry lacks is serialized and stored: after the
+/// first swap the incumbent is a candidate stored there already.
+fn pin(registry: &CheckpointRegistry, network: &Network, hash: u64) {
+    if !registry.contains(hash) {
+        let _ = registry.put(network);
     }
 }
 

@@ -16,11 +16,20 @@
 //! request's modeler — simply finishes on them. Workers compare
 //! [`ModelStore::epoch`] against the epoch their warmed modeler was built
 //! at and rebuild lazily, so a swap never blocks the request path.
+//!
+//! A generation is named by its checkpoint's content hash, computed once
+//! from what the caller already holds: [`ModelStore::open`] hashes the
+//! file bytes it reads, callers of [`ModelStore::from_checkpoint`] and
+//! [`ModelStore::swap`] pass the registry name or the hash of the bytes
+//! they stored, and only [`ModelStore::from_network`] — a network that
+//! exists only in memory — serializes it to JSON to name it.
 
 use nrpm_core::adaptive::{AdaptiveModeler, AdaptiveOptions};
+use nrpm_core::fingerprint::bytes_hash;
 use nrpm_core::preprocess::NUM_INPUTS;
 use nrpm_extrap::NUM_CLASSES;
 use nrpm_nn::{Network, NetworkError};
+use nrpm_registry::parse_checkpoint;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -72,14 +81,17 @@ struct StoreInner {
 }
 
 impl StoreInner {
-    fn build(network: Network, opts: AdaptiveOptions) -> Result<Self, StoreError> {
+    fn build(
+        network: Network,
+        checkpoint_hash: u64,
+        opts: AdaptiveOptions,
+    ) -> Result<Self, StoreError> {
         if network.input_dim() != NUM_INPUTS || network.num_classes() != NUM_CLASSES {
             return Err(StoreError::Shape {
                 input_dim: network.input_dim(),
                 num_classes: network.num_classes(),
             });
         }
-        let checkpoint_hash = nrpm_core::fingerprint::bytes_hash(network.to_json().as_bytes());
         Ok(StoreInner {
             modeler: AdaptiveModeler::from_network(opts, network),
             checkpoint_hash,
@@ -103,15 +115,37 @@ pub struct ModelStore {
 }
 
 impl ModelStore {
-    /// Loads a checkpoint from disk and warms the store.
+    /// Loads a checkpoint from disk and warms the store. The file is read
+    /// once, and the bytes read are both hashed and parsed
+    /// ([`parse_checkpoint`]), so the checkpoint is named by the bytes on
+    /// disk, as the registry names the same bytes.
     pub fn open(path: &Path, opts: AdaptiveOptions) -> Result<Self, StoreError> {
-        let network = Network::load(path).map_err(StoreError::Load)?;
-        Self::from_network(network, opts)
+        let (network, hash) = {
+            let json = std::fs::read_to_string(path)
+                .map_err(|e| StoreError::Load(NetworkError::Io(e.to_string())))?;
+            parse_checkpoint(&json).map_err(StoreError::Load)?
+        };
+        Self::from_checkpoint(network, hash, opts)
     }
 
-    /// Warms the store from an in-memory network (tests and benchmarks).
+    /// Warms the store from a network that exists only in memory (tests,
+    /// benchmarks, a cluster without a registry): the network is
+    /// serialized once to name it by its canonical JSON bytes.
     pub fn from_network(network: Network, opts: AdaptiveOptions) -> Result<Self, StoreError> {
-        let inner = StoreInner::build(network, opts)?;
+        let hash = bytes_hash(network.to_json().as_bytes());
+        Self::from_checkpoint(network, hash, opts)
+    }
+
+    /// Warms the store from a network whose content hash the caller
+    /// already holds (a registry object, or bytes it has hashed). The hash
+    /// is trusted: it must be the name of the bytes `network` was parsed
+    /// from, or of its canonical JSON.
+    pub fn from_checkpoint(
+        network: Network,
+        checkpoint_hash: u64,
+        opts: AdaptiveOptions,
+    ) -> Result<Self, StoreError> {
+        let inner = StoreInner::build(network, checkpoint_hash, opts)?;
         Ok(ModelStore {
             inner: Arc::new(Mutex::new(Arc::new(inner))),
             epoch: Arc::new(AtomicU64::new(0)),
@@ -137,11 +171,14 @@ impl ModelStore {
         Arc::clone(&self.inner.lock().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// Atomically replaces the serving network with `network`, keeping the
-    /// shared options. The new network passes the same shape validation as
-    /// the one loaded at startup — a candidate that does not fit the
-    /// modeler is rejected *before* anything observable changes. Returns
-    /// the new checkpoint hash.
+    /// Atomically replaces the serving network with `network`, named
+    /// `checkpoint_hash`, keeping the shared options. Every caller already
+    /// holds the hash of what it swaps in (a registry object, a candidate
+    /// it stored, the checkpoint it rolls back to), so it is trusted as
+    /// given, as in [`Self::from_checkpoint`]. The new network passes the
+    /// same shape validation as the one loaded at startup — a candidate
+    /// that does not fit the modeler is rejected *before* anything
+    /// observable changes.
     ///
     /// In-flight requests keep the weights they already cloned; new
     /// modelers built after the swap use the new weights. The new
@@ -150,12 +187,11 @@ impl ModelStore {
     /// The epoch counter is bumped after the pointer is published, so a
     /// worker that sees the new epoch is guaranteed to also see the new
     /// generation.
-    pub fn swap(&self, network: Network) -> Result<u64, StoreError> {
-        let inner = StoreInner::build(network, self.options())?;
-        let hash = inner.checkpoint_hash;
+    pub fn swap(&self, network: Network, checkpoint_hash: u64) -> Result<(), StoreError> {
+        let inner = StoreInner::build(network, checkpoint_hash, self.options())?;
         *self.inner.lock().unwrap_or_else(|p| p.into_inner()) = Arc::new(inner);
         self.epoch.fetch_add(1, Ordering::Release);
-        Ok(hash)
+        Ok(())
     }
 
     /// Generation counter: bumped on every [`ModelStore::swap`]. Workers
@@ -174,10 +210,14 @@ impl ModelStore {
         self.snapshot().modeler.options().clone()
     }
 
-    /// Content hash of the current checkpoint (its canonical JSON bytes).
-    /// Two stores serve bit-identical answers iff their hashes agree, so
-    /// this is the registry address of the network and one of the inputs
-    /// to every result-cache key.
+    /// Content hash of the current checkpoint: the FNV-1a hash of the
+    /// bytes it was loaded from ([`Self::open`], a registry object), or of
+    /// its canonical JSON when it only ever existed in memory
+    /// ([`Self::from_network`]). For every checkpoint nrpm writes the two
+    /// agree, since the file is the canonical JSON byte for byte. Two
+    /// stores with equal hashes serve bit-identical answers, so this is
+    /// the registry address of the network and one of the inputs to every
+    /// result-cache key.
     pub fn checkpoint_hash(&self) -> u64 {
         self.snapshot().checkpoint_hash
     }
@@ -207,9 +247,26 @@ impl ModelStore {
 mod tests {
     use super::*;
     use nrpm_nn::NetworkConfig;
+    use nrpm_registry::CheckpointRegistry;
 
     fn serveable_network() -> Network {
         Network::new(&NetworkConfig::new(&[NUM_INPUTS, 8, NUM_CLASSES]), 42)
+    }
+
+    /// The hash of a network's canonical JSON bytes.
+    fn canonical_hash(network: &Network) -> u64 {
+        bytes_hash(network.to_json().as_bytes())
+    }
+
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "nrpm-store-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
@@ -284,7 +341,8 @@ mod tests {
         let hash1 = store.checkpoint_hash();
         assert_eq!(handle.epoch(), 0);
 
-        let hash2 = store.swap(net2.clone()).unwrap();
+        let hash2 = canonical_hash(&net2);
+        store.swap(net2.clone(), hash2).unwrap();
         assert_ne!(hash1, hash2);
         // The clone observes the swap: new epoch, new hash, new weights.
         assert_eq!(handle.epoch(), 1);
@@ -299,7 +357,7 @@ mod tests {
             ModelStore::from_network(serveable_network(), AdaptiveOptions::default()).unwrap();
         let hash = store.checkpoint_hash();
         let err = store
-            .swap(Network::new(&NetworkConfig::new(&[4, 8, 3]), 1))
+            .swap(Network::new(&NetworkConfig::new(&[4, 8, 3]), 1), hash ^ 1)
             .unwrap_err();
         assert!(matches!(err, StoreError::Shape { .. }), "{err:?}");
         assert_eq!(store.checkpoint_hash(), hash, "failed swap must be a no-op");
@@ -312,7 +370,8 @@ mod tests {
         let net2 = Network::new(&NetworkConfig::new(&[NUM_INPUTS, 8, NUM_CLASSES]), 77);
         let store = ModelStore::from_network(net1.clone(), AdaptiveOptions::default()).unwrap();
         let in_flight = store.modeler();
-        store.swap(net2).unwrap();
+        let hash2 = canonical_hash(&net2);
+        store.swap(net2, hash2).unwrap();
         assert_eq!(
             in_flight.dnn().network(),
             &net1,
@@ -328,5 +387,57 @@ mod tests {
         let store = store.with_adaptation(true);
         assert!(handle.options().use_domain_adaptation);
         assert!(store.options().use_domain_adaptation);
+    }
+
+    #[test]
+    fn a_saved_checkpoint_opens_under_its_canonical_and_registry_hash() {
+        let dir = scratch_dir("saved");
+        let network = serveable_network();
+        let path = dir.join("net.json");
+        network.save(&path).unwrap();
+        let registry = CheckpointRegistry::open(dir.join("registry")).unwrap();
+        let store = ModelStore::open(&path, AdaptiveOptions::default()).unwrap();
+        assert_eq!(store.checkpoint_hash(), canonical_hash(&network));
+        assert_eq!(store.checkpoint_hash(), registry.put(&network).unwrap());
+        assert_eq!(
+            store.checkpoint_hash(),
+            ModelStore::from_network(network, AdaptiveOptions::default())
+                .unwrap()
+                .checkpoint_hash()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reformatted_checkpoint_opens_under_the_hash_of_its_own_bytes() {
+        let dir = scratch_dir("pretty");
+        let network = serveable_network();
+        let pretty = serde_json::to_string_pretty(&network).unwrap();
+        assert_ne!(pretty, network.to_json());
+        let path = dir.join("pretty.json");
+        std::fs::write(&path, &pretty).unwrap();
+        let registry = CheckpointRegistry::open(dir.join("registry")).unwrap();
+        let (_, registered) = registry.put_bytes(&pretty).unwrap();
+
+        let store = ModelStore::open(&path, AdaptiveOptions::default()).unwrap();
+        assert_eq!(store.checkpoint_hash(), registered);
+        assert_eq!(store.checkpoint_hash(), bytes_hash(pretty.as_bytes()));
+        assert_eq!(store.network(), network, "same weights, other bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn swapping_in_a_registry_object_reports_the_object_hash() {
+        let dir = scratch_dir("swap-registry");
+        let registry = CheckpointRegistry::open(&dir).unwrap();
+        let next = Network::new(&NetworkConfig::new(&[NUM_INPUTS, 8, NUM_CLASSES]), 77);
+        let hash = registry.put(&next).unwrap();
+        let store =
+            ModelStore::from_network(serveable_network(), AdaptiveOptions::default()).unwrap();
+        store.swap(registry.get(hash).unwrap(), hash).unwrap();
+        assert_eq!(store.checkpoint_hash(), hash);
+        assert_eq!(store.warm_modeler().1, hash);
+        assert_eq!(store.network(), next);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

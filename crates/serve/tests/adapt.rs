@@ -5,6 +5,7 @@
 //! zero dropped requests.
 
 use nrpm_core::adaptive::AdaptiveOptions;
+use nrpm_core::fingerprint::bytes_hash;
 use nrpm_core::preprocess::NUM_INPUTS;
 use nrpm_extrap::{MeasurementSet, NUM_CLASSES};
 use nrpm_nn::{Network, NetworkConfig};
@@ -202,7 +203,9 @@ fn cache_entries_of_the_old_checkpoint_die_with_the_swap() {
 
     // Hot-swap through the shared store handle, as the adaptation engine
     // would.
-    handle.swap(test_network(99)).unwrap();
+    let next = test_network(99);
+    let next_hash = bytes_hash(next.to_json().as_bytes());
+    handle.swap(next, next_hash).unwrap();
 
     let after = client.model(linear_set(0), None, None).unwrap();
     assert!(is_ok(&after), "{after:?}");
