@@ -4,14 +4,15 @@
 //! computed, so a long `--paper-net` sweep shows its progress table by table.
 
 use crate::estimator::{self, EstimatorSpec};
+use crate::regime::{run_regime_sweep, RegimeSweepConfig};
 use crate::report::{f2, pct, Table};
-use crate::sweep::{run_sweep, ModelerStats, SweepConfig};
+use crate::sweep::{crossing, run_sweep, SweepConfig};
 use nrpm_apps::all_case_studies;
 use nrpm_core::adaptive::{AdaptiveModeler, AdaptiveOptions};
 use nrpm_core::dnn::{dataset_from_samples, DnnOptions};
 use nrpm_core::noise::NoiseEstimate;
 use nrpm_core::preprocess::NUM_INPUTS;
-use nrpm_core::threshold::{default_threshold, intersection_threshold, AccuracyCurve};
+use nrpm_core::threshold::default_threshold;
 use nrpm_extrap::{smape, write_text, MeasurementSet, RegressionModeler, NUM_CLASSES};
 use nrpm_linalg::stats;
 use nrpm_nn::{Network, NetworkConfig, NetworkError};
@@ -84,6 +85,17 @@ pub enum Harness {
     NoiseEstimatorEval(EstimatorSpec),
     /// Sec. IV-A: the accuracy-curve intersections per parameter count.
     ThresholdCalibration(Vec<SweepConfig>),
+    /// The train-regime × test-regime noise sweep: per-regime crossover
+    /// calibration plus the transfer matrix.
+    RegimeSweep {
+        /// What to sweep.
+        config: RegimeSweepConfig,
+        /// Write the full result (curves, thresholds, transfer matrix) as
+        /// JSON here.
+        out: Option<PathBuf>,
+        /// Write just the loadable threshold table as JSON here.
+        thresholds_out: Option<PathBuf>,
+    },
     /// Fault kind × injection rate against the clean baseline.
     ChaosEval(ChaosConfig),
     /// Writes the case-study campaigns to disk, one text file per kernel.
@@ -145,6 +157,16 @@ impl Harness {
             } => fig6_overhead(options, *seed, *trials, out),
             Harness::NoiseEstimatorEval(spec) => noise_estimator_eval(spec, out),
             Harness::ThresholdCalibration(sweeps) => threshold_calibration(sweeps, out),
+            Harness::RegimeSweep {
+                config,
+                out: result_path,
+                thresholds_out,
+            } => regime_sweep(
+                config,
+                result_path.as_deref(),
+                thresholds_out.as_deref(),
+                out,
+            ),
             Harness::ChaosEval(config) => chaos_eval(config, out),
             Harness::DumpCampaigns { out: dir, seed } => dump_campaigns(dir, *seed, out),
         }
@@ -556,30 +578,11 @@ fn threshold_calibration(sweeps: &[SweepConfig], out: &mut impl Write) -> io::Re
 
     for config in sweeps {
         let results = run_sweep(config);
-        let curve = |f: fn(&ModelerStats) -> f64, dnn: bool| {
-            AccuracyCurve::new(
-                results.iter().map(|r| r.noise).collect(),
-                results
-                    .iter()
-                    .map(|r| if dnn { f(&r.dnn) } else { f(&r.regression) })
-                    .collect(),
-            )
-            .expect("sweep grid is valid")
-        };
-
-        let quarter_reg = curve(|s| s.buckets.within_quarter, false);
-        let quarter_dnn = curve(|s| s.buckets.within_quarter, true);
-        let half_reg = curve(|s| s.buckets.within_half, false);
-        let half_dnn = curve(|s| s.buckets.within_half, true);
-
-        let t_quarter = intersection_threshold(&quarter_reg, &quarter_dnn);
-        let t_half = intersection_threshold(&half_reg, &half_dnn);
-
         let show = |t: Option<f64>| t.map(pct).unwrap_or_else(|| "no crossing".to_string());
         table.row(vec![
             config.num_params.to_string(),
-            show(t_quarter),
-            show(t_half),
+            show(crossing(&results, |b| b.within_quarter)),
+            show(crossing(&results, |b| b.within_half)),
             pct(default_threshold(config.num_params)),
         ]);
     }
@@ -589,6 +592,29 @@ fn threshold_calibration(sweeps: &[SweepConfig], out: &mut impl Write) -> io::Re
         out,
         "\nuse `AdaptiveOptions {{ thresholds: Some(vec![...]), .. }}` to apply custom values"
     )
+}
+
+/// `nrpm sweep`: streams the regime sweep's tables, then writes its JSON
+/// artifacts.
+fn regime_sweep(
+    config: &RegimeSweepConfig,
+    result_path: Option<&Path>,
+    thresholds_out: Option<&Path>,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    let result = run_regime_sweep(config, out)?;
+    let files = [
+        (result_path, result.to_json(), "\n"),
+        (thresholds_out, result.table.to_json(), ""),
+    ];
+    for (path, json, gap) in files {
+        if let Some(path) = path {
+            std::fs::write(path, json)
+                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+            writeln!(out, "{gap}wrote {}", path.display())?;
+        }
+    }
+    Ok(())
 }
 
 /// Mean SMAPE between the model's predictions and the ground truth at the

@@ -1,7 +1,8 @@
 //! The paper's experiments: the figure harnesses behind the `nrpm`
-//! harness subcommands, table rendering, the synthetic sweep engine behind
-//! Fig. 3, the Sec. IV-B noise-estimator evaluation, and the noise-regime
-//! sweep behind `nrpm sweep`.
+//! harness subcommands (`nrpm sweep` among them), table rendering, the
+//! Sec. IV-B noise-estimator evaluation, and the one synthetic sweep engine
+//! ([`sweep`]) whose cells Fig. 3, `threshold_calibration` and the
+//! noise-regime sweep ([`regime`]) all read.
 
 #![warn(missing_docs)]
 

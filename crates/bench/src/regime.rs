@@ -1,75 +1,59 @@
-//! The train-regime × test-regime sweep harness behind `nrpm sweep`.
+//! The train-regime × test-regime sweep behind `nrpm sweep`.
 //!
-//! The paper calibrates the DNN/regression switch against a single uniform
-//! noise regime; real measurement streams are heteroscedastic, spiky, or
-//! device-varying. This module grids the four [`NoiseFamily`] regimes both
-//! ways (shaped like the train-noise × test-noise sweep of SNIPPETS.md
-//! snippet 1):
+//! The paper calibrates the DNN/regression switch under uniform noise;
+//! real measurement streams are heteroscedastic, spiky, or device-varying.
+//! This sweep grids the four [`NoiseFamily`] regimes both ways (shaped like
+//! the train-noise × test-noise sweep of SNIPPETS.md snippet 1):
 //!
-//! - **Crossover calibration** (the diagonal): for each regime, the DNN is
-//!   domain-adapted *on that regime* and both modelers sweep the noise
-//!   grid; [`intersection_threshold`] reads off where the DNN starts to
-//!   beat the regression baseline, producing one [`ThresholdEntry`] per
-//!   regime. The resulting [`ThresholdTable`] is what `nrpm serve
-//!   --thresholds` / `nrpm fit --thresholds` load into the adaptive
-//!   switch.
-//! - **Transfer matrix** (the off-diagonal): every (train regime, test
-//!   regime) pair is evaluated at one fixed noise level, quantifying how
-//!   much adapting to the *wrong* regime costs — the question ResPerfNet
-//!   raises about validating a modeling policy across heterogeneous
-//!   regimes. Per snippet 1's shape, adaptation runs once per train
-//!   regime and is reused across all test regimes.
+//! - **Crossover calibration** (the diagonal): per regime, the DNN is
+//!   domain-adapted *on that regime* at each level of the noise grid and
+//!   [`crossing`] reads off where it starts to beat the regression
+//!   baseline. The resulting [`ThresholdTable`] is what `nrpm serve
+//!   --thresholds` / `nrpm fit --thresholds` load into the adaptive switch.
+//! - **Transfer matrix** (the off-diagonal): every (train, test) regime
+//!   pair at one fixed noise level, adapted once per train regime —
+//!   what adapting to the *wrong* regime costs, the question ResPerfNet
+//!   raises about validating a policy across regimes.
 //!
-//! Accuracy is the paper's headline metric: the fraction of tasks whose
-//! lead-exponent distance is `d ≤ 1/4`, with outright modeling failures
-//! counting as incorrect.
+//! Every cell is one [`SweepConfig::cell`], the evaluator behind Fig. 3,
+//! scored by the paper's headline metric: the fraction of tasks whose
+//! lead-exponent distance is `d ≤ 1/4`, failures counting as incorrect.
 
-use nrpm_core::dnn::{DnnModeler, DnnOptions};
-use nrpm_core::metrics::lead_exponent_distance;
-use nrpm_core::threshold::{intersection_threshold, AccuracyCurve, ThresholdEntry, ThresholdTable};
-use nrpm_extrap::RegressionModeler;
-use nrpm_synth::{generate_eval_tasks, EvalTask, EvalTaskSpec, NoiseFamily, TrainingSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::sweep::{crossing, NoiseLevelResult, SweepConfig};
+use nrpm_core::adaptive::AdaptiveOptions;
+use nrpm_core::dnn::DnnModeler;
+use nrpm_core::threshold::{ThresholdEntry, ThresholdTable};
+use nrpm_synth::NoiseFamily;
 use serde::Serialize;
+use std::io::{self, Write};
 
 /// Configuration of a regime sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegimeSweepConfig {
-    /// Number of model parameters `m`.
-    pub num_params: usize,
-    /// Noise levels of the crossover curves (fractions, ascending).
-    pub noise_levels: Vec<f64>,
-    /// Noise level of the transfer matrix cells.
-    pub matrix_noise: f64,
-    /// Functions generated per (regime, level) cell.
-    pub functions: usize,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Worker threads for the per-task modeling.
-    pub threads: usize,
-    /// DNN modeler configuration.
-    pub dnn: DnnOptions,
-    /// Repetitions per measurement point.
-    pub repetitions: usize,
+    /// The sweep run per regime: parameter count, the noise levels of the
+    /// crossover curves (ascending), functions per (regime, level) cell,
+    /// seed, threads, repetitions and the modeler under test.
+    pub sweep: SweepConfig,
     /// The regimes to grid (defaults to all four families).
     pub families: Vec<NoiseFamily>,
+    /// Noise level of the transfer matrix cells.
+    pub matrix_noise: f64,
 }
 
 impl Default for RegimeSweepConfig {
+    /// 100 functions per cell over 5–100 % noise, the matrix at 50 %,
+    /// every family, and the default (refined) regression baseline.
     fn default() -> Self {
         RegimeSweepConfig {
-            num_params: 1,
-            noise_levels: vec![0.05, 0.20, 0.50, 1.00],
-            matrix_noise: 0.50,
-            functions: 100,
-            seed: 0x1265,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            dnn: DnnOptions::default(),
-            repetitions: 5,
+            sweep: SweepConfig {
+                noise_levels: vec![0.05, 0.20, 0.50, 1.00],
+                functions: 100,
+                seed: 0x1265,
+                adaptive: AdaptiveOptions::default(),
+                ..SweepConfig::default()
+            },
             families: NoiseFamily::all().to_vec(),
+            matrix_noise: 0.50,
         }
     }
 }
@@ -102,62 +86,11 @@ pub struct RegimeSweepResult {
 }
 
 impl RegimeSweepResult {
-    /// The matrix cell for a (train, test) regime pair.
-    pub fn cell(&self, train: &str, test: &str) -> Option<&RegimeCell> {
-        self.matrix
-            .iter()
-            .find(|c| c.train == train && c.test == test)
-    }
-
     /// Serializes the full sweep result to pretty JSON (what
     /// `nrpm sweep --out` writes).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("RegimeSweepResult serializes")
     }
-}
-
-/// `d ≤ 1/4` accuracy over `tasks` for one modeler, failures counted as
-/// incorrect (the paper divides by the number of tasks, not successes).
-fn quarter_accuracy(distances: &[f64]) -> f64 {
-    if distances.is_empty() {
-        return 0.0;
-    }
-    let hits = distances.iter().filter(|&&d| d <= 0.25 + 1e-12).count();
-    hits as f64 / distances.len() as f64
-}
-
-/// Models every task with `regression` and `dnn` in parallel, returning
-/// the two lead-exponent distance vectors (`INFINITY` for failures).
-fn model_tasks(
-    tasks: &[EvalTask],
-    regression: &RegressionModeler,
-    dnn: &DnnModeler,
-    threads: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let n = tasks.len();
-    let mut reg_d = vec![f64::INFINITY; n];
-    let mut dnn_d = vec![f64::INFINITY; n];
-    let threads = threads.max(1);
-    let chunk = n.div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        for ((task_c, reg_c), dnn_c) in tasks
-            .chunks(chunk)
-            .zip(reg_d.chunks_mut(chunk))
-            .zip(dnn_d.chunks_mut(chunk))
-        {
-            scope.spawn(move || {
-                for (i, task) in task_c.iter().enumerate() {
-                    if let Ok(r) = regression.model(&task.set) {
-                        reg_c[i] = lead_exponent_distance(&r.model, &task.truth.pairs);
-                    }
-                    if let Ok(r) = dnn.model(&task.set) {
-                        dnn_c[i] = lead_exponent_distance(&r.model, &task.truth.pairs);
-                    }
-                }
-            });
-        }
-    });
-    (reg_d, dnn_d)
 }
 
 /// Deterministic per-cell seed: mixes the base seed with the cell's
@@ -170,134 +103,153 @@ fn cell_seed(base: u64, train: &NoiseFamily, test: &NoiseFamily, noise: f64) -> 
     h
 }
 
-/// Adapts a clone of the pretrained DNN to `(family, noise)` — the
-/// once-per-train-regime step of the snippet-1 shape.
-fn adapt_to_regime(
-    pretrained: &DnnModeler,
-    config: &RegimeSweepConfig,
-    family: NoiseFamily,
-    noise: f64,
-) -> DnnModeler {
-    let mut dnn = pretrained.clone();
-    dnn.adapt_with_spec(&TrainingSpec {
-        samples_per_class: config.dnn.adaptation_samples_per_class,
-        noise_range: (noise, noise),
-        repetitions: config.repetitions,
-        family,
-        ..Default::default()
-    });
-    dnn
+/// A cell's `d ≤ 1/4` accuracy: regression's, then the DNN's.
+fn quarter(cell: &NoiseLevelResult) -> (f64, f64) {
+    (
+        cell.regression.buckets.within_quarter,
+        cell.dnn.buckets.within_quarter,
+    )
 }
 
-/// Evaluation tasks of one (test regime, noise) cell.
-fn cell_tasks(
+/// Runs the full sweep, writing each table row to `out` as soon as it is
+/// computed: pretrains the DNN once, calibrates the crossover per regime
+/// (the diagonal: the DNN adapted to that regime at each level of the
+/// noise grid), then fills the train × test transfer matrix at the matrix
+/// noise level (adapted once per train regime).
+pub fn run_regime_sweep(
     config: &RegimeSweepConfig,
-    train: &NoiseFamily,
-    test: NoiseFamily,
-    noise: f64,
-) -> Vec<EvalTask> {
-    let mut rng = StdRng::seed_from_u64(cell_seed(config.seed, train, &test, noise));
-    let spec = EvalTaskSpec {
-        repetitions: config.repetitions,
-        family: test,
-        ..EvalTaskSpec::paper(config.num_params, noise)
-    };
-    generate_eval_tasks(&spec, config.functions, &mut rng)
-}
-
-/// Runs the full sweep: pretrains the DNN once, calibrates the crossover
-/// per regime (diagonal sweep over the noise grid), then fills the
-/// train × test transfer matrix at the matrix noise level.
-pub fn run_regime_sweep(config: &RegimeSweepConfig) -> RegimeSweepResult {
-    let pretrained = DnnModeler::pretrained(config.dnn.clone());
-    let regression = RegressionModeler::default();
-
-    // Crossover calibration: per regime, accuracy curves over the noise
-    // grid with the DNN adapted to that regime at each level.
+    out: &mut impl Write,
+) -> io::Result<RegimeSweepResult> {
+    let sweep = &config.sweep;
+    let pretrained = DnnModeler::pretrained(sweep.adaptive.dnn.clone());
+    writeln!(
+        out,
+        "== regime crossover calibration (m = {}, {} functions/cell) ==",
+        sweep.num_params, sweep.functions
+    )?;
     let mut entries = Vec::new();
-    for family in &config.families {
-        let mut reg_acc = Vec::new();
-        let mut dnn_acc = Vec::new();
-        for &noise in &config.noise_levels {
-            let tasks = cell_tasks(config, family, *family, noise);
-            let dnn = adapt_to_regime(&pretrained, config, *family, noise);
-            let (reg_d, dnn_d) = model_tasks(&tasks, &regression, &dnn, config.threads);
-            reg_acc.push(quarter_accuracy(&reg_d));
-            dnn_acc.push(quarter_accuracy(&dnn_d));
-        }
-        let threshold = match (
-            AccuracyCurve::new(config.noise_levels.clone(), reg_acc.clone()),
-            AccuracyCurve::new(config.noise_levels.clone(), dnn_acc.clone()),
-        ) {
-            (Ok(reg), Ok(dnn)) => intersection_threshold(&reg, &dnn),
-            _ => None,
-        };
-        entries.push(ThresholdEntry {
+    for &family in &config.families {
+        let cells: Vec<NoiseLevelResult> = sweep
+            .noise_levels
+            .iter()
+            .map(|&noise| {
+                let seed = cell_seed(sweep.seed, &family, &family, noise);
+                sweep.cell(
+                    &sweep.adapt(&pretrained, family, noise),
+                    family,
+                    noise,
+                    seed,
+                )
+            })
+            .collect();
+        let (regression_accuracy, dnn_accuracy) = cells.iter().map(quarter).unzip();
+        let entry = ThresholdEntry {
             regime: family.to_string(),
-            threshold,
-            noise_levels: config.noise_levels.clone(),
-            regression_accuracy: reg_acc,
-            dnn_accuracy: dnn_acc,
-        });
+            threshold: crossing(&cells, |b| b.within_quarter),
+            noise_levels: sweep.noise_levels.clone(),
+            regression_accuracy,
+            dnn_accuracy,
+        };
+        write_entry(&entry, out)?;
+        entries.push(entry);
     }
 
-    // Transfer matrix: adapt once per train regime, evaluate on every test
-    // regime at the matrix noise level.
+    writeln!(
+        out,
+        "\n== transfer matrix: DNN accuracy %, adapt on row / test on column \
+         (noise {:.2}) ==",
+        config.matrix_noise
+    )?;
+    let names: Vec<String> = config.families.iter().map(|f| f.to_string()).collect();
+    let header: Vec<String> = names.iter().map(|n| format!("{n:>16}")).collect();
+    writeln!(out, "  {:<16} {}", "train \\ test", header.join(" "))?;
     let mut matrix = Vec::new();
-    for train in &config.families {
-        let dnn = adapt_to_regime(&pretrained, config, *train, config.matrix_noise);
-        for test in &config.families {
-            let tasks = cell_tasks(config, train, *test, config.matrix_noise);
-            let (reg_d, dnn_d) = model_tasks(&tasks, &regression, &dnn, config.threads);
-            matrix.push(RegimeCell {
-                train: train.to_string(),
-                test: test.to_string(),
-                regression_accuracy: quarter_accuracy(&reg_d),
-                dnn_accuracy: quarter_accuracy(&dnn_d),
-            });
-        }
+    for (train, name) in config.families.iter().zip(&names) {
+        let dnn = sweep.adapt(&pretrained, *train, config.matrix_noise);
+        let row: Vec<RegimeCell> = config
+            .families
+            .iter()
+            .map(|test| {
+                let seed = cell_seed(sweep.seed, train, test, config.matrix_noise);
+                let (regression_accuracy, dnn_accuracy) =
+                    quarter(&sweep.cell(&dnn, *test, config.matrix_noise, seed));
+                RegimeCell {
+                    train: name.clone(),
+                    test: test.to_string(),
+                    regression_accuracy,
+                    dnn_accuracy,
+                }
+            })
+            .collect();
+        let accuracies: Vec<String> = row
+            .iter()
+            .map(|c| format!("{:>16.1}", c.dnn_accuracy * 100.0))
+            .collect();
+        writeln!(out, "  {name:<16} {}", accuracies.join(" "))?;
+        matrix.extend(row);
     }
 
-    RegimeSweepResult {
+    Ok(RegimeSweepResult {
         table: ThresholdTable {
-            num_params: config.num_params,
+            num_params: sweep.num_params,
             entries,
         },
         matrix_noise: config.matrix_noise,
         matrix,
+    })
+}
+
+/// One regime's calibrated threshold and the curves it was read off of.
+fn write_entry(entry: &ThresholdEntry, out: &mut impl Write) -> io::Result<()> {
+    let threshold = match entry.threshold {
+        Some(t) => format!("{:.1}%", t * 100.0),
+        None => "no crossover (regression dominates)".to_string(),
+    };
+    writeln!(out, "  {:<16} threshold {}", entry.regime, threshold)?;
+    let percent = |values: &[f64]| -> Vec<String> {
+        values
+            .iter()
+            .map(|a| format!("{:>5.1}", a * 100.0))
+            .collect()
+    };
+    let noise: Vec<String> = entry
+        .noise_levels
+        .iter()
+        .map(|n| format!("{n:>5.2}"))
+        .collect();
+    let rows = [
+        ("noise", noise),
+        ("reg %", percent(&entry.regression_accuracy)),
+        ("dnn %", percent(&entry.dnn_accuracy)),
+    ];
+    for (label, cells) in rows {
+        writeln!(out, "    {label:<8}{}", cells.join(" "))?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nrpm_core::preprocess::NUM_INPUTS;
-    use nrpm_nn::NetworkConfig;
 
     fn tiny_config() -> RegimeSweepConfig {
-        RegimeSweepConfig {
+        let defaults = RegimeSweepConfig::default();
+        let mut sweep = SweepConfig {
             noise_levels: vec![0.05, 0.75],
-            matrix_noise: 0.5,
             functions: 8,
+            ..defaults.sweep.quick()
+        };
+        sweep.adaptive.dnn.seed = 2;
+        RegimeSweepConfig {
+            sweep,
             families: vec![NoiseFamily::Uniform, NoiseFamily::spike_contaminated()],
-            dnn: DnnOptions {
-                network: NetworkConfig::new(&[NUM_INPUTS, 48, nrpm_extrap::NUM_CLASSES]),
-                pretrain_spec: TrainingSpec {
-                    samples_per_class: 30,
-                    ..Default::default()
-                },
-                pretrain_epochs: 3,
-                adaptation_samples_per_class: 12,
-                seed: 2,
-                ..Default::default()
-            },
-            ..Default::default()
+            matrix_noise: 0.5,
         }
     }
 
     #[test]
     fn sweep_covers_the_grid_and_calibrates_per_regime() {
-        let result = run_regime_sweep(&tiny_config());
+        let result = run_regime_sweep(&tiny_config(), &mut io::sink()).unwrap();
         assert_eq!(result.table.entries.len(), 2);
         assert_eq!(result.matrix.len(), 4, "2 train × 2 test");
         for entry in &result.table.entries {
@@ -311,9 +263,14 @@ mod tests {
                 assert!((0.0..=1.0).contains(&a));
             }
         }
-        assert!(result.cell("uniform", "spike").is_some());
-        assert!(result.cell("spike", "uniform").is_some());
-        assert!(result.cell("uniform", "nope").is_none());
+        let pairs: Vec<(&str, &str)> = result
+            .matrix
+            .iter()
+            .map(|c| (c.train.as_str(), c.test.as_str()))
+            .collect();
+        let train_major = [("uniform", "uniform"), ("uniform", "spike")];
+        assert_eq!(pairs[..2], train_major);
+        assert_eq!(pairs[2..], [("spike", "uniform"), ("spike", "spike")]);
         // The calibrated table is loadable by the adaptive switch.
         for entry in &result.table.entries {
             if entry.threshold.is_some() {

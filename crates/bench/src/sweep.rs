@@ -1,24 +1,26 @@
-//! The synthetic sweep engine behind Fig. 3 (model accuracy and predictive
-//! power vs. noise, for one to three parameters).
+//! The one synthetic sweep engine, behind Fig. 3, `threshold_calibration`
+//! ([`crossing`]) and `nrpm sweep` ([`crate::regime`]).
 //!
-//! For every noise level the engine generates a batch of random PMNF
-//! functions, measures them on a noisy `5^m` grid, runs the regression
-//! modeler and the DNN modeler on each task (in parallel across worker
-//! threads), applies the adaptive switch, and aggregates lead-exponent
-//! accuracy buckets and extrapolation errors at the four `P⁺` points.
-//!
-//! Domain adaptation runs once per noise level: within a level every task
-//! shares the adaptation inputs (parameter count, point counts, noise
-//! range), so per-function retraining would retrain on an identical
-//! distribution (see DESIGN.md).
+//! A *cell* ([`SweepConfig::cell`]) is a batch of random PMNF functions
+//! measured on a noisy `5^m` grid at one noise level in one noise family.
+//! Each task is modeled by the regression modeler and the DNN modeler (in
+//! parallel across worker threads) and by the shipped adaptive switch
+//! ([`nrpm_core::adaptive::select`]) over the two; the cell aggregates
+//! lead-exponent accuracy buckets and extrapolation errors at the `P⁺`
+//! points. Domain adaptation runs once per cell ([`SweepConfig::adapt`]):
+//! within a cell every task shares the adaptation inputs, so per-function
+//! retraining would retrain on an identical distribution (see DESIGN.md).
 
-use nrpm_core::dnn::{DnnModeler, DnnOptions};
+use nrpm_core::adaptive::{select, AdaptiveOptions, ModelerChoice};
+use nrpm_core::dnn::DnnModeler;
 use nrpm_core::metrics::{lead_exponent_distance, relative_errors, AccuracyBuckets};
 use nrpm_core::noise::NoiseEstimate;
-use nrpm_core::threshold::default_threshold;
-use nrpm_extrap::{ModelingResult, RegressionModeler};
+use nrpm_core::preprocess::NUM_INPUTS;
+use nrpm_core::threshold::{intersection_threshold, AccuracyCurve};
+use nrpm_extrap::{ModelingResult, MultiParameterOptions, RegressionModeler};
 use nrpm_linalg::stats;
-use nrpm_synth::{generate_eval_tasks, EvalTask, EvalTaskSpec, TrainingSpec};
+use nrpm_nn::NetworkConfig;
+use nrpm_synth::{generate_eval_tasks, EvalTask, EvalTaskSpec, NoiseFamily, TrainingSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,23 +38,17 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Worker threads for the per-task modeling.
     pub threads: usize,
-    /// DNN modeler configuration.
-    pub dnn: DnnOptions,
-    /// Whether to run per-noise-level domain adaptation.
-    pub adaptation: bool,
-    /// Switching threshold override; `None` uses the defaults.
-    pub threshold: Option<f64>,
     /// Repetitions per measurement point (paper: 5; ablation knob).
     pub repetitions: usize,
-    /// Repetition aggregation used by both modelers (paper: median).
-    pub aggregation: nrpm_extrap::Aggregation,
-    /// Use the *refined* regression baseline (our extension beyond the
-    /// paper) instead of the paper-faithful one. Default false: Fig. 3
-    /// compares against the paper's baseline.
-    pub refined_baseline: bool,
+    /// The adaptive modeler under test: its DNN, regression baseline and
+    /// switch, and whether each cell domain-adapts the DNN. Tasks are
+    /// modeled as generated (no sanitization).
+    pub adaptive: AdaptiveOptions,
 }
 
 impl Default for SweepConfig {
+    /// Fig. 3's sweep: the paper's noise levels, 200 functions per level,
+    /// and the paper-faithful regression baseline.
     fn default() -> Self {
         SweepConfig {
             num_params: 1,
@@ -62,12 +58,14 @@ impl Default for SweepConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            dnn: DnnOptions::default(),
-            adaptation: true,
-            threshold: None,
             repetitions: 5,
-            aggregation: nrpm_extrap::Aggregation::Median,
-            refined_baseline: false,
+            adaptive: AdaptiveOptions {
+                regression: RegressionModeler {
+                    multi: MultiParameterOptions::paper_baseline(),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
         }
     }
 }
@@ -75,7 +73,8 @@ impl Default for SweepConfig {
 /// Aggregated statistics of one modeler at one noise level.
 #[derive(Debug, Clone)]
 pub struct ModelerStats {
-    /// Lead-exponent distances, one per successfully modelled task.
+    /// Lead-exponent distances, one per task in task order; a failed
+    /// task counts as `INFINITY`.
     pub distances: Vec<f64>,
     /// Accuracy-bucket fractions over `distances`.
     pub buckets: AccuracyBuckets,
@@ -95,11 +94,7 @@ impl ModelerStats {
     /// values).
     pub fn quarter_ci99(&self) -> Option<(f64, f64)> {
         let total = self.distances.len();
-        let hits = self
-            .distances
-            .iter()
-            .filter(|&&d| d <= 0.25 + 1e-12)
-            .count();
+        let hits = (self.buckets.within_quarter * total as f64).round() as usize;
         stats::wilson_interval(hits, total, 2.576)
     }
 
@@ -117,10 +112,11 @@ impl ModelerStats {
             ((z ^ (z >> 31)) % n as u64) as usize
         })
     }
-}
 
-impl ModelerStats {
-    fn from_tasks(results: &[Option<ModelTaskOutcome>], num_eval_points: usize) -> ModelerStats {
+    fn from_tasks<'a>(
+        results: impl Iterator<Item = Option<&'a Scored>>,
+        num_eval_points: usize,
+    ) -> ModelerStats {
         let mut distances = Vec::new();
         let mut per_point: Vec<Vec<f64>> = vec![Vec::new(); num_eval_points];
         let mut failures = 0;
@@ -151,23 +147,34 @@ impl ModelerStats {
     }
 }
 
-/// One modeler's outcome on one task.
+/// One modeler's model of one task, graded against the task's truth.
 #[derive(Debug, Clone)]
-struct ModelTaskOutcome {
+struct Scored {
     distance: f64,
     errors: Vec<f64>,
-    cv_smape: f64,
 }
 
-fn outcome(task: &EvalTask, result: &ModelingResult) -> ModelTaskOutcome {
-    ModelTaskOutcome {
-        distance: lead_exponent_distance(&result.model, &task.truth.pairs),
-        errors: relative_errors(&result.model, &task.eval_points),
-        cv_smape: result.cv_smape,
+/// Both modelers' models of one task and the switch's choice between them.
+#[derive(Debug, Clone)]
+struct TaskOutcome {
+    noise: f64,
+    regression: Option<Scored>,
+    dnn: Option<Scored>,
+    /// `None` when both modelers failed.
+    choice: Option<ModelerChoice>,
+}
+
+impl TaskOutcome {
+    fn adaptive(&self) -> Option<&Scored> {
+        match self.choice? {
+            ModelerChoice::Regression => self.regression.as_ref(),
+            ModelerChoice::Dnn => self.dnn.as_ref(),
+            ModelerChoice::ConstantMean => None,
+        }
     }
 }
 
-/// Results of one noise level.
+/// Results of one cell (one noise level of one family).
 #[derive(Debug, Clone)]
 pub struct NoiseLevelResult {
     /// The injected noise level (fraction).
@@ -182,133 +189,157 @@ pub struct NoiseLevelResult {
     pub adaptive: ModelerStats,
 }
 
-/// Runs the sweep: pretrains the DNN once, then processes every noise
-/// level. Returns one entry per noise level, in order.
+impl SweepConfig {
+    /// The same sweep on a CI-sized DNN (`nrpm sweep --quick`): one
+    /// 48-unit hidden layer, pretrained on 30 samples per class for 3
+    /// epochs, adapted on 12 per class.
+    pub fn quick(mut self) -> SweepConfig {
+        let dnn = &mut self.adaptive.dnn;
+        dnn.network = NetworkConfig::new(&[NUM_INPUTS, 48, nrpm_extrap::NUM_CLASSES]);
+        dnn.pretrain_spec.samples_per_class = 30;
+        dnn.pretrain_epochs = 3;
+        dnn.adaptation_samples_per_class = 12;
+        self
+    }
+
+    /// A clone of `pretrained`, domain-adapted to `family` noise at exactly
+    /// `noise` when [`AdaptiveOptions::use_domain_adaptation`] is set.
+    pub fn adapt(&self, pretrained: &DnnModeler, family: NoiseFamily, noise: f64) -> DnnModeler {
+        let mut dnn = pretrained.clone();
+        if self.adaptive.use_domain_adaptation {
+            dnn.adapt_with_spec(&TrainingSpec {
+                samples_per_class: self.adaptive.dnn.adaptation_samples_per_class,
+                noise_range: (noise, noise),
+                repetitions: self.repetitions,
+                family,
+                ..Default::default()
+            });
+        }
+        dnn
+    }
+
+    /// The `functions` evaluation tasks of one cell, drawn from `seed`.
+    fn tasks(&self, family: NoiseFamily, noise: f64, seed: u64) -> Vec<EvalTask> {
+        let spec = EvalTaskSpec {
+            repetitions: self.repetitions,
+            family,
+            ..EvalTaskSpec::paper(self.num_params, noise)
+        };
+        generate_eval_tasks(&spec, self.functions, &mut StdRng::seed_from_u64(seed))
+    }
+
+    /// Evaluates one cell: the tasks drawn from `seed` in `family` at
+    /// `noise`, modeled by the regression baseline, by `dnn`, and by the
+    /// adaptive switch over the two.
+    pub fn cell(
+        &self,
+        dnn: &DnnModeler,
+        family: NoiseFamily,
+        noise: f64,
+        seed: u64,
+    ) -> NoiseLevelResult {
+        let tasks = self.tasks(family, noise, seed);
+        let chunk = tasks.len().div_ceil(self.threads.max(1)).max(1);
+        let outcomes: Vec<TaskOutcome> = std::thread::scope(|scope| {
+            let workers: Vec<_> = tasks
+                .chunks(chunk)
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        chunk
+                            .iter()
+                            .map(|task| self.model_task(dnn, task))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("sweep worker panicked"))
+                .collect()
+        });
+
+        let points = tasks.first().map_or(0, |t| t.eval_points.len());
+        let modeler = |scored: fn(&TaskOutcome) -> Option<&Scored>| {
+            ModelerStats::from_tasks(outcomes.iter().map(scored), points)
+        };
+        let estimated: Vec<f64> = outcomes.iter().map(|o| o.noise).collect();
+        NoiseLevelResult {
+            noise,
+            estimated_noise: stats::mean(&estimated),
+            regression: modeler(|o| o.regression.as_ref()),
+            dnn: modeler(|o| o.dnn.as_ref()),
+            adaptive: modeler(TaskOutcome::adaptive),
+        }
+    }
+
+    fn model_task(&self, dnn: &DnnModeler, task: &EvalTask) -> TaskOutcome {
+        let regression = self.adaptive.regression.model(&task.set).ok();
+        let dnn = dnn.model(&task.set).ok();
+        let noise = NoiseEstimate::of(&task.set).mean();
+        let choice = select(
+            &self.adaptive,
+            task.set.num_params(),
+            noise,
+            dnn.as_ref(),
+            regression.as_ref(),
+        );
+        let score = |result: ModelingResult| Scored {
+            distance: lead_exponent_distance(&result.model, &task.truth.pairs),
+            errors: relative_errors(&result.model, &task.eval_points),
+        };
+        TaskOutcome {
+            noise,
+            regression: regression.map(score),
+            dnn: dnn.map(score),
+            choice,
+        }
+    }
+}
+
+/// Runs Fig. 3's sweep: pretrains the DNN once, then evaluates one
+/// uniform-noise cell per noise level. Returns one entry per noise level,
+/// in order.
 pub fn run_sweep(config: &SweepConfig) -> Vec<NoiseLevelResult> {
-    let pretrained = DnnModeler::pretrained(config.dnn.clone());
+    let pretrained = DnnModeler::pretrained(config.adaptive.dnn.clone());
     config
         .noise_levels
         .iter()
-        .map(|&noise| run_noise_level(config, &pretrained, noise))
+        .map(|&noise| {
+            let dnn = config.adapt(&pretrained, NoiseFamily::Uniform, noise);
+            let seed = config.seed ^ (noise * 1e6) as u64;
+            config.cell(&dnn, NoiseFamily::Uniform, noise, seed)
+        })
         .collect()
 }
 
-fn run_noise_level(config: &SweepConfig, pretrained: &DnnModeler, noise: f64) -> NoiseLevelResult {
-    let mut rng = StdRng::seed_from_u64(config.seed ^ (noise * 1e6) as u64);
-    let spec = EvalTaskSpec {
-        repetitions: config.repetitions,
-        ..EvalTaskSpec::paper(config.num_params, noise)
+/// Where the DNN's accuracy curve over `results`, by one accuracy bucket,
+/// overtakes the regression modeler's ([`intersection_threshold`]); `None`
+/// when they never cross or the levels are no curve (fewer than two, or
+/// not ascending).
+pub fn crossing(results: &[NoiseLevelResult], bucket: fn(&AccuracyBuckets) -> f64) -> Option<f64> {
+    let noise: Vec<f64> = results.iter().map(|r| r.noise).collect();
+    let curve = |stats: fn(&NoiseLevelResult) -> &ModelerStats| {
+        let accuracy = results.iter().map(|r| bucket(&stats(r).buckets)).collect();
+        AccuracyCurve::new(noise.clone(), accuracy).ok()
     };
-    let tasks = generate_eval_tasks(&spec, config.functions, &mut rng);
-
-    // Domain adaptation once per level: random sequences (they vary per
-    // task), the level's exact noise, the paper's repetition count.
-    let mut dnn = pretrained.clone();
-    if config.adaptation {
-        dnn.adapt_with_spec(&TrainingSpec {
-            samples_per_class: config.dnn.adaptation_samples_per_class,
-            noise_range: (noise, noise),
-            repetitions: spec.repetitions,
-            ..Default::default()
-        });
-    }
-
-    let threshold = config
-        .threshold
-        .unwrap_or_else(|| default_threshold(config.num_params));
-    let mut regression = RegressionModeler::default();
-    regression.single.aggregation = config.aggregation;
-    if !config.refined_baseline {
-        regression.multi = nrpm_extrap::MultiParameterOptions::paper_baseline();
-    }
-
-    // Parallel per-task modeling.
-    let num_tasks = tasks.len();
-    let mut reg_outcomes: Vec<Option<ModelTaskOutcome>> = vec![None; num_tasks];
-    let mut dnn_outcomes: Vec<Option<ModelTaskOutcome>> = vec![None; num_tasks];
-    let mut adaptive_outcomes: Vec<Option<ModelTaskOutcome>> = vec![None; num_tasks];
-    let mut estimated = vec![0.0f64; num_tasks];
-
-    let threads = config.threads.max(1);
-    let chunk = num_tasks.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let task_slices = tasks.chunks(chunk);
-        let reg_slices = reg_outcomes.chunks_mut(chunk);
-        let dnn_slices = dnn_outcomes.chunks_mut(chunk);
-        let ada_slices = adaptive_outcomes.chunks_mut(chunk);
-        let est_slices = estimated.chunks_mut(chunk);
-        for ((((task_c, reg_c), dnn_c), ada_c), est_c) in task_slices
-            .zip(reg_slices)
-            .zip(dnn_slices)
-            .zip(ada_slices)
-            .zip(est_slices)
-        {
-            let regression = &regression;
-            let dnn = &dnn;
-            scope.spawn(move || {
-                for (i, task) in task_c.iter().enumerate() {
-                    let reg_result = regression.model(&task.set).ok();
-                    let dnn_result = dnn.model(&task.set).ok();
-                    let est = NoiseEstimate::of(&task.set).mean();
-                    est_c[i] = est;
-
-                    reg_c[i] = reg_result.as_ref().map(|r| outcome(task, r));
-                    dnn_c[i] = dnn_result.as_ref().map(|r| outcome(task, r));
-
-                    // The adaptive switch: below the threshold both run and
-                    // the CV winner is taken (with a small margin favouring
-                    // the regression model, cf. AdaptiveOptions); above it,
-                    // DNN only.
-                    ada_c[i] = match (&reg_c[i], &dnn_c[i]) {
-                        (Some(r), Some(d)) if est < threshold => {
-                            if r.cv_smape <= d.cv_smape * 1.10 {
-                                Some(r.clone())
-                            } else {
-                                Some(d.clone())
-                            }
-                        }
-                        (_, Some(d)) => Some(d.clone()),
-                        (Some(r), None) => Some(r.clone()),
-                        (None, None) => None,
-                    };
-                }
-            });
-        }
-    });
-
-    NoiseLevelResult {
-        noise,
-        estimated_noise: stats::mean(&estimated),
-        regression: ModelerStats::from_tasks(&reg_outcomes, spec.num_eval_points),
-        dnn: ModelerStats::from_tasks(&dnn_outcomes, spec.num_eval_points),
-        adaptive: ModelerStats::from_tasks(&adaptive_outcomes, spec.num_eval_points),
-    }
+    intersection_threshold(&curve(|r| &r.regression)?, &curve(|r| &r.dnn)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nrpm_core::preprocess::NUM_INPUTS;
-    use nrpm_nn::NetworkConfig;
+    use nrpm_core::adaptive::AdaptiveModeler;
+    use nrpm_core::sanitize::SanitizePolicy;
 
     fn tiny_config() -> SweepConfig {
-        SweepConfig {
-            num_params: 1,
+        let mut config = SweepConfig {
             noise_levels: vec![0.02, 0.75],
             functions: 24,
-            dnn: DnnOptions {
-                network: NetworkConfig::new(&[NUM_INPUTS, 48, nrpm_extrap::NUM_CLASSES]),
-                pretrain_spec: TrainingSpec {
-                    samples_per_class: 30,
-                    ..Default::default()
-                },
-                pretrain_epochs: 3,
-                adaptation_samples_per_class: 20,
-                seed: 2,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
+            ..SweepConfig::default().quick()
+        };
+        config.adaptive.dnn.adaptation_samples_per_class = 20;
+        config.adaptive.dnn.seed = 2;
+        config
     }
 
     #[test]
@@ -351,5 +382,47 @@ mod tests {
                 assert!(stats.buckets.within_third <= stats.buckets.within_half + 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn the_adaptive_column_is_what_the_shipped_modeler_returns() {
+        let config = SweepConfig {
+            functions: 16,
+            ..tiny_config()
+        };
+        let mut shipped_options = config.adaptive.clone();
+        shipped_options.use_domain_adaptation = false;
+        shipped_options.sanitize.policy = SanitizePolicy::Off;
+        let pretrained = DnnModeler::pretrained(config.adaptive.dnn.clone());
+        let mut seen = Vec::new();
+        for &noise in &config.noise_levels {
+            let adapted = config.adapt(&pretrained, NoiseFamily::Uniform, noise);
+            let cell = config.cell(&adapted, NoiseFamily::Uniform, noise, 7);
+            let mut shipped =
+                AdaptiveModeler::from_network(shipped_options.clone(), adapted.network().clone());
+            let tasks = config.tasks(NoiseFamily::Uniform, noise, 7);
+            assert_eq!(cell.adaptive.distances.len(), tasks.len());
+            for (task, &distance) in tasks.iter().zip(&cell.adaptive.distances) {
+                let outcome = shipped.model(&task.set).expect("synthetic tasks model");
+                if outcome.choice == ModelerChoice::ConstantMean {
+                    continue;
+                }
+                assert_eq!(
+                    config.model_task(&adapted, task).choice,
+                    Some(outcome.choice),
+                    "noise {noise}"
+                );
+                assert_eq!(
+                    distance.to_bits(),
+                    lead_exponent_distance(&outcome.result.model, &task.truth.pairs).to_bits(),
+                    "noise {noise}"
+                );
+                seen.push(outcome.choice);
+            }
+        }
+        // Both sides of the switch were exercised: CV picks at 2 % noise,
+        // the DNN alone at 75 %.
+        assert!(seen.contains(&ModelerChoice::Regression), "{seen:?}");
+        assert!(seen.contains(&ModelerChoice::Dnn), "{seen:?}");
     }
 }

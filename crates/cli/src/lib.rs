@@ -11,7 +11,7 @@ use nrpm_bench::estimator::EstimatorSpec;
 use nrpm_bench::harness::{
     held_out_accuracy, ChaosConfig, Harness, CALIBRATION_NOISE_LEVELS, CASE_STUDY_SEED,
 };
-use nrpm_bench::regime::{run_regime_sweep, RegimeSweepConfig};
+use nrpm_bench::regime::RegimeSweepConfig;
 use nrpm_bench::sweep::SweepConfig;
 use nrpm_cluster::{Cluster, ClusterOptions, JoinAgent, JoinAgentOptions};
 use nrpm_core::adaptive::{AdaptiveModeler, AdaptiveOptions, AdaptiveOutcome};
@@ -28,11 +28,10 @@ use nrpm_linalg::ThreadBudget;
 use nrpm_nn::Network;
 use nrpm_registry::cache::JOURNAL_FILE;
 use nrpm_registry::checkpoints::VerifyIssue;
-use nrpm_registry::rollout::{RolloutJournal, RolloutRecord, ROLLOUT_JOURNAL_FILE};
+use nrpm_registry::rollout::{RolloutRecord, ROLLOUT_JOURNAL_FILE};
 use nrpm_registry::swap::SWAP_JOURNAL_FILE;
 use nrpm_registry::{
-    hex16, CheckpointRegistry, Journal, JournalError, RecoveryReport, ResultCache, SwapJournal,
-    SwapRecord,
+    hex16, CheckpointRegistry, Journal, JournalError, RecoveryReport, ResultCache, SwapRecord,
 };
 use nrpm_serve::adapt::AdaptOptions;
 use nrpm_serve::client::{Client, RetryPolicy, RetryingClient};
@@ -63,9 +62,6 @@ usage:
               [--once | --duration-ms T] [--window-capacity N]
               [--min-points N] [--fire-interval N] [--max-records N]
               [--allowed-lateness T]
-  nrpm sweep [--out FILE] [--thresholds-out FILE] [--functions N]
-             [--params M] [--noise l1,l2,...] [--matrix-noise L]
-             [--seed S] [--quick]
   nrpm query health|stats|shutdown [--addr HOST:PORT] [--timeout-ms T]
   nrpm query model <file> [--at x1,x2,...] [--addr HOST:PORT] [--timeout-ms T]
   nrpm query batch <file>... [--addr HOST:PORT] [--timeout-ms T]
@@ -93,6 +89,9 @@ paper-figure harnesses (each table prints as soon as it is computed):
   nrpm fig6_overhead [--seed S] [--trials T] [--paper-net]
   nrpm noise_estimator_eval [--sets N] [--points P] [--reps R] [--seed S] [--noise l1,...]
   nrpm threshold_calibration [--params M] [--functions N] [--noise l1,...] [--seed S]
+  nrpm sweep [--out FILE] [--thresholds-out FILE] [--functions N]
+             [--params M] [--noise l1,l2,...] [--matrix-noise L]
+             [--seed S] [--quick]
   nrpm chaos_eval [--campaigns N] [--rates r1,r2,...] [--noise L] [--seed S]
   nrpm dump_campaigns [--out DIR] [--seed S]
   FIG3 FLAGS: [--params 1|2|3] [--functions N] [--noise l1,...] [--seed S] [--reps R]
@@ -163,7 +162,9 @@ regime sweeping:
   load via --thresholds (with --regime selecting the row; default
   uniform). The full result including the transfer matrix at
   --matrix-noise goes to --out as JSON. --quick shrinks
-  the network for CI-sized runs.
+  the network for CI-sized runs. Its cells come from the same sweep
+  engine as fig3_* and threshold_calibration, and their adaptive
+  choice from the switch `fit --adaptive` and `serve` apply.
 
 caching:
   `serve` memoizes model outcomes per (measurement set, checkpoint,
@@ -368,27 +369,6 @@ pub enum Invocation {
         max_records: usize,
         /// Watermark lateness allowance (event-time units).
         allowed_lateness: f64,
-    },
-    /// Run the train-regime × test-regime noise sweep and calibrate the
-    /// switching-threshold table.
-    Sweep {
-        /// Write the full result (curves, thresholds, transfer matrix)
-        /// as JSON here.
-        out: Option<PathBuf>,
-        /// Write just the loadable threshold table as JSON here.
-        thresholds_out: Option<PathBuf>,
-        /// Functions generated per (regime, level) cell.
-        functions: usize,
-        /// Number of model parameters `m`.
-        params: usize,
-        /// Noise levels of the crossover curves (ascending).
-        noise_levels: Option<Vec<f64>>,
-        /// Noise level of the transfer-matrix cells.
-        matrix_noise: Option<f64>,
-        /// Base RNG seed.
-        seed: u64,
-        /// Shrink the network and corpus to CI size.
-        quick: bool,
     },
     /// Inspect or maintain a registry/cache directory.
     Registry {
@@ -683,16 +663,27 @@ impl Invocation {
                 if matrix_noise.is_some_and(|m| m.is_nan() || m <= 0.0) {
                     return Err("--matrix-noise: must be positive".to_string());
                 }
-                Ok(Invocation::Sweep {
-                    out: flags.value("out")?.map(PathBuf::from),
-                    thresholds_out: flags.value("thresholds-out")?.map(PathBuf::from),
-                    functions: flags.count("functions", 100, 1)?,
-                    params: flags.count("params", 1, 1)?,
-                    noise_levels,
-                    matrix_noise,
-                    seed: flags.number("seed")?.unwrap_or(0x1265),
-                    quick: flags.switch("quick"),
-                })
+                let out = flags.value("out")?.map(PathBuf::from);
+                let thresholds_out = flags.value("thresholds-out")?.map(PathBuf::from);
+                let mut config = RegimeSweepConfig::default();
+                if flags.switch("quick") {
+                    config.sweep = config.sweep.quick();
+                }
+                let sweep = &mut config.sweep;
+                sweep.functions = flags.count("functions", sweep.functions, 1)?;
+                sweep.num_params = flags.count("params", sweep.num_params, 1)?;
+                sweep.seed = flags.number("seed")?.unwrap_or(sweep.seed);
+                if let Some(levels) = noise_levels {
+                    sweep.noise_levels = levels;
+                }
+                if let Some(m) = matrix_noise {
+                    config.matrix_noise = m;
+                }
+                Ok(Invocation::Harness(Harness::RegimeSweep {
+                    config,
+                    out,
+                    thresholds_out,
+                }))
             }
             "registry" => {
                 let action = match positional.first().map(String::as_str) {
@@ -915,7 +906,6 @@ impl Invocation {
                         .unwrap_or(CALIBRATION_NOISE_LEVELS.to_vec()),
                     functions: flags.count("functions", 150, 1)?,
                     seed: flags.number("seed")?.unwrap_or(0x7123),
-                    adaptation: true,
                     ..Default::default()
                 };
                 Ok(Invocation::Harness(Harness::ThresholdCalibration(
@@ -998,7 +988,12 @@ fn fig3_sweeps(flags: &Flags, top_k: bool) -> Result<Vec<SweepConfig>, String> {
     let defaults = SweepConfig::default();
     let seed = flags.number("seed")?;
     let aggregation = flags.aggregation()?;
-    let mut dnn = dnn_options(flags, seed);
+    let mut adaptive = AdaptiveOptions {
+        dnn: dnn_options(flags, seed),
+        use_domain_adaptation: !flags.switch("no-adaptation"),
+        ..defaults.adaptive
+    };
+    let dnn = &mut adaptive.dnn;
     if top_k {
         dnn.top_k = flags.number("top-k")?.unwrap_or(dnn.top_k);
     }
@@ -1006,15 +1001,16 @@ fn fig3_sweeps(flags: &Flags, top_k: bool) -> Result<Vec<SweepConfig>, String> {
     if flags.switch("linear-encoding") {
         dnn.encoding = ValueScaling::MaxAbs;
     }
+    adaptive.regression.single.aggregation = aggregation;
+    if flags.switch("refined-baseline") {
+        adaptive.regression.multi = RegressionModeler::default().multi;
+    }
     let template = SweepConfig {
         noise_levels: flags.list("noise")?.unwrap_or(defaults.noise_levels),
         functions: flags.count("functions", defaults.functions, 1)?,
         seed: seed.unwrap_or(defaults.seed),
-        dnn,
-        adaptation: !flags.switch("no-adaptation"),
         repetitions: flags.count("reps", defaults.repetitions, 1)?,
-        aggregation,
-        refined_baseline: flags.switch("refined-baseline"),
+        adaptive,
         ..defaults
     };
     per_param_count(flags, template)
@@ -1474,28 +1470,6 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
                 allowed_lateness: *allowed_lateness,
             },
         }),
-        Invocation::Sweep {
-            out,
-            thresholds_out,
-            functions,
-            params,
-            noise_levels,
-            matrix_noise,
-            seed,
-            quick,
-        } => run_sweep(
-            out.as_deref(),
-            thresholds_out.as_deref(),
-            RegimeSweepConfig {
-                num_params: *params,
-                functions: *functions,
-                seed: *seed,
-                ..Default::default()
-            },
-            noise_levels.clone(),
-            *matrix_noise,
-            *quick,
-        ),
     }
 }
 
@@ -1629,118 +1603,6 @@ fn run_ingest(args: IngestArgs<'_>) -> Result<String, CliError> {
             hex16(hash),
             nrpm_ingest::INGEST_CANDIDATE_REF
         );
-    }
-    Ok(out)
-}
-
-/// `nrpm sweep`: run the regime grid, render the crossover and transfer
-/// tables, and write the JSON artifacts.
-fn run_sweep(
-    out_path: Option<&Path>,
-    thresholds_out: Option<&Path>,
-    mut config: RegimeSweepConfig,
-    noise_levels: Option<Vec<f64>>,
-    matrix_noise: Option<f64>,
-    quick: bool,
-) -> Result<String, CliError> {
-    if let Some(levels) = noise_levels {
-        config.noise_levels = levels;
-    }
-    if let Some(m) = matrix_noise {
-        config.matrix_noise = m;
-    }
-    if quick {
-        // CI-sized: a small network, short pretraining, light adaptation.
-        config.dnn.network = nrpm_nn::NetworkConfig::new(&[
-            nrpm_core::preprocess::NUM_INPUTS,
-            48,
-            nrpm_extrap::NUM_CLASSES,
-        ]);
-        config.dnn.pretrain_spec.samples_per_class = 30;
-        config.dnn.pretrain_epochs = 3;
-        config.dnn.adaptation_samples_per_class = 12;
-    }
-    let result = run_regime_sweep(&config);
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== regime crossover calibration (m = {}, {} functions/cell) ==",
-        config.num_params, config.functions
-    );
-    for entry in &result.table.entries {
-        let threshold = match entry.threshold {
-            Some(t) => format!("{:.1}%", t * 100.0),
-            None => "no crossover (regression dominates)".to_string(),
-        };
-        let _ = writeln!(out, "  {:<16} threshold {}", entry.regime, threshold);
-        let curve = |acc: &[f64]| {
-            acc.iter()
-                .map(|a| format!("{:>5.1}", a * 100.0))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        let _ = writeln!(
-            out,
-            "    noise   {}",
-            entry
-                .noise_levels
-                .iter()
-                .map(|n| format!("{:>5.2}", n))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        let _ = writeln!(out, "    reg %   {}", curve(&entry.regression_accuracy));
-        let _ = writeln!(out, "    dnn %   {}", curve(&entry.dnn_accuracy));
-    }
-    let _ = writeln!(
-        out,
-        "\n== transfer matrix: DNN accuracy %, adapt on row / test on column \
-         (noise {:.2}) ==",
-        result.matrix_noise
-    );
-    let names: Vec<&str> = {
-        let mut seen = Vec::new();
-        for cell in &result.matrix {
-            if !seen.contains(&cell.train.as_str()) {
-                seen.push(cell.train.as_str());
-            }
-        }
-        seen
-    };
-    let _ = writeln!(
-        out,
-        "  {:<16} {}",
-        "train \\ test",
-        names
-            .iter()
-            .map(|n| format!("{:>16}", n))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    for train in &names {
-        let cells = names
-            .iter()
-            .map(|test| {
-                result
-                    .cell(train, test)
-                    .map(|c| format!("{:>16.1}", c.dnn_accuracy * 100.0))
-                    .unwrap_or_else(|| format!("{:>16}", "-"))
-            })
-            .collect::<Vec<_>>()
-            .join(" ");
-        let _ = writeln!(out, "  {train:<16} {cells}");
-    }
-
-    if let Some(path) = out_path {
-        std::fs::write(path, result.to_json())
-            .map_err(|e| CliError::io(format!("{}: {e}", path.display())))?;
-        let _ = writeln!(out, "\nwrote {}", path.display());
-    }
-    if let Some(path) = thresholds_out {
-        std::fs::write(path, result.table.to_json())
-            .map_err(|e| CliError::io(format!("{}: {e}", path.display())))?;
-        let _ = writeln!(out, "wrote {}", path.display());
     }
     Ok(out)
 }
@@ -1931,15 +1793,16 @@ fn cluster_signal(
 /// `nrpm cluster rollout`: push a new checkpoint through the router's
 /// rolling-rollout driver. The walk is synchronous on the router side
 /// (drain → sync → swap → verify per shard), so the default timeout is
-/// generous.
+/// generous. The file's bytes are sent as they are, so the router names the
+/// checkpoint as `serve --model` and `registry warm` do.
 fn cluster_rollout(model: &Path, addr: &str, timeout_ms: Option<u64>) -> Result<String, CliError> {
-    let network =
-        Network::load(model).map_err(|e| CliError::io(format!("{}: {e}", model.display())))?;
+    let bytes = std::fs::read_to_string(model)
+        .map_err(|e| CliError::io(format!("{}: {e}", model.display())))?;
     let socket = resolve_addr(addr)?;
     let timeout = Duration::from_millis(timeout_ms.unwrap_or(120_000).max(1));
     let request = serde_json::to_string(&Value::Map(vec![
         ("cmd".to_string(), Value::Str("cluster_rollout".to_string())),
-        ("network".to_string(), Value::Str(network.to_json())),
+        ("network".to_string(), Value::Str(bytes)),
     ]))
     .map_err(|e| CliError::io(format!("{}: {e}", model.display())))?;
     let mut client =
@@ -2118,63 +1981,36 @@ fn registry_verify(dir: &Path) -> Result<String, CliError> {
 }
 
 /// `nrpm registry gc`: drop checkpoints no ref points at and rewrite the
-/// cache journal down to its live entries. Checkpoints named by the swap
-/// journal — the serving one, the previous (rollback-target) one, and any
-/// pending swap's candidate — and by the rollout journal — the last
-/// completed target and both sides of a pending rollout — are pinned even
-/// without a ref, so a crash, rollback or resumed rollout can never land
-/// on a collected hash.
+/// cache journal down to its live entries. Checkpoints the registry's swap
+/// and rollout journals still name are pinned even without a ref (see
+/// [`CheckpointRegistry::gc`]).
 fn registry_gc(dir: &Path, cache_capacity: usize, dry_run: bool) -> Result<String, CliError> {
     let registry = open_registry(dir, true)?;
-    type LiveHashes = fn(&Path) -> std::io::Result<std::collections::HashSet<u64>>;
-    // Every journal that can name a checkpoint no ref points at: a swap's
-    // serving and rollback targets, an interrupted rollout's target and
-    // incumbent. Their union is pinned.
-    let journals: [(&str, &str, LiveHashes); 2] = [
-        ("swap", SWAP_JOURNAL_FILE, |d| {
-            Ok(SwapJournal::open(d)?.0.live_hashes())
-        }),
-        ("rollout", ROLLOUT_JOURNAL_FILE, |d| {
-            Ok(RolloutJournal::open(d)?.0.live_hashes())
-        }),
-    ];
-    let mut pins = std::collections::HashSet::new();
     let mut out = String::new();
-    for (name, file, live_hashes) in journals {
-        if !dir.join(file).exists() {
-            continue;
-        }
-        let live = live_hashes(dir).map_err(|e| {
-            CliError::io(format!(
-                "{}: cannot read {name} journal: {e}",
-                dir.display()
-            ))
-        })?;
-        let _ = writeln!(out, "{name}-journal pinned checkpoints: {}", live.len());
+    for (name, pinned) in registry.journal_pins().map_err(|e| in_dir(dir, e))? {
+        let _ = writeln!(out, "{name}-journal pinned checkpoints: {}", pinned.len());
         if dry_run {
-            let mut pinned: Vec<u64> = live.iter().copied().collect();
-            pinned.sort_unstable();
             for hash in pinned {
                 let _ = writeln!(out, "pinned checkpoint {} ({name} journal)", hex16(hash));
             }
         }
-        pins.extend(live);
+    }
+    let (removed, verb) = if dry_run {
+        (registry.gc_plan(), "would remove")
+    } else {
+        (registry.gc(), "removed")
+    };
+    let removed = removed.map_err(|e| in_dir(dir, e))?;
+    for hash in &removed {
+        let _ = writeln!(out, "{verb} unreferenced checkpoint {}", hex16(*hash));
     }
     if dry_run {
-        let doomed = registry.gc_plan(&pins).map_err(|e| in_dir(dir, e))?;
-        for hash in &doomed {
-            let _ = writeln!(out, "would remove unreferenced checkpoint {}", hex16(*hash));
-        }
         let _ = writeln!(
             out,
             "checkpoints that would be removed: {} (dry run; nothing deleted)",
-            doomed.len()
+            removed.len()
         );
         return Ok(out);
-    }
-    let removed = registry.gc_with_pins(&pins).map_err(|e| in_dir(dir, e))?;
-    for hash in &removed {
-        let _ = writeln!(out, "removed unreferenced checkpoint {}", hex16(*hash));
     }
     let _ = writeln!(out, "checkpoints removed: {}", removed.len());
     if dir.join(JOURNAL_FILE).exists() {
@@ -2281,6 +2117,8 @@ fn response_to_output(response: &Value) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use nrpm_extrap::Aggregation;
+    use nrpm_registry::rollout::RolloutJournal;
+    use nrpm_registry::SwapJournal;
 
     fn parse(s: &str) -> Result<Invocation, String> {
         Invocation::parse(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
@@ -2560,25 +2398,24 @@ mod tests {
             sweeps.iter().map(|s| s.num_params).collect::<Vec<_>>(),
             [1, 2, 3]
         );
-        assert!(sweeps
-            .iter()
-            .all(|s| s.functions == 10 && s.seed == 7 && s.dnn.seed == 7 && s.dnn.top_k == 2));
+        assert!(sweeps.iter().all(|s| s.functions == 10
+            && s.seed == 7
+            && s.adaptive.dnn.seed == 7
+            && s.adaptive.dnn.top_k == 2));
         // Every other field keeps the sweep's defaults (200 functions, 5
-        // repetitions, seed 0xF16).
+        // repetitions, seed 0xF16, the paper baseline).
+        let mut sweep = SweepConfig {
+            num_params: 3,
+            noise_levels: vec![0.1, 1.0],
+            ..Default::default()
+        };
+        sweep.adaptive.use_domain_adaptation = false;
+        sweep.adaptive.dnn.aggregation = Aggregation::Minimum;
+        sweep.adaptive.regression.single.aggregation = Aggregation::Minimum;
         assert_eq!(
             parse("fig3_power --params 3 --aggregation min --noise 0.1,1 --no-adaptation").unwrap(),
             Invocation::Harness(Harness::Fig3Power {
-                sweeps: vec![SweepConfig {
-                    num_params: 3,
-                    noise_levels: vec![0.1, 1.0],
-                    adaptation: false,
-                    aggregation: Aggregation::Minimum,
-                    dnn: DnnOptions {
-                        aggregation: Aggregation::Minimum,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                }],
+                sweeps: vec![sweep],
                 ci: false,
             })
         );
@@ -2665,29 +2502,29 @@ mod tests {
                  --noise 0.1,0.5,1.0 --matrix-noise 0.4 --seed 7 --quick"
             )
             .unwrap(),
-            Invocation::Sweep {
+            Invocation::Harness(Harness::RegimeSweep {
+                config: RegimeSweepConfig {
+                    sweep: SweepConfig {
+                        num_params: 2,
+                        noise_levels: vec![0.1, 0.5, 1.0],
+                        functions: 12,
+                        seed: 7,
+                        ..RegimeSweepConfig::default().sweep.quick()
+                    },
+                    matrix_noise: 0.4,
+                    ..RegimeSweepConfig::default()
+                },
                 out: Some("b.json".into()),
                 thresholds_out: Some("t.json".into()),
-                functions: 12,
-                params: 2,
-                noise_levels: Some(vec![0.1, 0.5, 1.0]),
-                matrix_noise: Some(0.4),
-                seed: 7,
-                quick: true,
-            }
+            })
         );
         assert_eq!(
             parse("sweep").unwrap(),
-            Invocation::Sweep {
+            Invocation::Harness(Harness::RegimeSweep {
+                config: RegimeSweepConfig::default(),
                 out: None,
                 thresholds_out: None,
-                functions: 100,
-                params: 1,
-                noise_levels: None,
-                matrix_noise: None,
-                seed: 0x1265,
-                quick: false,
-            }
+            })
         );
     }
 

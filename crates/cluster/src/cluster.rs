@@ -493,7 +493,10 @@ impl Cluster {
     /// anywhere in the walk recovers to a single-epoch fleet at the next
     /// launch. Requires a registry.
     pub fn rollout(&self, network: Network) -> Result<crate::rollout::RolloutReport, String> {
-        crate::rollout::run_rollout(&self.state, network, None)
+        let target = crate::rollout::source_registry(&self.state)?
+            .put(&network)
+            .map_err(|e| e.to_string())?;
+        crate::rollout::run_rollout(&self.state, (network, target), None)
     }
 
     /// `true` once a drain has begun.

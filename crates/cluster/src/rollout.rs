@@ -56,19 +56,28 @@ impl Drop for ActiveGuard<'_> {
     }
 }
 
-/// Runs a rolling rollout of `network` (see the [module docs](self)).
+/// The registry a rollout's target must be stored in before
+/// [`run_rollout`] walks it out: the cluster's `--registry-dir`.
+pub(crate) fn source_registry(state: &ClusterState) -> Result<CheckpointRegistry, String> {
+    let Some(dir) = &state.opts.registry_dir else {
+        return Err("rolling rollout requires a registry (launch with --registry-dir)".into());
+    };
+    CheckpointRegistry::open(dir).map_err(|e| e.to_string())
+}
+
+/// Runs a rolling rollout of `network`, already stored in the
+/// [`source_registry`] under `target` (see the [module docs](self)).
 ///
 /// `crash_after` is the crash-drill hook: `Some(n)` aborts the process of
 /// walking after `n` shards landed, leaving the journal pending exactly
 /// as a real crash would.
 pub(crate) fn run_rollout(
     state: &Arc<ClusterState>,
-    network: Network,
+    (network, target): (Network, u64),
     crash_after: Option<usize>,
 ) -> Result<RolloutReport, String> {
-    let Some(dir) = state.opts.registry_dir.clone() else {
-        return Err("rolling rollout requires a registry (launch with --registry-dir)".into());
-    };
+    let source = source_registry(state)?;
+    let dir = source.root();
     if state
         .rollout_active
         .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
@@ -78,10 +87,8 @@ pub(crate) fn run_rollout(
     }
     let _guard = ActiveGuard(state);
 
-    let source = CheckpointRegistry::open(&dir).map_err(|e| e.to_string())?;
-    let target = source.put(&network).map_err(|e| e.to_string())?;
     let incumbent = state.serving_hash().unwrap_or(0);
-    let (mut journal, _) = RolloutJournal::open(&dir).map_err(|e| e.to_string())?;
+    let (mut journal, _) = RolloutJournal::open(dir).map_err(|e| e.to_string())?;
     let (seq, mut landed) = match journal.pending() {
         // Re-running the same rollout resumes where it stopped.
         Some(pending) if pending.target == target => (pending.seq, pending.done),

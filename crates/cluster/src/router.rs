@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nrpm_core::fingerprint::{mix64, set_fingerprint};
-use nrpm_registry::hex16;
+use nrpm_registry::{hex16, RegistryError};
 use nrpm_serve::line::{self, serve_lines, Disposition, LineHandler, LineLimits};
 use nrpm_serve::protocol::{error_line, ok_line, parse_json, ErrorKind, Request, MAX_LINE_BYTES};
 use serde::Value;
@@ -217,26 +217,27 @@ fn handle_membership(verb: &str, value: &Value, state: &Arc<ClusterState>) -> St
     }
 }
 
-/// Handles `cluster_rollout`: parses the target network off the request
-/// and drives the rolling walk synchronously, answering when the fleet is
-/// fully on the target (or the walk failed with the journal pending).
+/// Handles `cluster_rollout`: stores the target checkpoint's bytes as sent
+/// (`put_bytes`: named by their own hash, parsed once) and drives the
+/// rolling walk synchronously, answering when the fleet is fully on the
+/// target (or the walk failed with the journal pending).
 fn handle_rollout(value: &Value, state: &Arc<ClusterState>) -> String {
-    let Some(text) = value.get("network").and_then(Value::as_str) else {
+    let Some(bytes) = value.get("network").and_then(Value::as_str) else {
         return error_line(
             None,
             ErrorKind::Usage,
             "cluster_rollout requires a `network` field (the serialized target network)",
         );
     };
-    let network = match nrpm_nn::Network::from_json(text) {
-        Ok(network) => network,
-        Err(e) => {
-            return error_line(
-                None,
-                ErrorKind::Usage,
-                &format!("cluster_rollout: invalid network: {e}"),
-            );
-        }
+    let stored = crate::rollout::source_registry(state).and_then(|source| {
+        source.put_bytes(bytes).map_err(|e| match e {
+            RegistryError::Corrupt(e) => format!("cluster_rollout: invalid network: {e}"),
+            e => e.to_string(),
+        })
+    });
+    let checkpoint = match stored {
+        Ok(checkpoint) => checkpoint,
+        Err(message) => return error_line(None, ErrorKind::Usage, &message),
     };
     let crash_after = value.get("crash_after").and_then(Value::as_u64);
     if crash_after.is_some() && !state.opts.debug_hooks {
@@ -246,7 +247,7 @@ fn handle_rollout(value: &Value, state: &Arc<ClusterState>) -> String {
             "crash_after is a test hook; launch the cluster with debug hooks to use it",
         );
     }
-    match crate::rollout::run_rollout(state, network, crash_after.map(|n| n as usize)) {
+    match crate::rollout::run_rollout(state, checkpoint, crash_after.map(|n| n as usize)) {
         Ok(report) => ok_line(
             None,
             vec![

@@ -309,6 +309,29 @@ fn registry_distribution_gives_every_shard_the_same_checkpoint() {
         Some(expected.as_str())
     );
 
+    // A rollout is named by the bytes it was sent, not by the canonical
+    // JSON of the network they hold (here: a trailing newline).
+    let bytes = format!("{}\n", test_network(9).to_json());
+    let named = bytes_hash(bytes.as_bytes());
+    let request = serde_json::to_string(&Value::Map(vec![
+        ("cmd".into(), Value::Str("cluster_rollout".into())),
+        ("network".into(), Value::Str(bytes.clone())),
+    ]))
+    .unwrap();
+    let mut admin = Client::connect(cluster.router_addr(), Duration::from_secs(60)).unwrap();
+    let reply = admin.roundtrip_line(&request).unwrap();
+    assert_eq!(
+        reply.get("target").and_then(Value::as_str),
+        Some(hex16(named).as_str()),
+        "{reply:?}"
+    );
+    assert_eq!(cluster.serving_hash(), Some(named));
+    let object = dir.join("objects").join(format!("{}.json", hex16(named)));
+    assert_eq!(std::fs::read_to_string(object).unwrap(), bytes);
+    for shard in 0..3 {
+        assert_eq!(cluster.shard_store(shard).unwrap().checkpoint_hash(), named);
+    }
+
     // Hot-swap one shard's store directly: the router's stats must
     // surface the divergence operators would chase during a rolling swap.
     let other = test_network(8);

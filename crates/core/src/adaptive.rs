@@ -83,7 +83,10 @@ impl Default for AdaptiveOptions {
 }
 
 impl AdaptiveOptions {
-    fn threshold_for(&self, num_params: usize) -> f64 {
+    /// The switching threshold for a set with `num_params` parameters:
+    /// the configured one for that count (the last one for larger counts),
+    /// else [`default_threshold`].
+    pub fn threshold_for(&self, num_params: usize) -> f64 {
         match &self.thresholds {
             Some(t) if !t.is_empty() => {
                 let idx = num_params.saturating_sub(1).min(t.len() - 1);
@@ -279,9 +282,38 @@ fn prepare(opts: &AdaptiveOptions, set: &MeasurementSet) -> Result<Prepared, Mod
     })
 }
 
+/// The adaptive switch (Sec. IV-A): which modeler's result to take, given
+/// the set's noise level and what each modeler returned (`None`: failed,
+/// or not consulted). Below [`AdaptiveOptions::threshold_for`] the CV-SMAPE
+/// decides, the [`selection_margin`](AdaptiveOptions::selection_margin)
+/// favouring regression; at or above it the DNN's result wins whenever
+/// there is one. A lone result wins; `None` when both modelers failed.
+pub fn select(
+    opts: &AdaptiveOptions,
+    num_params: usize,
+    noise: f64,
+    dnn: Option<&ModelingResult>,
+    regression: Option<&ModelingResult>,
+) -> Option<ModelerChoice> {
+    match (dnn, regression) {
+        (Some(d), Some(r)) if noise < opts.threshold_for(num_params) => {
+            let margin = 1.0 + opts.selection_margin.max(0.0);
+            Some(if r.cv_smape <= d.cv_smape * margin {
+                ModelerChoice::Regression
+            } else {
+                ModelerChoice::Dnn
+            })
+        }
+        (Some(_), _) => Some(ModelerChoice::Dnn),
+        (None, Some(_)) => Some(ModelerChoice::Regression),
+        (None, None) => None,
+    }
+}
+
 /// The selection half of the adaptive pipeline: consult the regression
-/// modeler below the noise threshold, pick the cross-validated winner, and
-/// degrade along DNN → regression → constant mean when needed.
+/// modeler below the noise threshold (or when the DNN failed), let
+/// [`select`] pick the winner, and degrade to the constant-mean model when
+/// both modelers fail recoverably.
 fn finish(
     opts: &AdaptiveOptions,
     prepared: Prepared,
@@ -293,86 +325,44 @@ fn finish(
         noise,
         threshold,
     } = prepared;
-    let set = &set;
-    let use_regression = noise.mean() < threshold;
-    let regression_result = if use_regression {
-        opts.regression.model(set).ok()
+    // Above the threshold the regression modeler is skipped, unless the
+    // DNN failed: then it is the last resort before the constant mean.
+    let regression_result = if noise.mean() < threshold || dnn_result.is_err() {
+        opts.regression.model(&set).ok()
     } else {
         None
     };
-
-    // Select the winner by cross-validated SMAPE.
-    match (dnn_result, &regression_result) {
-        (Ok(d), Some(r)) => {
-            let margin = 1.0 + opts.selection_margin.max(0.0);
-            let (result, choice) = if r.cv_smape <= d.cv_smape * margin {
-                (r.clone(), ModelerChoice::Regression)
-            } else {
-                (d.clone(), ModelerChoice::Dnn)
-            };
-            Ok(AdaptiveOutcome {
-                result,
-                noise,
-                threshold,
-                regression_result,
-                dnn_result: Some(d),
-                choice,
-                quality,
-            })
+    let dnn = dnn_result.as_ref().ok();
+    let regression = regression_result.as_ref();
+    let (result, choice) = match select(opts, set.num_params(), noise.mean(), dnn, regression) {
+        Some(ModelerChoice::Dnn) => (dnn.cloned(), ModelerChoice::Dnn),
+        Some(choice) => (regression.cloned(), choice),
+        None => {
+            // Final rung of the degradation chain: recoverable failures
+            // (too few points, no viable hypothesis, …) still leave
+            // aggregable data — describe it with the constant model at the
+            // mean so the caller gets an answer. Fatal errors (broken
+            // coordinate domain) propagate.
+            let e = dnn_result
+                .as_ref()
+                .expect_err("select chooses when the DNN succeeded")
+                .clone();
+            let fallback = e
+                .is_recoverable()
+                .then(|| constant_mean_result(&set, opts.dnn.aggregation))
+                .flatten();
+            (Some(fallback.ok_or(e)?), ModelerChoice::ConstantMean)
         }
-        (Ok(d), None) => Ok(AdaptiveOutcome {
-            result: d.clone(),
-            noise,
-            threshold,
-            regression_result,
-            dnn_result: Some(d),
-            choice: ModelerChoice::Dnn,
-            quality,
-        }),
-        (Err(_), Some(r)) => Ok(AdaptiveOutcome {
-            result: r.clone(),
-            noise,
-            threshold,
-            regression_result,
-            dnn_result: None,
-            choice: ModelerChoice::Regression,
-            quality,
-        }),
-        (Err(e), None) => {
-            // Above the threshold the regression modeler was skipped;
-            // as a last resort consult it before degrading further.
-            if let Ok(r) = opts.regression.model(set) {
-                return Ok(AdaptiveOutcome {
-                    result: r.clone(),
-                    noise,
-                    threshold,
-                    regression_result: Some(r),
-                    dnn_result: None,
-                    choice: ModelerChoice::Regression,
-                    quality,
-                });
-            }
-            // Final rung of the degradation chain: recoverable
-            // failures (too few points, no viable hypothesis, …) still
-            // leave aggregable data — describe it with the constant
-            // model at the mean so the caller gets an answer. Fatal
-            // errors (broken coordinate domain) propagate.
-            if e.is_recoverable() {
-                if let Some(result) = constant_mean_result(set, opts.dnn.aggregation) {
-                    return Ok(AdaptiveOutcome {
-                        result,
-                        noise,
-                        threshold,
-                        regression_result: None,
-                        dnn_result: None,
-                        choice: ModelerChoice::ConstantMean,
-                        quality,
-                    });
-                }
-            }
-            Err(e)
-        }
-    }
+    };
+    Ok(AdaptiveOutcome {
+        result: result.expect("select picks a modeler that succeeded"),
+        noise,
+        threshold,
+        regression_result,
+        dnn_result: dnn_result.ok(),
+        choice,
+        quality,
+    })
 }
 
 /// The constant-mean fallback model: `f(x) = mean(aggregated values)`, with
@@ -587,6 +577,31 @@ mod tests {
         assert!(outcome.result.model.terms.is_empty());
         assert!((outcome.result.model.evaluate(&[32.0]) - 10.0).abs() < 1.0);
         assert!(outcome.result.cv_smape.is_finite());
+    }
+
+    #[test]
+    fn select_races_cv_below_the_threshold_and_takes_the_dnn_above() {
+        use ModelerChoice::{Dnn, Regression};
+        let opts = AdaptiveOptions::default(); // m = 1: 25 %, m = 2: 20 %
+        let scored = |cv_smape| ModelingResult {
+            model: Model::constant_model(1, 1.0),
+            cv_smape,
+            fit_smape: cv_smape,
+        };
+        let pick = |m, noise, dnn: Option<f64>, regression: Option<f64>| {
+            let (d, r) = (dnn.map(scored), regression.map(scored));
+            select(&opts, m, noise, d.as_ref(), r.as_ref())
+        };
+        // Within the 10 % margin the regression model wins; past it, the DNN.
+        assert_eq!(pick(1, 0.1, Some(1.0), Some(1.1)), Some(Regression));
+        assert_eq!(pick(1, 0.1, Some(1.0), Some(1.2)), Some(Dnn));
+        // At or above the threshold the DNN wins whatever the CV says.
+        assert_eq!(pick(1, 0.25, Some(1.0), Some(0.0)), Some(Dnn));
+        assert_eq!(pick(2, 0.22, Some(1.0), Some(0.0)), Some(Dnn));
+        // A lone result wins at any noise; no result is no choice.
+        assert_eq!(pick(1, 0.1, Some(1.0), None), Some(Dnn));
+        assert_eq!(pick(1, 0.9, None, Some(5.0)), Some(Regression));
+        assert_eq!(pick(1, 0.0, None, None), None);
     }
 
     #[test]

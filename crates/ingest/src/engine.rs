@@ -51,9 +51,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// Registry ref the ingester publishes model candidates under; the serving
-/// process's feed watcher follows this ref.
-pub const INGEST_CANDIDATE_REF: &str = "ingest-candidate";
+/// Registry ref the ingester publishes model candidates under: the one the
+/// serving process's feed watcher follows by default.
+pub use nrpm_serve::adapt::INGEST_CANDIDATE_REF;
 
 /// Most recent fire reports kept for inspection.
 const FIRE_LOG_CAP: usize = 32;

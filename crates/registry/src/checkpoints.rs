@@ -19,7 +19,8 @@
 //! parsing it, so a damaged object is never handed out under a hash it does
 //! not have; [`CheckpointRegistry::verify`] does the same for every object
 //! and checks every ref resolves; [`CheckpointRegistry::gc`] deletes
-//! objects no ref points to.
+//! objects that neither a ref nor a journal in the registry's directory
+//! (the swap and rollout journals) keeps alive.
 
 use std::collections::HashSet;
 use std::fs;
@@ -27,6 +28,9 @@ use std::path::{Path, PathBuf};
 
 use nrpm_core::fingerprint::bytes_hash;
 use nrpm_nn::{Network, NetworkError};
+
+use crate::rollout::{RolloutJournal, ROLLOUT_JOURNAL_FILE};
+use crate::swap::{SwapJournal, SWAP_JOURNAL_FILE};
 
 /// Why checkpoint-registry operations fail.
 #[derive(Debug)]
@@ -136,10 +140,26 @@ impl VerifyOutcome {
     }
 }
 
+/// Reads the checkpoints a journal in a registry directory names.
+type LiveHashes = fn(&Path) -> std::io::Result<HashSet<u64>>;
+
+/// Every journal that can name a checkpoint no ref points at (a swap's
+/// serving and rollback targets, a rollout's target); collecting one could
+/// leave a recovering, rolling-back or resumed server on a deleted object.
+const PINNING_JOURNALS: [(&str, &str, LiveHashes); 2] = [
+    ("swap", SWAP_JOURNAL_FILE, |dir| {
+        Ok(SwapJournal::open(dir)?.0.live_hashes())
+    }),
+    ("rollout", ROLLOUT_JOURNAL_FILE, |dir| {
+        Ok(RolloutJournal::open(dir)?.0.live_hashes())
+    }),
+];
+
 /// The on-disk checkpoint store. See the [module docs](self) for layout
 /// and guarantees.
 #[derive(Debug, Clone)]
 pub struct CheckpointRegistry {
+    root: PathBuf,
     objects: PathBuf,
     refs: PathBuf,
 }
@@ -152,7 +172,16 @@ impl CheckpointRegistry {
         let refs = dir.join("refs");
         fs::create_dir_all(&objects)?;
         fs::create_dir_all(&refs)?;
-        Ok(CheckpointRegistry { objects, refs })
+        Ok(CheckpointRegistry {
+            root: dir.to_path_buf(),
+            objects,
+            refs,
+        })
+    }
+
+    /// The directory the registry is rooted at.
+    pub fn root(&self) -> &Path {
+        &self.root
     }
 
     fn object_path(&self, hash: u64) -> PathBuf {
@@ -347,37 +376,48 @@ impl CheckpointRegistry {
         Ok(outcome)
     }
 
-    /// Deletes every object no ref points at. Returns the deleted hashes.
+    /// Deletes every object that neither a ref nor a journal in the
+    /// registry's directory keeps alive. Returns the deleted hashes.
     pub fn gc(&self) -> Result<Vec<u64>, RegistryError> {
-        self.gc_with_pins(&HashSet::new())
-    }
-
-    /// Deletes every object that neither a ref nor `pins` keeps alive.
-    /// Returns the deleted hashes.
-    ///
-    /// The pin set exists for the serving swap protocol: the active
-    /// checkpoint, its rollback target, and any candidate referenced by a
-    /// pending swap-journal entry must survive GC even when no ref points
-    /// at them — collecting one would leave a recovering or rolling-back
-    /// server pointing at a deleted object.
-    pub fn gc_with_pins(&self, pins: &HashSet<u64>) -> Result<Vec<u64>, RegistryError> {
-        let doomed = self.gc_plan(pins)?;
+        let doomed = self.gc_plan()?;
         for &hash in &doomed {
             fs::remove_file(self.object_path(hash))?;
         }
         Ok(doomed)
     }
 
-    /// The hashes [`Self::gc_with_pins`] would delete, sorted, without
-    /// touching disk. Backs `nrpm registry gc --dry-run`.
-    pub fn gc_plan(&self, pins: &HashSet<u64>) -> Result<Vec<u64>, RegistryError> {
+    /// The hashes [`Self::gc`] would delete, sorted, without touching
+    /// disk. Backs `nrpm registry gc --dry-run`.
+    pub fn gc_plan(&self) -> Result<Vec<u64>, RegistryError> {
         let mut live: HashSet<u64> = self.refs()?.into_iter().map(|(_, h)| h).collect();
-        live.extend(pins);
+        for (_, pinned) in self.journal_pins()? {
+            live.extend(pinned);
+        }
         Ok(self
             .list()?
             .into_iter()
             .filter(|hash| !live.contains(hash))
             .collect())
+    }
+
+    /// Every journal present in the registry's directory (`swap`, then
+    /// `rollout`) with the checkpoints it pins, sorted: [`Self::gc`] keeps
+    /// them even when no ref points at them.
+    pub fn journal_pins(&self) -> Result<Vec<(&'static str, Vec<u64>)>, RegistryError> {
+        let mut pins = Vec::new();
+        for (journal, file, live_hashes) in PINNING_JOURNALS {
+            if !self.root.join(file).exists() {
+                continue;
+            }
+            let live = live_hashes(&self.root).map_err(|e| {
+                let message = format!("cannot read {journal} journal: {e}");
+                RegistryError::Io(std::io::Error::new(e.kind(), message))
+            })?;
+            let mut hashes: Vec<u64> = live.into_iter().collect();
+            hashes.sort_unstable();
+            pins.push((journal, hashes));
+        }
+        Ok(pins)
     }
 
     /// Writes the checkpoint stored under `hash` to `path` — the object's
@@ -586,19 +626,28 @@ mod tests {
     }
 
     #[test]
-    fn gc_with_pins_keeps_pinned_unreferenced_objects() {
-        let dir = tmp_dir("ckpt-gc-pins");
+    fn gc_keeps_a_committed_swaps_previous_hash_and_a_pending_rollouts_target() {
+        let dir = tmp_dir("ckpt-gc-journals");
         let registry = CheckpointRegistry::open(&dir).unwrap();
-        let reffed = registry.put(&tiny_network(9)).unwrap();
-        let pinned = registry.put(&tiny_network(10)).unwrap();
-        let doomed = registry.put(&tiny_network(11)).unwrap();
-        registry.set_ref("default", reffed).unwrap();
+        let serving = registry.put(&tiny_network(9)).unwrap();
+        let previous = registry.put(&tiny_network(10)).unwrap();
+        let target = registry.put(&tiny_network(11)).unwrap();
+        let doomed = registry.put(&tiny_network(16)).unwrap();
+        let (mut swaps, _) = SwapJournal::open(&dir).unwrap();
+        let seq = swaps.begin(serving, previous).unwrap();
+        swaps.mark_validated(seq).unwrap();
+        swaps.commit(seq).unwrap();
+        let (mut rollouts, _) = RolloutJournal::open(&dir).unwrap();
+        rollouts.begin(target, serving).unwrap(); // interrupted: pending
 
-        let pins: HashSet<u64> = [pinned].into_iter().collect();
-        let removed = registry.gc_with_pins(&pins).unwrap();
-        assert_eq!(removed, vec![doomed]);
-        assert!(registry.get(reffed).is_ok());
-        assert!(registry.get(pinned).is_ok(), "pinned object must survive");
+        let pins = registry.journal_pins().unwrap();
+        assert_eq!(
+            pins.iter().map(|p| p.0).collect::<Vec<_>>(),
+            ["swap", "rollout"]
+        );
+        assert_eq!(registry.gc().unwrap(), vec![doomed], "no ref, yet pinned");
+        assert!(registry.get(previous).is_ok(), "rollback target collected");
+        assert!(registry.get(target).is_ok(), "rollout target collected");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -610,15 +659,17 @@ mod tests {
         let pinned = registry.put(&tiny_network(13)).unwrap();
         let doomed = registry.put(&tiny_network(14)).unwrap();
         registry.set_ref("default", reffed).unwrap();
+        let (mut rollouts, _) = RolloutJournal::open(&dir).unwrap();
+        let seq = rollouts.begin(pinned, reffed).unwrap();
+        rollouts.finish(seq).unwrap();
 
-        let pins: HashSet<u64> = [pinned].into_iter().collect();
-        let plan = registry.gc_plan(&pins).unwrap();
+        let plan = registry.gc_plan().unwrap();
         assert_eq!(plan, vec![doomed]);
         // Nothing was touched: all three objects still load.
         assert_eq!(registry.list().unwrap().len(), 3);
         assert!(registry.get(doomed).is_ok());
         // The real gc then removes exactly what the plan promised.
-        assert_eq!(registry.gc_with_pins(&pins).unwrap(), plan);
+        assert_eq!(registry.gc().unwrap(), plan);
         assert!(registry.get(doomed).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -25,8 +25,8 @@
 //! The journal also feeds garbage collection: [`SwapJournal::live_hashes`]
 //! is the pin set (serving checkpoint, rollback target, and every hash a
 //! pending swap references) that
-//! [`CheckpointRegistry::gc_with_pins`](crate::checkpoints::CheckpointRegistry::gc_with_pins)
-//! must not collect.
+//! [`CheckpointRegistry::gc`](crate::checkpoints::CheckpointRegistry::gc)
+//! reads from the registry's directory and does not collect.
 
 use std::collections::HashSet;
 use std::path::Path;

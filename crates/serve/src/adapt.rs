@@ -60,7 +60,7 @@ pub const SERVING_REF: &str = "serving";
 /// Ref name of the rollback target (the previously serving checkpoint).
 pub const SERVING_PREVIOUS_REF: &str = "serving-previous";
 /// Ref name the ingester publishes candidates under (the default feed
-/// watch target; must match `nrpm-ingest`'s publish ref).
+/// watch target; `nrpm-ingest` re-exports it as its publish ref).
 pub const INGEST_CANDIDATE_REF: &str = "ingest-candidate";
 
 /// Bound on buffered observations between engine ticks; oldest are dropped
