@@ -20,7 +20,7 @@ use nrpm_core::fingerprint::ModelKey;
 use nrpm_core::noise::NoiseEstimate;
 use nrpm_core::preprocess::ValueScaling;
 use nrpm_core::report::render_outcome;
-use nrpm_core::sanitize::{sanitize, SanitizeOptions, SanitizePolicy};
+use nrpm_core::sanitize::{admit, SanitizeOptions, SanitizePolicy};
 use nrpm_core::threshold::ThresholdTable;
 use nrpm_extrap::{parse_text_file, MeasurementSet, ModelError, RegressionModeler};
 use nrpm_ingest::{FollowSource, IngestEngine, IngestOptions, PushSource, WindowOptions};
@@ -650,15 +650,7 @@ impl Invocation {
                 })
             }
             "sweep" => {
-                let noise_levels = flags.list("noise")?;
-                if let Some(levels) = &noise_levels {
-                    if levels.len() < 2 {
-                        return Err("--noise: need at least two levels".to_string());
-                    }
-                    if levels.windows(2).any(|w| w[1] <= w[0]) {
-                        return Err("--noise: levels must be strictly ascending".to_string());
-                    }
-                }
+                let noise_levels = crossing_levels(&flags)?;
                 let matrix_noise = flags.number::<f64>("matrix-noise")?;
                 if matrix_noise.is_some_and(|m| m.is_nan() || m <= 0.0) {
                     return Err("--matrix-noise: must be positive".to_string());
@@ -901,8 +893,7 @@ impl Invocation {
             }
             "threshold_calibration" => {
                 let template = SweepConfig {
-                    noise_levels: flags
-                        .list("noise")?
+                    noise_levels: crossing_levels(&flags)?
                         .unwrap_or(CALIBRATION_NOISE_LEVELS.to_vec()),
                     functions: flags.count("functions", 150, 1)?,
                     seed: flags.number("seed")?.unwrap_or(0x7123),
@@ -963,6 +954,22 @@ fn dnn_options(flags: &Flags, seed: Option<u64>) -> DnnOptions {
         seed: seed.unwrap_or(dnn.seed),
         ..dnn
     }
+}
+
+/// `--noise` of the sweeps that locate a threshold crossing between
+/// levels (`sweep`, `threshold_calibration`): at least two levels, strictly
+/// ascending.
+fn crossing_levels(flags: &Flags) -> Result<Option<Vec<f64>>, String> {
+    let levels = flags.list("noise")?;
+    if let Some(levels) = &levels {
+        if levels.len() < 2 {
+            return Err("--noise: need at least two levels".to_string());
+        }
+        if levels.windows(2).any(|w| w[1] <= w[0]) {
+            return Err("--noise: levels must be strictly ascending".to_string());
+        }
+    }
+    Ok(levels)
 }
 
 /// One copy of `template` per parameter count `--params` selects: `1`, `2`
@@ -1082,16 +1089,7 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
                     policy: *policy,
                     ..Default::default()
                 };
-                let (clean, quality) = sanitize(&set, &sanitize_opts);
-                if *policy == SanitizePolicy::Strict && !quality.is_clean() {
-                    return Err(CliError::model(ModelError::CorruptData {
-                        dropped: quality.dropped() + quality.points_dropped,
-                        clamped: quality.clamped,
-                    }));
-                }
-                if clean.is_empty() {
-                    return Err(CliError::model(ModelError::NoUsableData));
-                }
+                let (clean, quality) = admit(&set, &sanitize_opts).map_err(CliError::model)?;
                 let result = RegressionModeler::default()
                     .model(&clean)
                     .map_err(CliError::model)?;
@@ -2322,6 +2320,10 @@ mod tests {
         assert!(parse("ingest --follow f.log --allowed-lateness -1").is_err());
         assert!(parse("sweep --noise 0.5").is_err()); // two levels minimum
         assert!(parse("sweep --noise 0.5,0.2").is_err()); // ascending
+        for levels in ["0.5", "1.0,0.5"] {
+            let err = parse(&format!("threshold_calibration --noise {levels}")).unwrap_err();
+            assert!(err.contains("--noise"), "{err}");
+        }
         assert!(parse("sweep --matrix-noise 0").is_err());
         assert!(parse("sweep --functions lots").is_err());
         // A token after a switch is that switch's error on a command that

@@ -21,6 +21,7 @@ use nrpm_nn::Network;
 use nrpm_registry::rollout::RolloutJournal;
 use nrpm_registry::CheckpointRegistry;
 use nrpm_serve::client::{is_ok, Client, RetryPolicy};
+use nrpm_serve::counters::Counters;
 use nrpm_serve::line;
 use nrpm_serve::server::{ServeOptions, Server};
 use nrpm_serve::store::ModelStore;
@@ -162,23 +163,32 @@ pub(crate) struct ClusterState {
     router_dead: AtomicBool,
     /// Guards against concurrent rolling rollouts.
     pub(crate) rollout_active: AtomicBool,
-    /// Requests the router relayed to a shard successfully.
-    pub(crate) routed: AtomicU64,
-    /// Relayed requests answered by a shard other than the ring owner.
-    pub(crate) failovers: AtomicU64,
-    /// Requests no shard could answer.
-    pub(crate) rejected: AtomicU64,
-    /// Requests fanned out to more than one replica.
-    pub(crate) replica_fanouts: AtomicU64,
-    /// Fanned-out requests whose replicas disagreed on `served_hash`/
-    /// `epoch` (resolved by quorum, but worth watching).
-    pub(crate) replica_divergences: AtomicU64,
-    /// Network members admitted through `cluster_join` (rejoins included).
-    pub(crate) joins: AtomicU64,
-    /// Heartbeat leases that lapsed and ejected their member.
-    pub(crate) lease_expiries: AtomicU64,
-    /// Rolling rollouts completed by this router.
-    pub(crate) rollouts: AtomicU64,
+    /// The router's counters, spliced into `stats` as one block.
+    pub(crate) counters: Counters<RouterCounter>,
+}
+
+nrpm_serve::counter_table! {
+    /// The router's counters, in `stats` wire order.
+    pub(crate) enum RouterCounter {
+        /// Requests the router relayed to a shard successfully.
+        Routed => "requests_routed",
+        /// Relayed requests answered by a shard other than the ring owner.
+        Failovers => "failovers",
+        /// Requests no shard could answer.
+        Rejected => "rejected",
+        /// Requests fanned out to more than one replica.
+        ReplicaFanouts => "replica_fanouts",
+        /// Fanned-out requests whose replicas disagreed on `served_hash`/
+        /// `epoch` (resolved by quorum, but worth watching).
+        ReplicaDivergences => "replica_divergences",
+        /// Network members admitted through `cluster_join` (rejoins
+        /// included).
+        Joins => "joins",
+        /// Heartbeat leases that lapsed and ejected their member.
+        LeaseExpiries => "lease_expiries",
+        /// Rolling rollouts completed by this router.
+        Rollouts => "rollouts",
+    }
 }
 
 impl ClusterState {
@@ -202,14 +212,7 @@ impl ClusterState {
             shutdown,
             router_dead: AtomicBool::new(false),
             rollout_active: AtomicBool::new(false),
-            routed: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            replica_fanouts: AtomicU64::new(0),
-            replica_divergences: AtomicU64::new(0),
-            joins: AtomicU64::new(0),
-            lease_expiries: AtomicU64::new(0),
-            rollouts: AtomicU64::new(0),
+            counters: Counters::default(),
         }
     }
 
@@ -602,7 +605,7 @@ pub(crate) fn run_supervisor(state: &Arc<ClusterState>) {
         let now = Instant::now();
         for member in state.members_snapshot() {
             if member.note_lease_lapse(now) {
-                state.lease_expiries.fetch_add(1, Ordering::Relaxed);
+                state.counters.bump(RouterCounter::LeaseExpiries);
             }
             if !member.is_probed() {
                 continue;

@@ -44,7 +44,7 @@ use nrpm_serve::protocol::{error_line, ok_line, ErrorKind};
 use serde::Value;
 use serde_json;
 
-use crate::cluster::{probe_shard, ClusterState};
+use crate::cluster::{probe_shard, ClusterState, RouterCounter};
 use crate::shard::ShardRuntime;
 
 /// Version of the join/heartbeat/sync vocabulary. A joiner advertising a
@@ -164,7 +164,7 @@ pub(crate) fn handle_join(value: &Value, state: &Arc<ClusterState>) -> String {
         .polled
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner()) = polled;
-    state.joins.fetch_add(1, Ordering::Relaxed);
+    state.counters.bump(RouterCounter::Joins);
     ok_line(
         None,
         vec![

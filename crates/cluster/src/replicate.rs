@@ -36,7 +36,7 @@ use nrpm_serve::protocol::{error_line, ErrorKind};
 use serde::Value;
 use serde_json;
 
-use crate::cluster::ClusterState;
+use crate::cluster::{ClusterState, RouterCounter};
 use crate::router::next_conn_id;
 use crate::shard::ShardRuntime;
 
@@ -195,9 +195,9 @@ pub(crate) fn forward(
             }
             Ok(response) => {
                 member.routed.fetch_add(1, Ordering::Relaxed);
-                state.routed.fetch_add(1, Ordering::Relaxed);
+                state.counters.bump(RouterCounter::Routed);
                 if owner != Some(member.id) {
-                    state.failovers.fetch_add(1, Ordering::Relaxed);
+                    state.counters.bump(RouterCounter::Failovers);
                 }
                 return annotate(response, member.id, None, line);
             }
@@ -206,7 +206,7 @@ pub(crate) fn forward(
             }
         }
     }
-    state.rejected.fetch_add(1, Ordering::Relaxed);
+    state.counters.bump(RouterCounter::Rejected);
     error_line(
         id,
         ErrorKind::Overloaded,
@@ -224,7 +224,7 @@ fn fan_out(
     owner: Option<u32>,
     line: &str,
 ) -> Option<String> {
-    state.replica_fanouts.fetch_add(1, Ordering::Relaxed);
+    state.counters.bump(RouterCounter::ReplicaFanouts);
     let mut taken: Vec<ShardConn> = fan.iter().map(|m| conns.take_conn(m, state)).collect();
     let mut results: Vec<Option<Result<Value, RetryError>>> = fan.iter().map(|_| None).collect();
     thread::scope(|scope| {
@@ -264,16 +264,16 @@ fn fan_out(
 
     let verdict = resolve_quorum(&answers);
     if verdict.divergent {
-        state.replica_divergences.fetch_add(1, Ordering::Relaxed);
+        state.counters.bump(RouterCounter::ReplicaDivergences);
     }
     for (shard_id, _) in &answers {
         if let Some(member) = state.member(*shard_id) {
             member.routed.fetch_add(1, Ordering::Relaxed);
         }
     }
-    state.routed.fetch_add(1, Ordering::Relaxed);
+    state.counters.bump(RouterCounter::Routed);
     if !answers.iter().any(|(shard_id, _)| Some(*shard_id) == owner) {
-        state.failovers.fetch_add(1, Ordering::Relaxed);
+        state.counters.bump(RouterCounter::Failovers);
     }
     let (winner_shard, winner) = answers.swap_remove(verdict.winner);
     Some(annotate(

@@ -32,7 +32,7 @@ use nrpm_nn::Network;
 use nrpm_registry::rollout::RolloutJournal;
 use nrpm_registry::{hex16, CheckpointRegistry};
 
-use crate::cluster::{probe_shard, ClusterState};
+use crate::cluster::{probe_shard, ClusterState, RouterCounter};
 
 /// What a completed rollout did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,7 +190,7 @@ pub(crate) fn run_rollout(
 
     journal.finish(seq).map_err(|e| e.to_string())?;
     state.set_serving_hash(target);
-    state.rollouts.fetch_add(1, Ordering::SeqCst);
+    state.counters.bump(RouterCounter::Rollouts);
     Ok(RolloutReport {
         target,
         updated,

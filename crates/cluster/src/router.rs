@@ -337,7 +337,7 @@ fn router_stats_value(state: &Arc<ClusterState>) -> Value {
         ]));
     }
     let routable = members.iter().filter(|s| s.is_routable()).count();
-    Value::Map(vec![
+    let mut stats = vec![
         ("service".into(), Value::Str("nrpm-cluster-router".into())),
         (
             "server_version".into(),
@@ -355,38 +355,9 @@ fn router_stats_value(state: &Arc<ClusterState>) -> Value {
             "replication".into(),
             Value::U64(state.opts.replication.max(1) as u64),
         ),
-        (
-            "requests_routed".into(),
-            Value::U64(state.routed.load(Ordering::Relaxed)),
-        ),
-        (
-            "failovers".into(),
-            Value::U64(state.failovers.load(Ordering::Relaxed)),
-        ),
-        (
-            "rejected".into(),
-            Value::U64(state.rejected.load(Ordering::Relaxed)),
-        ),
-        (
-            "replica_fanouts".into(),
-            Value::U64(state.replica_fanouts.load(Ordering::Relaxed)),
-        ),
-        (
-            "replica_divergences".into(),
-            Value::U64(state.replica_divergences.load(Ordering::Relaxed)),
-        ),
-        (
-            "joins".into(),
-            Value::U64(state.joins.load(Ordering::Relaxed)),
-        ),
-        (
-            "lease_expiries".into(),
-            Value::U64(state.lease_expiries.load(Ordering::Relaxed)),
-        ),
-        (
-            "rollouts".into(),
-            Value::U64(state.rollouts.load(Ordering::SeqCst)),
-        ),
+    ];
+    stats.extend(state.counters.entries());
+    stats.extend([
         (
             "serving_hash".into(),
             match state.serving_hash() {
@@ -400,5 +371,6 @@ fn router_stats_value(state: &Arc<ClusterState>) -> Value {
         ),
         ("epoch_divergence".into(), Value::Bool(epochs.len() > 1)),
         ("per_shard".into(), Value::Seq(per_shard)),
-    ])
+    ]);
+    Value::Map(stats)
 }

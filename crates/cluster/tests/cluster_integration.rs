@@ -464,3 +464,41 @@ fn router_sheds_connections_past_max_conns() {
     drop(held);
     join_within(cluster, Duration::from_secs(20));
 }
+
+/// The router's `stats` body is a wire contract: perfbench reads
+/// `replica_fanouts` and `failovers` by key, and a missing key reads as 0.
+/// A renamed, dropped or reordered entry fails here.
+#[test]
+fn router_stats_keep_their_key_sequence() {
+    let cluster = Cluster::launch(test_network(7), fast_options()).unwrap();
+    let keys: Vec<String> = match router_stats(&cluster) {
+        Value::Map(entries) => entries.into_iter().map(|(key, _)| key).collect(),
+        other => panic!("expected a map, got {other:?}"),
+    };
+    assert_eq!(
+        keys,
+        [
+            "service",
+            "server_version",
+            "role",
+            "generation",
+            "shards",
+            "routable",
+            "draining",
+            "replication",
+            "requests_routed",
+            "failovers",
+            "rejected",
+            "replica_fanouts",
+            "replica_divergences",
+            "joins",
+            "lease_expiries",
+            "rollouts",
+            "serving_hash",
+            "checkpoint_divergence",
+            "epoch_divergence",
+            "per_shard",
+        ]
+    );
+    join_within(cluster, Duration::from_secs(20));
+}

@@ -23,7 +23,7 @@
 
 use crate::dnn::{DnnModeler, DnnOptions};
 use crate::noise::NoiseEstimate;
-use crate::sanitize::{sanitize, DataQualityReport, SanitizeOptions, SanitizePolicy};
+use crate::sanitize::{admit, DataQualityReport, SanitizeOptions};
 use crate::threshold::default_threshold;
 use nrpm_extrap::{
     smape, Aggregation, MeasurementSet, Model, ModelError, ModelingResult, RegressionModeler,
@@ -65,7 +65,7 @@ pub struct AdaptiveOptions {
     /// is exhaustive rather than learned) avoids coin-flip selections.
     pub selection_margin: f64,
     /// Input sanitization applied before anything else (see
-    /// [`crate::sanitize`]). [`SanitizePolicy::Lenient`] by default.
+    /// [`crate::sanitize::admit`]); lenient by default.
     pub sanitize: SanitizeOptions,
 }
 
@@ -117,7 +117,8 @@ pub struct AdaptiveOutcome {
     /// Which modeler won.
     pub choice: ModelerChoice,
     /// What the sanitizer changed about the input (untouched and clean
-    /// when sanitization is [`SanitizePolicy::Off`]).
+    /// when sanitization is
+    /// [`SanitizePolicy::Off`](crate::sanitize::SanitizePolicy::Off)).
     pub quality: DataQualityReport,
 }
 
@@ -250,20 +251,7 @@ fn prepare(opts: &AdaptiveOptions, set: &MeasurementSet) -> Result<Prepared, Mod
     if set.num_params() == 0 {
         return Err(ModelError::NoParameters);
     }
-    let (sanitized, quality) = if opts.sanitize.policy == SanitizePolicy::Off {
-        (set.clone(), DataQualityReport::untouched(set))
-    } else {
-        sanitize(set, &opts.sanitize)
-    };
-    if opts.sanitize.policy == SanitizePolicy::Strict && !quality.is_clean() {
-        return Err(ModelError::CorruptData {
-            dropped: quality.dropped() + quality.points_dropped,
-            clamped: quality.clamped,
-        });
-    }
-    if sanitized.is_empty() {
-        return Err(ModelError::NoUsableData);
-    }
+    let (sanitized, quality) = admit(set, &opts.sanitize)?;
     // A corrupted campaign calls for the robust noise estimator: the
     // mean-based one has a breakdown point of zero, and even after
     // winsorization the clamped repetitions stretch the per-point
@@ -400,6 +388,7 @@ fn constant_mean_result(set: &MeasurementSet, agg: Aggregation) -> Option<Modeli
 mod tests {
     use super::*;
     use crate::preprocess::NUM_INPUTS;
+    use crate::sanitize::SanitizePolicy;
     use nrpm_extrap::ExponentPair;
     use nrpm_nn::NetworkConfig;
     use nrpm_synth::TrainingSpec;

@@ -13,7 +13,7 @@
 use crate::preprocess::{encode_line_with, PreprocessError, ValueScaling, NUM_INPUTS};
 use nrpm_extrap::{
     combine_candidate_pairs, exponent_set, Aggregation, ExponentPair, MeasurementSet, ModelError,
-    ModelingResult, NUM_CLASSES,
+    ModelingResult, NUM_CLASSES, TIE_TOLERANCE,
 };
 use nrpm_linalg::Matrix;
 use nrpm_nn::{
@@ -52,8 +52,6 @@ pub struct DnnOptions {
     pub seed: u64,
     /// Repetition aggregation.
     pub aggregation: Aggregation,
-    /// CV-SMAPE tie tolerance for final selection.
-    pub tie_tolerance: f64,
     /// Minimum distinct points per parameter line.
     pub min_points: usize,
     /// Input-value scaling of the preprocessing step (ablation knob; the
@@ -94,7 +92,6 @@ impl Default for DnnOptions {
             top_k: 3,
             seed: 0xD77,
             aggregation: Aggregation::Median,
-            tie_tolerance: 1e-6,
             min_points: 5,
             encoding: ValueScaling::default(),
             train_threads: 0,
@@ -508,12 +505,7 @@ impl DnnModeler {
                         Err(e) => return Err(e.clone()),
                     }
                 }
-                combine_candidate_pairs(
-                    set,
-                    &per_param,
-                    self.opts.aggregation,
-                    self.opts.tie_tolerance,
-                )
+                combine_candidate_pairs(set, &per_param, self.opts.aggregation, TIE_TOLERANCE)
             })
             .collect();
         DnnBatch {
@@ -588,12 +580,7 @@ impl DnnModeler {
         let probs = self.predict_f64(Matrix::from_vec(m, NUM_INPUTS, inputs));
         let per_param: Vec<Vec<ExponentPair>> =
             (0..m).map(|l| self.candidate_pairs(probs.row(l))).collect();
-        combine_candidate_pairs(
-            set,
-            &per_param,
-            self.opts.aggregation,
-            self.opts.tie_tolerance,
-        )
+        combine_candidate_pairs(set, &per_param, self.opts.aggregation, TIE_TOLERANCE)
     }
 
     /// Class probabilities of encoded lines on the pre-packed f64 snapshot:
@@ -833,13 +820,9 @@ mod tests {
                     modeler.candidate_pairs(&modeler.class_probabilities(&xs, &ys).unwrap())
                 })
                 .collect();
-            let expected = combine_candidate_pairs(
-                &set,
-                &per_param,
-                modeler.opts.aggregation,
-                modeler.opts.tie_tolerance,
-            )
-            .unwrap();
+            let expected =
+                combine_candidate_pairs(&set, &per_param, modeler.opts.aggregation, TIE_TOLERANCE)
+                    .unwrap();
             let got = modeler.model(&set).unwrap();
             assert_eq!(
                 format!("{:?}", got.model),

@@ -23,7 +23,7 @@
 //! modeler attaches to its outcome, so a degraded answer is always
 //! distinguishable from a clean one.
 
-use nrpm_extrap::{Measurement, MeasurementSet};
+use nrpm_extrap::{Measurement, MeasurementSet, ModelError};
 use serde::{Deserialize, Serialize};
 
 /// How the adaptive pipeline treats corrupted input.
@@ -128,6 +128,32 @@ fn lower_median(values: &[f64]) -> f64 {
     let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("sanitized values are finite"));
     sorted[(sorted.len() - 1) / 2]
+}
+
+/// The input policy of every modeling path: sanitizes `set` under `opts`
+/// ([`SanitizePolicy::Off`] passes it through untouched), then refuses a
+/// set that needed repair under [`SanitizePolicy::Strict`]
+/// ([`ModelError::CorruptData`]) and one left empty
+/// ([`ModelError::NoUsableData`]).
+pub fn admit(
+    set: &MeasurementSet,
+    opts: &SanitizeOptions,
+) -> Result<(MeasurementSet, DataQualityReport), ModelError> {
+    let (sanitized, quality) = if opts.policy == SanitizePolicy::Off {
+        (set.clone(), DataQualityReport::untouched(set))
+    } else {
+        sanitize(set, opts)
+    };
+    if opts.policy == SanitizePolicy::Strict && !quality.is_clean() {
+        return Err(ModelError::CorruptData {
+            dropped: quality.dropped() + quality.points_dropped,
+            clamped: quality.clamped,
+        });
+    }
+    if sanitized.is_empty() {
+        return Err(ModelError::NoUsableData);
+    }
+    Ok((sanitized, quality))
 }
 
 /// Sanitizes a measurement set, returning the repaired copy and the report

@@ -22,6 +22,11 @@ use std::cmp::Ordering;
 /// selection signal at a fraction of the cost.
 pub const MAX_CV_FOLDS: usize = 40;
 
+/// CV-SMAPE tie tolerance (percentage points) of every modeler's final
+/// selection: within it, the structurally simpler hypothesis wins. This is
+/// the "simplest explanation" bias of the PMNF.
+pub const TIE_TOLERANCE: f64 = 1e-6;
+
 /// Constraints applied after the raw least-squares fit.
 ///
 /// Both reflect the physical prior that the metric being modelled (runtime,

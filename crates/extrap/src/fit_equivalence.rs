@@ -8,7 +8,7 @@
 //! losing candidate's folds early; the models it selects and their scores
 //! must be the same bits.
 
-use crate::fit::{select_best, FitConstraints, FittedHypothesis, MAX_CV_FOLDS};
+use crate::fit::{select_best, FitConstraints, FittedHypothesis, MAX_CV_FOLDS, TIE_TOLERANCE};
 use crate::multi::set_partitions;
 use crate::search::{single_parameter_hypotheses, Hypothesis};
 use crate::single::{model_points, validate, SingleParameterOptions};
@@ -288,9 +288,8 @@ fn ref_refine(points: &Points, initial: &[ExponentPair], rounds: usize) -> Vec<E
 /// The default [`RegressionModeler`], built on the reference fit.
 fn ref_regression(set: &MeasurementSet) -> Result<ModelingResult, ModelError> {
     validate(set)?;
-    let opts = SingleParameterOptions::default();
     if set.num_params() == 1 {
-        return ref_model_points(&set.line(0, Aggregation::Median), opts.tie_tolerance);
+        return ref_model_points(&set.line(0, Aggregation::Median), TIE_TOLERANCE);
     }
     let mut per_param: Vec<Vec<ExponentPair>> = (0..set.num_params())
         .map(|l| ref_rank(&set.line(l, Aggregation::Median), 3))
@@ -302,7 +301,7 @@ fn ref_regression(set: &MeasurementSet) -> Result<ModelingResult, ModelError> {
             per_param[l].insert(0, pair);
         }
     }
-    ref_combine(set, &per_param, opts.tie_tolerance)
+    ref_combine(set, &per_param, TIE_TOLERANCE)
 }
 
 fn ref_model_points(
@@ -442,13 +441,9 @@ fn selections_match_the_reference_bitwise() {
         );
         for l in 0..set.num_params() {
             let line = set.line(l, Aggregation::Median);
-            for tie_tolerance in [opts.tie_tolerance, 0.5, -1e-3] {
-                let opts = SingleParameterOptions {
-                    tie_tolerance,
-                    ..opts.clone()
-                };
+            for tie_tolerance in [TIE_TOLERANCE, 0.5, -1e-3] {
                 assert_same_result(
-                    model_points(&line, &opts),
+                    model_points(&line, &opts, tie_tolerance),
                     ref_model_points(&line, tie_tolerance),
                     &format!("{what}: line {l}, tolerance {tie_tolerance}"),
                 );
@@ -501,13 +496,7 @@ fn edge_cases_match_the_reference_bitwise() {
         };
         for tie_tolerance in [1e-6, -1e-3] {
             assert_same_result(
-                model_points(
-                    &pairs,
-                    &SingleParameterOptions {
-                        tie_tolerance,
-                        ..opts.clone()
-                    },
-                ),
+                model_points(&pairs, &opts, tie_tolerance),
                 ref_model_points(&pairs, tie_tolerance),
                 &format!("edge case {pairs:?}, tolerance {tie_tolerance}"),
             );

@@ -50,6 +50,7 @@ pub use error::{ModelError, Severity};
 pub use exponents::{exponent_set, ExponentPair, ExponentSet, NUM_CLASSES};
 pub use fit::{
     fit_coefficients, fit_hypothesis, fit_hypothesis_constrained, FitConstraints, FittedHypothesis,
+    TIE_TOLERANCE,
 };
 pub use fraction::Fraction;
 pub use io::{

@@ -10,7 +10,7 @@
 //! and `c0 + c1·g1·g2` (multiplicative); for `m = 3` there are five
 //! structures.
 
-use crate::fit::{FitScratch, Selection};
+use crate::fit::{FitScratch, Selection, TIE_TOLERANCE};
 use crate::search::{single_parameter_hypotheses, Hypothesis};
 use crate::single::{validate, SingleParameterOptions};
 use crate::{ExponentPair, MeasurementSet, ModelError, ModelingResult, TermFactor};
@@ -25,8 +25,6 @@ pub struct MultiParameterOptions {
     /// per-parameter candidates a narrow line ranking misses are rescued
     /// by [`refine_pairs_globally`], not by a wider beam.
     pub top_k: usize,
-    /// CV-SMAPE tie tolerance (percentage points) for final selection.
-    pub tie_tolerance: f64,
     /// Run [`refine_pairs_globally`] and add its winners to the candidate
     /// lists. This is an *extension beyond the paper's baseline*: it
     /// recovers exponents a per-line ranking misses (e.g. Kripke's
@@ -42,7 +40,6 @@ impl Default for MultiParameterOptions {
     fn default() -> Self {
         MultiParameterOptions {
             top_k: 3,
-            tie_tolerance: 1e-6,
             global_refinement: true,
         }
     }
@@ -353,12 +350,7 @@ pub fn combine_hypotheses(
         }
     }
 
-    combine_candidate_pairs(
-        set,
-        &per_param,
-        single_opts.aggregation,
-        multi_opts.tie_tolerance,
-    )
+    combine_candidate_pairs(set, &per_param, single_opts.aggregation, TIE_TOLERANCE)
 }
 
 #[cfg(test)]

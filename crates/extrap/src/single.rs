@@ -1,6 +1,6 @@
 //! The single-parameter regression modeler.
 
-use crate::fit::Selection;
+use crate::fit::{Selection, TIE_TOLERANCE};
 use crate::search::single_parameter_hypotheses;
 use crate::{Aggregation, MeasurementSet, ModelError, ModelingResult};
 
@@ -12,9 +12,6 @@ pub struct SingleParameterOptions {
     /// Minimum number of distinct parameter values required. Extra-P's rule
     /// of thumb is five; lowering it is possible but reduces reliability.
     pub min_points: usize,
-    /// CV-SMAPE tie tolerance (percentage points) within which the simpler
-    /// hypothesis wins. This is the "simplest explanation" bias of the PMNF.
-    pub tie_tolerance: f64,
 }
 
 impl Default for SingleParameterOptions {
@@ -22,7 +19,6 @@ impl Default for SingleParameterOptions {
         SingleParameterOptions {
             aggregation: Aggregation::Median,
             min_points: 5,
-            tie_tolerance: 1e-6,
         }
     }
 }
@@ -50,15 +46,16 @@ pub fn model_single_parameter(
 ) -> Result<ModelingResult, ModelError> {
     validate(set)?;
     let points = set.line(0, opts.aggregation);
-    model_points(&points, opts)
+    model_points(&points, opts, TIE_TOLERANCE)
 }
 
-/// Models pre-aggregated `(x, y)` points of a single parameter. Shared with
-/// the multi-parameter modeler (which models each parameter's line) and the
-/// DNN modeler (which re-fits coefficients the same way).
+/// Models pre-aggregated `(x, y)` points of a single parameter, breaking
+/// CV-SMAPE near-ties within `tie_tolerance` ([`TIE_TOLERANCE`] for
+/// [`model_single_parameter`]) toward the simpler hypothesis.
 pub fn model_points(
     points: &[(f64, f64)],
     opts: &SingleParameterOptions,
+    tie_tolerance: f64,
 ) -> Result<ModelingResult, ModelError> {
     let distinct = {
         let mut xs: Vec<f64> = points.iter().map(|(x, _)| *x).collect();
@@ -75,7 +72,7 @@ pub fn model_points(
     }
     let tuples: Vec<(Vec<f64>, f64)> = points.iter().map(|&(x, y)| (vec![x], y)).collect();
 
-    let mut selection = Selection::new(&tuples, opts.tie_tolerance);
+    let mut selection = Selection::new(&tuples, tie_tolerance);
     for hypothesis in single_parameter_hypotheses() {
         selection.offer(hypothesis);
     }

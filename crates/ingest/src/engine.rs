@@ -43,7 +43,7 @@ use crate::journal::{
 use crate::source::{FollowChunk, FollowSource, PushRecord, PushSource};
 use crate::window::{HeldRecord, WindowOptions, WindowSet};
 use nrpm_core::adaptive::{AdaptiveModeler, AdaptiveOptions, ModelerChoice};
-use nrpm_core::sanitize::{sanitize, SanitizeOptions};
+use nrpm_core::sanitize::sanitize;
 use nrpm_extrap::{parse_directive, Directive, LineFramer, MeasurementSet};
 use nrpm_nn::Network;
 use nrpm_registry::{CheckpointRegistry, JournalError};
@@ -52,14 +52,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Registry ref the ingester publishes model candidates under: the one the
-/// serving process's feed watcher follows by default.
+/// serving process's feed watcher follows.
 pub use nrpm_serve::adapt::INGEST_CANDIDATE_REF;
 
 /// Most recent fire reports kept for inspection.
 const FIRE_LOG_CAP: usize = 32;
 
 /// Configuration of the ingestion engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IngestOptions {
     /// Window assembly policies.
     pub windows: WindowOptions,
@@ -68,26 +68,11 @@ pub struct IngestOptions {
     /// Directory of the checkpoint registry model updates are published
     /// into; `None` keeps re-modeling memory-only.
     pub registry_dir: Option<PathBuf>,
-    /// Registry ref updated to each published candidate.
-    pub publish_ref: String,
-    /// Adaptive modeler configuration for windowed re-modeling.
+    /// Adaptive modeler configuration for windowed re-modeling. Its
+    /// `sanitize` options also drive record-level sanitization (step 3 of
+    /// the pipeline); the modeler's own set-level sanitization still
+    /// applies at fire time.
     pub adaptive: AdaptiveOptions,
-    /// Record-level sanitization (step 3 of the pipeline). The modeler's
-    /// own set-level sanitization still applies at fire time.
-    pub sanitize: SanitizeOptions,
-}
-
-impl Default for IngestOptions {
-    fn default() -> Self {
-        IngestOptions {
-            windows: WindowOptions::default(),
-            state_dir: None,
-            registry_dir: None,
-            publish_ref: INGEST_CANDIDATE_REF.to_string(),
-            adaptive: AdaptiveOptions::default(),
-            sanitize: SanitizeOptions::default(),
-        }
-    }
 }
 
 /// Errors opening the engine.
@@ -385,7 +370,7 @@ impl IngestEngine {
         // exercises the same drop/winsorize machinery the modelers use.
         let mut probe = MeasurementSet::new(record.point.len());
         probe.add_repetitions(&record.point, &record.values);
-        let (clean, quality) = sanitize(&probe, &self.opts.sanitize);
+        let (clean, quality) = sanitize(&probe, &self.opts.adaptive.sanitize);
         if fresh {
             self.counters.values_dropped +=
                 (quality.dropped_non_finite + quality.dropped_non_positive) as u64;
@@ -446,7 +431,7 @@ impl IngestEngine {
                     if let Some(registry) = &self.registry {
                         if let Ok(hash) = registry.put(&adapted) {
                             if self.last_published != Some(hash)
-                                && registry.set_ref(&self.opts.publish_ref, hash).is_ok()
+                                && registry.set_ref(INGEST_CANDIDATE_REF, hash).is_ok()
                             {
                                 self.last_published = Some(hash);
                                 self.counters.models_published += 1;

@@ -160,7 +160,6 @@ fn resume_with_firing_keeps_exact_counts_and_publishes_models() {
         state_dir: Some(state_dir.clone()),
         registry_dir: Some(registry_dir.clone()),
         adaptive: adaptive.clone(),
-        ..IngestOptions::default()
     };
 
     std::fs::write(&log_path, &log[..cut]).unwrap();

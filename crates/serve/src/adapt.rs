@@ -42,6 +42,7 @@
 //! process-wide `ThreadBudget` slice (reserved by the CLI), not on top of
 //! it.
 
+use crate::metrics::Counter;
 use crate::server::Shared;
 use nrpm_core::accumulate::NoiseAccumulator;
 use nrpm_core::adaptive::{AdaptiveModeler, AdaptiveOptions};
@@ -59,8 +60,8 @@ use std::time::{Duration, Instant};
 pub const SERVING_REF: &str = "serving";
 /// Ref name of the rollback target (the previously serving checkpoint).
 pub const SERVING_PREVIOUS_REF: &str = "serving-previous";
-/// Ref name the ingester publishes candidates under (the default feed
-/// watch target; `nrpm-ingest` re-exports it as its publish ref).
+/// Ref name the ingester publishes candidates under and feed mode watches
+/// (`nrpm-ingest` re-exports it).
 pub const INGEST_CANDIDATE_REF: &str = "ingest-candidate";
 
 /// Bound on buffered observations between engine ticks; oldest are dropped
@@ -97,15 +98,13 @@ pub struct AdaptOptions {
     /// process-wide budget so retraining never oversubscribes the serve
     /// workers). `0` inherits the global budget.
     pub train_threads: usize,
-    /// Watch the registry ref named by [`AdaptOptions::feed_ref`] for
+    /// Watch the registry ref [`INGEST_CANDIDATE_REF`] for
     /// candidates published by an external ingester (`nrpm ingest`) and
     /// hot-swap them in through the two-phase journal. The shadow-SMAPE
     /// gate is skipped — the ingester modeled the candidate against its
     /// own live window — but the post-swap watchdog still applies, so a
     /// regressing fed model rolls back like any other. Requires `dir`.
     pub feed: bool,
-    /// Registry ref watched in feed mode.
-    pub feed_ref: String,
 }
 
 impl Default for AdaptOptions {
@@ -120,7 +119,6 @@ impl Default for AdaptOptions {
             dir: None,
             train_threads: 0,
             feed: false,
-            feed_ref: INGEST_CANDIDATE_REF.to_string(),
         }
     }
 }
@@ -344,7 +342,7 @@ impl Engine {
     fn ingest(&mut self, state: &AdaptState) {
         let aggregation = self.shared.store.options().dnn.aggregation;
         for obs in state.take_observations() {
-            self.shared.metrics.record_adapt_observation();
+            self.shared.metrics.bump(Counter::AdaptObservations);
             let sequence: Vec<f64> = obs
                 .set
                 .line(0, aggregation)
@@ -405,7 +403,7 @@ impl Engine {
             let _ = registry.set_ref(SERVING_REF, watch.previous_hash);
             let _ = registry.set_ref(SERVING_PREVIOUS_REF, watch.swapped_hash);
         }
-        self.shared.metrics.record_adapt_rollback();
+        self.shared.metrics.bump(Counter::AdaptRollbacks);
     }
 
     /// Feed mode: hot-swap in a candidate published by an external
@@ -423,7 +421,7 @@ impl Engine {
         let Some(registry) = &self.registry else {
             return;
         };
-        let Ok(Some(hash)) = registry.ref_hash(&self.opts.feed_ref) else {
+        let Ok(Some(hash)) = registry.ref_hash(INGEST_CANDIDATE_REF) else {
             return;
         };
         if self.feed_seen == Some(hash) {
@@ -467,7 +465,7 @@ impl Engine {
         if let (Some(journal), Some(seq)) = (&mut self.journal, seq) {
             let _ = journal.commit(seq);
         }
-        self.shared.metrics.record_adapt_feed_swap();
+        self.shared.metrics.bump(Counter::AdaptFeedSwaps);
         // Watch the fed model against the incumbent's shadow baseline when
         // there is mirrored traffic to define one; without a baseline the
         // watchdog would have nothing sound to compare against.
@@ -491,8 +489,8 @@ impl Engine {
     fn cycle(&mut self, state: &AdaptState) {
         let faults = state.take_faults();
         let has = |kind: AdaptFaultKind| faults.contains(&kind);
-        let rejected = || self.shared.metrics.record_adapt_rejected();
-        self.shared.metrics.record_adapt_cycle();
+        let rejected = || self.shared.metrics.bump(Counter::AdaptRejected);
+        self.shared.metrics.bump(Counter::AdaptCycles);
         if has(AdaptFaultKind::KillRetrain) {
             panic!("adapt fault: killed mid-retrain");
         }
@@ -608,7 +606,7 @@ impl Engine {
             // the last committed hash.
             let _ = journal.commit(seq);
         }
-        self.shared.metrics.record_adapt_swap();
+        self.shared.metrics.bump(Counter::AdaptSwaps);
         let baseline = incumbent_smape.or(candidate_smape).unwrap_or(0.0);
         self.watch = Some(WatchState {
             baseline,

@@ -65,7 +65,7 @@ impl Client {
         self.roundtrip(&Request::Health)
     }
 
-    /// Fetches the metrics snapshot (the `stats` field of the response).
+    /// Fetches the `stats` body (the `stats` field of the response).
     pub fn stats(&mut self) -> std::io::Result<Value> {
         let response = self.roundtrip(&Request::Stats)?;
         response

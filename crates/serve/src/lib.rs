@@ -51,6 +51,7 @@
 pub mod adapt;
 pub mod chaos;
 pub mod client;
+pub mod counters;
 pub mod line;
 pub mod metrics;
 pub mod protocol;

@@ -37,7 +37,7 @@
 
 use crate::adapt::{AdaptFaultKind, AdaptOptions, AdaptState, Observation};
 use crate::line::{self, serve_lines, Disposition, LineHandler, LineLimits};
-use crate::metrics::{Metrics, RequestKind};
+use crate::metrics::{Counter, Metrics};
 use crate::protocol::{
     batch_entry, error_line, ok_line, outcome_value, ErrorKind, Request, MAX_LINE_BYTES,
 };
@@ -46,7 +46,7 @@ use nrpm_core::adaptive::{AdaptiveModeler, AdaptiveOutcome};
 use nrpm_core::fingerprint::ModelKey;
 use nrpm_extrap::MeasurementSet;
 use nrpm_registry::{hex16, Joined, ResultCache, SingleFlight};
-use serde::{Serialize, Value};
+use serde::Value;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -273,7 +273,7 @@ impl Server {
         let adapt_enabled = opts.adaptation.enabled;
         let shared = Arc::new(Shared {
             store,
-            metrics: Metrics::new(),
+            metrics: Metrics::default(),
             shutdown: AtomicBool::new(false),
             opts,
             addr: local,
@@ -398,7 +398,7 @@ fn run_supervisor(
                     next_index += 1;
                     let dead = std::mem::replace(slot, fresh);
                     let _ = dead.join(); // swallow the panic payload
-                    shared.metrics.record_worker_restart();
+                    shared.metrics.bump(Counter::WorkerRestarts);
                 }
             }
         }
@@ -412,7 +412,7 @@ fn run_supervisor(
                 let dead = engine.take().expect("checked is_some above");
                 let _ = dead.join(); // swallow the panic payload
                 *engine = Some(spawn_adapt(shared));
-                shared.metrics.record_adapt_restart();
+                shared.metrics.bump(Counter::AdaptRestarts);
             }
         }
         thread::sleep(shared.opts.poll_interval);
@@ -467,8 +467,8 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
     };
     match request {
         Request::Health => {
-            shared.metrics.record_request(RequestKind::Health);
-            shared.metrics.record_ok();
+            shared.metrics.bump(Counter::RequestsHealth);
+            shared.metrics.bump(Counter::ResponsesOk);
             let mut fields = vec![
                 ("service".into(), Value::Str("nrpm-serve".into())),
                 ("workers".into(), Value::U64(shared.opts.workers as u64)),
@@ -481,13 +481,13 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
             Disposition::Respond(ok_line(None, fields))
         }
         Request::Stats => {
-            shared.metrics.record_request(RequestKind::Stats);
-            shared.metrics.record_ok();
+            shared.metrics.bump(Counter::RequestsStats);
+            shared.metrics.bump(Counter::ResponsesOk);
             Disposition::Respond(ok_line(None, vec![("stats".into(), stats_value(shared))]))
         }
         Request::Shutdown => {
-            shared.metrics.record_request(RequestKind::Shutdown);
-            shared.metrics.record_ok();
+            shared.metrics.bump(Counter::RequestsShutdown);
+            shared.metrics.bump(Counter::ResponsesOk);
             shared.begin_shutdown();
             Disposition::RespondAndClose(ok_line(
                 None,
@@ -512,7 +512,7 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
             match job_tx.try_send(job) {
                 Ok(()) => {
                     shared.metrics.queue_enter();
-                    shared.metrics.record_ok();
+                    shared.metrics.bump(Counter::ResponsesOk);
                     Disposition::Respond(ok_line(
                         None,
                         vec![("crash_queued".into(), Value::Bool(true))],
@@ -534,20 +534,20 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
             attempt,
             tenant,
         } => {
-            shared.metrics.record_request(RequestKind::Model);
+            shared.metrics.bump(Counter::RequestsModel);
             if attempt.unwrap_or(0) >= 1 {
-                shared.metrics.record_retry_observed();
+                shared.metrics.bump(Counter::RetriesObserved);
             }
             Disposition::Respond(answer_model(
                 shared, job_tx, set, at, timeout_ms, id, tenant,
             ))
         }
         Request::ForceAdapt => {
-            shared.metrics.record_request(RequestKind::Adapt);
+            shared.metrics.bump(Counter::RequestsAdapt);
             match &shared.adapt {
                 Some(state) => {
                     state.request_cycle();
-                    shared.metrics.record_ok();
+                    shared.metrics.bump(Counter::ResponsesOk);
                     Disposition::Respond(ok_line(
                         None,
                         vec![("adapt_forced".into(), Value::Bool(true))],
@@ -562,7 +562,7 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
             }
         }
         Request::AdaptFault { kind } => {
-            shared.metrics.record_request(RequestKind::Adapt);
+            shared.metrics.bump(Counter::RequestsAdapt);
             if !shared.opts.debug_hooks {
                 return Disposition::Respond(refuse(
                     shared,
@@ -582,7 +582,7 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
             match AdaptFaultKind::parse(&kind) {
                 Some(fault) => {
                     state.inject_fault(fault);
-                    shared.metrics.record_ok();
+                    shared.metrics.bump(Counter::ResponsesOk);
                     Disposition::Respond(ok_line(
                         None,
                         vec![
@@ -608,9 +608,9 @@ fn handle_line(line: &str, shared: &Arc<Shared>, job_tx: &mpsc::SyncSender<Job>)
             id,
             attempt,
         } => {
-            shared.metrics.record_request(RequestKind::Batch);
+            shared.metrics.bump(Counter::RequestsBatch);
             if attempt.unwrap_or(0) >= 1 {
-                shared.metrics.record_retry_observed();
+                shared.metrics.bump(Counter::RetriesObserved);
             }
             let request = JobRequest::Batch { sets, id };
             Disposition::Respond(dispatch_job(shared, job_tx, request, timeout_ms).line)
@@ -624,11 +624,11 @@ fn refuse(shared: &Shared, id: Option<&str>, kind: ErrorKind, message: &str) -> 
     error_line(id, kind, message)
 }
 
-/// Builds the `stats` response body: the metrics snapshot, extended with
+/// Builds the `stats` response body: the metrics table, extended with
 /// the server build version, the serving checkpoint's content hash, and —
 /// when caching is on — the result cache's own counters.
 fn stats_value(shared: &Arc<Shared>) -> Value {
-    let mut stats = shared.metrics.snapshot().to_value();
+    let mut stats = shared.metrics.to_value();
     if let Value::Map(entries) = &mut stats {
         entries.push((
             "server_version".into(),
@@ -717,7 +717,7 @@ fn answer_model(
     let key = ModelKey::new(&set, key_hash, shared.opts.adapt).combined();
 
     let cached_answer = |outcome: &AdaptiveOutcome| {
-        shared.metrics.record_ok();
+        shared.metrics.bump(Counter::ResponsesOk);
         shared.metrics.record_latency(started.elapsed());
         ok_line(
             id.as_deref(),
@@ -729,10 +729,10 @@ fn answer_model(
         )
     };
     if let Some(outcome) = cache.get(key) {
-        shared.metrics.record_cache_hit();
+        shared.metrics.bump(Counter::CacheHits);
         return cached_answer(&outcome);
     }
-    shared.metrics.record_cache_miss();
+    shared.metrics.bump(Counter::CacheMisses);
 
     // Dispatches to the pool with whatever budget the flight join left,
     // caching a successful outcome. Shared by the leader path (which then
@@ -757,7 +757,7 @@ fn answer_model(
                 // Journal failures must not fail the request: the answer is
                 // already computed, persistence is an optimization.
                 if cache.insert(key, (**outcome).clone()).is_ok() {
-                    shared.metrics.record_cache_insert();
+                    shared.metrics.bump(Counter::CacheInserts);
                 }
             }
         }
@@ -783,7 +783,7 @@ fn answer_model(
             dispatched.line
         }
         Joined::Shared(outcome) => {
-            shared.metrics.record_singleflight_shared();
+            shared.metrics.bump(Counter::SingleflightShared);
             cached_answer(&outcome)
         }
         Joined::LeaderFailed => {
@@ -861,7 +861,7 @@ fn dispatch_job(
     match reply_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
         Ok(reply) => {
             match reply.error {
-                None => shared.metrics.record_ok(),
+                None => shared.metrics.bump(Counter::ResponsesOk),
                 Some(kind) => shared.metrics.record_error(kind),
             }
             shared.metrics.record_latency(started.elapsed());
@@ -891,7 +891,7 @@ fn dispatch_job(
 /// inference was requested but this modeler will serve the f64 reference.
 fn note_quant_fallback(shared: &Shared, modeler: &nrpm_core::adaptive::AdaptiveModeler) {
     if modeler.dnn().quant_rejection().is_some() {
-        shared.metrics.record_quant_fallback();
+        shared.metrics.bump(Counter::QuantFallbacks);
     }
 }
 

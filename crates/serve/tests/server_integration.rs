@@ -333,3 +333,88 @@ fn a_new_connection_does_not_wait_for_a_poll_tick() {
     server.request_shutdown();
     join_within(server, Duration::from_secs(20));
 }
+
+/// The keys of a `Value::Map`, in order.
+fn map_keys(v: &Value) -> Vec<&str> {
+    match v {
+        Value::Map(entries) => entries.iter().map(|(key, _)| key.as_str()).collect(),
+        other => panic!("expected a map, got {other:?}"),
+    }
+}
+
+/// The `stats` body is a wire contract: perfbench and operators read it by
+/// key, and a missing key reads as 0. A renamed, dropped or reordered entry
+/// fails here.
+#[test]
+fn stats_body_keeps_its_key_sequence() {
+    let server = start_server(1);
+    let mut client = connect(&server);
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        map_keys(&stats),
+        [
+            "requests_model",
+            "requests_batch",
+            "requests_health",
+            "requests_stats",
+            "requests_shutdown",
+            "responses_ok",
+            "errors_parse",
+            "errors_usage",
+            "errors_recoverable",
+            "errors_fatal",
+            "errors_timeout",
+            "errors_shutting_down",
+            "shed",
+            "queue_depth",
+            "queue_depth_hwm",
+            "retries_observed",
+            "worker_restarts",
+            "requests_adapt",
+            "adapt_observations",
+            "adapt_cycles",
+            "adapt_rejected",
+            "adapt_swaps",
+            "adapt_rollbacks",
+            "adapt_restarts",
+            "adapt_feed_swaps",
+            "choice_dnn",
+            "choice_regression",
+            "choice_constant_mean",
+            "kernels_modeled",
+            "cache_hits",
+            "cache_misses",
+            "cache_inserts",
+            "singleflight_shared",
+            "batched_forward_calls",
+            "batched_rows",
+            "quantized_forward_calls",
+            "quant_fallbacks",
+            "latency_bucket_bounds_ms",
+            "latency_buckets",
+            "latency_total_us",
+            "latency_count",
+            "server_version",
+            "checkpoint_hash",
+            "epoch",
+            "cache",
+        ]
+    );
+    assert_eq!(
+        map_keys(stats.get("cache").unwrap()),
+        [
+            "capacity",
+            "entries",
+            "lru_hits",
+            "lru_misses",
+            "insertions",
+            "evictions",
+            "persistent",
+            "journal_records",
+            "recovered_records",
+            "recovery_repaired",
+        ]
+    );
+    client.shutdown().unwrap();
+    join_within(server, Duration::from_secs(10));
+}
