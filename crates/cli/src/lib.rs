@@ -23,7 +23,7 @@ use nrpm_core::report::render_outcome;
 use nrpm_core::sanitize::{admit, SanitizeOptions, SanitizePolicy};
 use nrpm_core::threshold::ThresholdTable;
 use nrpm_extrap::{parse_text_file, MeasurementSet, ModelError, RegressionModeler};
-use nrpm_ingest::{FollowSource, IngestEngine, IngestOptions, PushSource, WindowOptions};
+use nrpm_ingest::{FollowSource, IngestEngine, IngestOptions, PushSource};
 use nrpm_linalg::ThreadBudget;
 use nrpm_nn::Network;
 use nrpm_registry::cache::JOURNAL_FILE;
@@ -33,7 +33,6 @@ use nrpm_registry::swap::SWAP_JOURNAL_FILE;
 use nrpm_registry::{
     hex16, CheckpointRegistry, Journal, JournalError, RecoveryReport, ResultCache, SwapRecord,
 };
-use nrpm_serve::adapt::AdaptOptions;
 use nrpm_serve::client::{Client, RetryPolicy, RetryingClient};
 use nrpm_serve::server::{ServeOptions, Server};
 use nrpm_serve::store::ModelStore;
@@ -214,6 +213,9 @@ exit codes: 0 success, 2 usage, 3 unreadable or malformed input,
 /// Default address of `nrpm serve` and `nrpm query`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7077";
 
+/// Default deadline of a client roundtrip (`--timeout-ms`), in milliseconds.
+const TIMEOUT_MS: u64 = 30_000;
+
 /// An error carrying the process exit code of its class: `2` usage,
 /// `3` I/O or parse, `4` recoverable modeling error, `5` fatal modeling
 /// error.
@@ -278,15 +280,10 @@ pub enum Invocation {
     Pretrain {
         /// Output path.
         out: PathBuf,
-        /// Samples per class.
-        samples: usize,
-        /// Training epochs.
-        epochs: usize,
-        /// Use the paper's full architecture.
-        paper_net: bool,
-        /// Worker threads for corpus generation and training (0 = the
-        /// process thread budget).
-        train_threads: usize,
+        /// The modeler whose network is trained: `--paper-net` picks its
+        /// architecture, `--samples`, `--epochs` and `--train-threads` its
+        /// pretraining budget.
+        options: DnnOptions,
     },
     /// Run the model-serving subsystem until it is drained.
     Serve {
@@ -294,33 +291,21 @@ pub enum Invocation {
         model: PathBuf,
         /// Listen address.
         addr: String,
-        /// Worker threads.
-        workers: usize,
-        /// Run domain adaptation for single `model` requests.
-        adapt: bool,
-        /// Default per-request deadline in milliseconds.
-        timeout_ms: Option<u64>,
-        /// Admission-queue depth before requests are shed.
-        queue_depth: usize,
-        /// Maximum live connections before new ones are shed.
-        max_conns: usize,
-        /// Per-connection I/O stall limit in milliseconds.
-        io_timeout_ms: Option<u64>,
-        /// Simulated per-job service time in milliseconds (testing knob).
-        work_delay_ms: Option<u64>,
-        /// Result-cache capacity (0 disables caching and single-flight).
-        cache_capacity: usize,
-        /// Journal cached outcomes under this directory.
-        cache_dir: Option<PathBuf>,
+        /// The server's settings. `--adapt-interval`,
+        /// `--swap-smape-tolerance` and `--feed` fill its `adaptation`;
+        /// `run` reserves the engine's share of the thread budget.
+        options: ServeOptions,
+        /// The modeler every worker runs (`--quantize` sets
+        /// `dnn.quantize`); `run` loads `thresholds` into it.
+        modeler: AdaptiveOptions,
         /// Total thread budget shared by the workers (0 = the process
         /// thread budget).
         train_threads: usize,
-        /// Run the background adaptation engine, cycling every this many
-        /// milliseconds. `None` disables the engine.
-        adapt_interval_ms: Option<u64>,
-        /// Shadow-validation gate: a candidate may exceed the incumbent's
-        /// SMAPE on mirrored requests by at most this fraction.
-        swap_smape_tolerance: Option<f64>,
+        /// Calibrated threshold table (from `nrpm sweep`) for the
+        /// adaptive switch.
+        thresholds: Option<PathBuf>,
+        /// Regime row of the threshold table (default `uniform`).
+        regime: Option<String>,
         /// Enroll as a network shard with the cluster router at this
         /// address (requires `--join-token`).
         join: Option<String>,
@@ -329,17 +314,6 @@ pub enum Invocation {
         /// Address the router should reach this shard at (defaults to the
         /// bound listen address).
         advertise: Option<String>,
-        /// Watch the registry's ingest-candidate ref for externally
-        /// published models and hot-swap them in (requires `--cache-dir`).
-        feed: bool,
-        /// Calibrated threshold table (from `nrpm sweep`) for the
-        /// adaptive switch.
-        thresholds: Option<PathBuf>,
-        /// Regime row of the threshold table (default `uniform`).
-        regime: Option<String>,
-        /// Serve inference through the int8-quantized fast path when the
-        /// accuracy gate accepts it (falls back to f64 otherwise).
-        quantize: bool,
     },
     /// Tail live measurement sources, window them, re-model, publish.
     Ingest {
@@ -347,28 +321,17 @@ pub enum Invocation {
         follow: Option<PathBuf>,
         /// Accept newline-JSON push records on this address.
         push_addr: Option<String>,
-        /// Journal the ingest checkpoint here (crash-safe resume).
-        state_dir: Option<PathBuf>,
-        /// Publish adapted networks into this checkpoint registry.
-        registry_dir: Option<PathBuf>,
         /// Base network the windowed re-modeling adapts from.
         model: Option<PathBuf>,
-        /// Idle poll interval in milliseconds.
-        interval_ms: u64,
+        /// The engine's settings: `--state-dir`, `--registry-dir` and the
+        /// window flags.
+        options: IngestOptions,
+        /// Idle poll interval.
+        interval: Duration,
         /// Drain the current file contents, checkpoint, and exit.
         once: bool,
-        /// Stop after this many milliseconds (`None` = run forever).
-        duration_ms: Option<u64>,
-        /// Sliding-window capacity per (kernel, tenant).
-        window_capacity: usize,
-        /// Minimum records in a window before it may fire.
-        min_points: usize,
-        /// Accepted records between fires of the same window.
-        fire_interval: usize,
-        /// Global record budget across all windows (shed-oldest past it).
-        max_records: usize,
-        /// Watermark lateness allowance (event-time units).
-        allowed_lateness: f64,
+        /// Stop after this long (`None` = run forever).
+        duration: Option<Duration>,
     },
     /// Inspect or maintain a registry/cache directory.
     Registry {
@@ -393,36 +356,18 @@ pub enum Invocation {
     Cluster {
         /// What to do.
         action: ClusterAction,
-        /// Checkpoint every shard serves (`launch` only).
+        /// Checkpoint every shard serves (`launch`) or to roll out
+        /// (`rollout`).
         model: Option<PathBuf>,
-        /// Backend shard count (`launch` only).
-        shards: usize,
-        /// Router address: bind address for `launch`, target otherwise.
-        addr: String,
-        /// Worker threads per shard (`launch` only).
-        workers: usize,
-        /// Virtual nodes per shard on the routing ring (`launch` only).
-        vnodes: usize,
-        /// Distribute the serving checkpoint through a registry here
-        /// (`launch` only).
-        registry_dir: Option<PathBuf>,
-        /// Enable the `cluster_kill` test hook (`launch` only).
-        debug_hooks: bool,
         /// Target shard id (`drain`/`kill` only).
         shard: Option<u32>,
         /// Per-request deadline in milliseconds (every action but
         /// `launch`).
         timeout_ms: Option<u64>,
-        /// Replicas per key (`launch` only; 1 disables replication).
-        replication: usize,
-        /// Token network shards must present to join (`launch` only;
-        /// absent = closed cluster).
-        join_token: Option<String>,
-        /// Heartbeat lease granted to network members, in milliseconds
-        /// (`launch` only).
-        lease_ms: Option<u64>,
-        /// Run a warm standby router for failover (`launch` only).
-        standby: bool,
+        /// The tier `launch` starts. Its `router_addr` is the router's
+        /// address for every action: the bind address for `launch`, the
+        /// target otherwise.
+        options: ClusterOptions,
     },
     /// Run one of the paper-figure harnesses (`fig3_accuracy`, ...).
     Harness(Harness),
@@ -527,16 +472,20 @@ impl Invocation {
             "noise" => Ok(Invocation::Noise {
                 file: positional.first().ok_or("noise: missing <file>")?.into(),
             }),
-            "pretrain" => Ok(Invocation::Pretrain {
-                out: flags
+            "pretrain" => {
+                let out = flags
                     .value("out")?
                     .ok_or("pretrain: --out is required")?
-                    .into(),
-                samples: flags.number("samples")?.unwrap_or(500),
-                epochs: flags.number("epochs")?.unwrap_or(20),
-                paper_net: flags.switch("paper-net"),
-                train_threads: flags.number("train-threads")?.unwrap_or(0),
-            }),
+                    .into();
+                let mut options = dnn_options(&flags, None);
+                let spec = &mut options.pretrain_spec;
+                spec.samples_per_class = flags.count("samples", spec.samples_per_class, 1)?;
+                options.pretrain_epochs = flags.count("epochs", options.pretrain_epochs, 1)?;
+                options.train_threads = flags
+                    .number("train-threads")?
+                    .unwrap_or(options.train_threads);
+                Ok(Invocation::Pretrain { out, options })
+            }
             "serve" => {
                 let join = flags.value("join")?;
                 let join_token = flags.value("join-token")?;
@@ -548,12 +497,15 @@ impl Invocation {
                     return Err("serve: --join requires --join-token".to_string());
                 }
                 let feed = flags.switch("feed");
-                let cache_dir = flags.value("cache-dir")?.map(PathBuf::from);
-                if feed && cache_dir.is_none() {
+                let mut options = ServeOptions {
+                    cache_dir: flags.value("cache-dir")?.map(PathBuf::from),
+                    ..Default::default()
+                };
+                if feed && options.cache_dir.is_none() {
                     return Err("serve: --feed requires --cache-dir".to_string());
                 }
-                let adapt_interval_ms = flags.number("adapt-interval")?;
-                if adapt_interval_ms == Some(0) {
+                let adapt_interval = flags.number("adapt-interval")?;
+                if adapt_interval == Some(0) {
                     return Err("--adapt-interval: must be at least 1 ms".to_string());
                 }
                 let thresholds = flags.value("thresholds")?.map(PathBuf::from);
@@ -561,49 +513,78 @@ impl Invocation {
                 if regime.is_some() && thresholds.is_none() {
                     return Err("serve: --regime requires --thresholds".to_string());
                 }
+                let model = flags
+                    .value("model")?
+                    .ok_or("serve: --model is required")?
+                    .into();
+                let addr = flags
+                    .value("addr")?
+                    .unwrap_or_else(|| DEFAULT_ADDR.to_string());
+                options.workers = flags.count("workers", options.workers, 1)?;
+                options.adapt = flags.switch("adapt");
+                if let Some(ms) = flags.number("timeout-ms")? {
+                    options.default_timeout = Duration::from_millis(ms);
+                }
+                options.queue_depth = flags.count("queue-depth", options.queue_depth, 1)?;
+                options.max_conns = flags.count("max-conns", options.max_conns, 1)?;
+                if let Some(ms) = flags.number("io-timeout-ms")? {
+                    options.io_timeout = Duration::from_millis(ms);
+                }
+                options.work_delay = flags.number("work-delay-ms")?.map(Duration::from_millis);
+                options.cache_capacity = flags
+                    .number("cache-capacity")?
+                    .unwrap_or(options.cache_capacity);
+                let train_threads = flags.number("train-threads")?.unwrap_or(0);
+                let tolerance = flags.number::<f64>("swap-smape-tolerance")?;
+                match tolerance {
+                    Some(t) if !t.is_finite() || t < 0.0 => {
+                        return Err(
+                            "--swap-smape-tolerance: must be a non-negative fraction".to_string()
+                        )
+                    }
+                    Some(_) if adapt_interval.is_none() => {
+                        return Err("--swap-smape-tolerance requires --adapt-interval".to_string())
+                    }
+                    _ => {}
+                }
+                // Adapted checkpoints and the swap journal live beside the
+                // result cache, so one directory is the server's whole
+                // durable state.
+                let adaptation = &mut options.adaptation;
+                if let Some(ms) = adapt_interval {
+                    adaptation.enabled = true;
+                    adaptation.interval = Duration::from_millis(ms);
+                    adaptation.smape_tolerance = tolerance.unwrap_or(adaptation.smape_tolerance);
+                    adaptation.dir = options.cache_dir.clone();
+                }
+                if feed {
+                    // The feed watcher rides on the adaptation engine;
+                    // without --adapt-interval the engine runs but its
+                    // scheduled retrain cycles never trigger.
+                    adaptation.enabled = true;
+                    adaptation.feed = true;
+                    adaptation.dir = options.cache_dir.clone();
+                    if adapt_interval.is_none() {
+                        adaptation.min_observations = usize::MAX;
+                    }
+                }
+                let mut modeler = AdaptiveOptions::default();
+                // The flag rides on the modeler options the store hands
+                // every worker: each warm rebuild re-runs the quantization
+                // gate, so a hot-swapped checkpoint that fails it falls back
+                // to f64.
+                modeler.dnn.quantize = flags.switch("quantize");
                 Ok(Invocation::Serve {
-                    model: flags
-                        .value("model")?
-                        .ok_or("serve: --model is required")?
-                        .into(),
-                    addr: flags
-                        .value("addr")?
-                        .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
-                    workers: flags.number("workers")?.unwrap_or(4),
-                    adapt: flags.switch("adapt"),
-                    timeout_ms: flags.number("timeout-ms")?,
-                    queue_depth: flags.number("queue-depth")?.unwrap_or(64),
-                    max_conns: flags.number("max-conns")?.unwrap_or(256),
-                    io_timeout_ms: flags.number("io-timeout-ms")?,
-                    work_delay_ms: flags.number("work-delay-ms")?,
-                    cache_capacity: flags.number("cache-capacity")?.unwrap_or(1024),
-                    cache_dir,
-                    train_threads: flags.number("train-threads")?.unwrap_or(0),
-                    adapt_interval_ms,
-                    swap_smape_tolerance: {
-                        let tolerance = flags.number::<f64>("swap-smape-tolerance")?;
-                        match tolerance {
-                            Some(t) if !t.is_finite() || t < 0.0 => {
-                                return Err(
-                                    "--swap-smape-tolerance: must be a non-negative fraction"
-                                        .to_string(),
-                                )
-                            }
-                            Some(_) if adapt_interval_ms.is_none() => {
-                                return Err(
-                                    "--swap-smape-tolerance requires --adapt-interval".to_string()
-                                )
-                            }
-                            _ => tolerance,
-                        }
-                    },
+                    model,
+                    addr,
+                    options,
+                    modeler,
+                    train_threads,
+                    thresholds,
+                    regime,
                     join,
                     join_token,
                     advertise,
-                    feed,
-                    thresholds,
-                    regime,
-                    quantize: flags.switch("quantize"),
                 })
             }
             "ingest" => {
@@ -616,37 +597,35 @@ impl Invocation {
                 if once && follow.is_none() {
                     return Err("ingest: --once requires --follow".to_string());
                 }
-                let duration_ms = flags.number("duration-ms")?;
-                if once && duration_ms.is_some() {
+                let duration = flags.number("duration-ms")?.map(Duration::from_millis);
+                if once && duration.is_some() {
                     return Err("ingest: --once and --duration-ms conflict".to_string());
                 }
-                let defaults = WindowOptions::default();
-                let allowed_lateness = flags
+                let mut options = IngestOptions::default();
+                let windows = &mut options.windows;
+                windows.allowed_lateness = flags
                     .number::<f64>("allowed-lateness")?
-                    .unwrap_or(defaults.allowed_lateness);
-                if allowed_lateness.is_nan() || allowed_lateness < 0.0 {
+                    .unwrap_or(windows.allowed_lateness);
+                if windows.allowed_lateness.is_nan() || windows.allowed_lateness < 0.0 {
                     return Err("--allowed-lateness: must be non-negative".to_string());
                 }
+                options.state_dir = flags.value("state-dir")?.map(PathBuf::from);
+                options.registry_dir = flags.value("registry-dir")?.map(PathBuf::from);
+                let model = flags.value("model")?.map(PathBuf::from);
+                let interval = Duration::from_millis(flags.count("interval-ms", 200, 1)? as u64);
+                windows.capacity = flags.count("window-capacity", windows.capacity, 1)?;
+                windows.min_points = flags.count("min-points", windows.min_points, 1)?;
+                windows.fire_interval = flags.count("fire-interval", windows.fire_interval, 1)?;
+                windows.max_total_records =
+                    flags.count("max-records", windows.max_total_records, 1)?;
                 Ok(Invocation::Ingest {
                     follow,
                     push_addr,
-                    state_dir: flags.value("state-dir")?.map(PathBuf::from),
-                    registry_dir: flags.value("registry-dir")?.map(PathBuf::from),
-                    model: flags.value("model")?.map(PathBuf::from),
-                    interval_ms: flags.number("interval-ms")?.unwrap_or(200),
+                    model,
+                    options,
+                    interval,
                     once,
-                    duration_ms,
-                    window_capacity: flags
-                        .number("window-capacity")?
-                        .unwrap_or(defaults.capacity),
-                    min_points: flags.number("min-points")?.unwrap_or(defaults.min_points),
-                    fire_interval: flags
-                        .number("fire-interval")?
-                        .unwrap_or(defaults.fire_interval),
-                    max_records: flags
-                        .number("max-records")?
-                        .unwrap_or(defaults.max_total_records),
-                    allowed_lateness,
+                    duration,
                 })
             }
             "sweep" => {
@@ -711,7 +690,9 @@ impl Invocation {
                     model,
                     files,
                     ref_name: flags.value("ref")?,
-                    cache_capacity: flags.number("cache-capacity")?.unwrap_or(1024),
+                    cache_capacity: flags
+                        .number("cache-capacity")?
+                        .unwrap_or(ServeOptions::default().cache_capacity),
                     adapt: flags.switch("adapt"),
                     dry_run,
                 })
@@ -782,30 +763,29 @@ impl Invocation {
                         }
                     }
                 }
-                let shards = flags.count("shards", 3, 1)?;
-                let vnodes = flags.count("vnodes", nrpm_cluster::DEFAULT_VNODES, 1)?;
-                let replication = flags.count("replication", 1, 1)?;
-                let lease_ms = flags.number("lease-ms")?;
-                if lease_ms == Some(0) {
-                    return Err("--lease-ms: must be at least 1 ms".to_string());
+                let mut options = ClusterOptions::default();
+                options.shards = flags.count("shards", options.shards, 1)?;
+                options.vnodes = flags.count("vnodes", options.vnodes, 1)?;
+                options.replication = flags.count("replication", options.replication, 1)?;
+                match flags.number("lease-ms")? {
+                    Some(0) => return Err("--lease-ms: must be at least 1 ms".to_string()),
+                    Some(ms) => options.member_lease = Duration::from_millis(ms),
+                    None => {}
                 }
+                options.router_addr = flags
+                    .value("addr")?
+                    .unwrap_or_else(|| DEFAULT_ADDR.to_string());
+                options.workers_per_shard = flags.count("workers", options.workers_per_shard, 1)?;
+                options.registry_dir = flags.value("registry-dir")?.map(PathBuf::from);
+                options.debug_hooks = flags.switch("debug-hooks");
+                options.join_token = flags.value("join-token")?;
+                options.standby = flags.switch("standby");
                 Ok(Invocation::Cluster {
                     action,
                     model,
-                    shards,
-                    addr: flags
-                        .value("addr")?
-                        .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
-                    workers: flags.number("workers")?.unwrap_or(2),
-                    vnodes,
-                    registry_dir: flags.value("registry-dir")?.map(PathBuf::from),
-                    debug_hooks: flags.switch("debug-hooks"),
                     shard,
                     timeout_ms: flags.number("timeout-ms")?,
-                    replication,
-                    join_token: flags.value("join-token")?,
-                    lease_ms,
-                    standby: flags.switch("standby"),
+                    options,
                 })
             }
             "query" => {
@@ -1144,22 +1124,8 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        Invocation::Pretrain {
-            out,
-            samples,
-            epochs,
-            paper_net,
-            train_threads,
-        } => {
-            let mut options = if *paper_net {
-                DnnOptions::paper_fidelity()
-            } else {
-                DnnOptions::default()
-            };
-            options.pretrain_spec.samples_per_class = *samples;
-            options.pretrain_epochs = *epochs;
-            options.train_threads = *train_threads;
-            let modeler = DnnModeler::pretrained(options);
+        Invocation::Pretrain { out, options } => {
+            let modeler = DnnModeler::pretrained(options.clone());
             let network = modeler.network();
             let (top1, top3) = held_out_accuracy(network).map_err(|e| CliError {
                 message: format!("held-out evaluation: {e}"),
@@ -1178,98 +1144,43 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
         Invocation::Serve {
             model,
             addr,
-            workers,
-            adapt,
-            timeout_ms,
-            queue_depth,
-            max_conns,
-            io_timeout_ms,
-            work_delay_ms,
-            cache_capacity,
-            cache_dir,
+            options,
+            modeler,
             train_threads,
-            adapt_interval_ms,
-            swap_smape_tolerance,
+            thresholds,
+            regime,
             join,
             join_token,
             advertise,
-            feed,
-            thresholds,
-            regime,
-            quantize,
         } => {
             // Divide the thread budget among the serving workers so
             // concurrent adaptation jobs don't oversubscribe the cores.
-            // When the background adaptation engine runs, it *reserves* a
-            // quarter of the budget for its retraining up front — the
-            // engine's threads come out of the same process-wide budget,
-            // never on top of the serve workers'.
+            // When the background adaptation engine retrains on a schedule,
+            // it *reserves* a quarter of the budget for its retraining up
+            // front — the engine's threads come out of the same process-wide
+            // budget, never on top of the serve workers'. A feed-only engine
+            // never schedules a retrain.
             let budget = if *train_threads > 0 {
                 *train_threads
             } else {
                 ThreadBudget::get()
             };
-            let adapt_threads = if adapt_interval_ms.is_some() {
-                (budget / 4).max(1)
-            } else {
-                0
-            };
-            let serve_budget = budget.saturating_sub(adapt_threads).max(1);
-            ThreadBudget::set((serve_budget / (*workers).max(1)).max(1));
-            let mut core_opts = AdaptiveOptions {
+            let mut opts = options.clone();
+            let adaptation = &mut opts.adaptation;
+            if adaptation.enabled && adaptation.min_observations != usize::MAX {
+                adaptation.train_threads = (budget / 4).max(1);
+            }
+            let serve_budget = budget.saturating_sub(adaptation.train_threads).max(1);
+            ThreadBudget::set((serve_budget / opts.workers.max(1)).max(1));
+            let modeler = AdaptiveOptions {
                 thresholds: thresholds
                     .as_deref()
                     .map(|path| load_switch_thresholds(path, regime.as_deref()))
                     .transpose()?,
-                ..Default::default()
+                ..modeler.clone()
             };
-            // The flag rides on the modeler options the store hands every
-            // worker: each warm rebuild re-runs the quantization gate, so a
-            // hot-swapped checkpoint that fails it falls back to f64.
-            core_opts.dnn.quantize = *quantize;
-            let store = ModelStore::open(model, core_opts)
+            let store = ModelStore::open(model, modeler)
                 .map_err(|e| CliError::io(format!("{}: {e}", model.display())))?;
-            let mut opts = ServeOptions {
-                workers: *workers,
-                adapt: *adapt,
-                queue_depth: *queue_depth,
-                max_conns: *max_conns,
-                work_delay: work_delay_ms.map(Duration::from_millis),
-                cache_capacity: *cache_capacity,
-                cache_dir: cache_dir.clone(),
-                ..Default::default()
-            };
-            if let Some(t) = timeout_ms {
-                opts.default_timeout = Duration::from_millis(*t);
-            }
-            if let Some(t) = io_timeout_ms {
-                opts.io_timeout = Duration::from_millis(*t);
-            }
-            if let Some(interval) = adapt_interval_ms {
-                opts.adaptation = AdaptOptions {
-                    enabled: true,
-                    interval: Duration::from_millis(*interval),
-                    smape_tolerance: swap_smape_tolerance
-                        .unwrap_or(AdaptOptions::default().smape_tolerance),
-                    // Adapted checkpoints and the swap journal live beside
-                    // the result cache, so one directory is the server's
-                    // whole durable state.
-                    dir: cache_dir.clone(),
-                    train_threads: adapt_threads,
-                    ..Default::default()
-                };
-            }
-            if *feed {
-                // The feed watcher rides on the adaptation engine; without
-                // --adapt-interval the engine runs but its scheduled
-                // retrain cycles never trigger.
-                opts.adaptation.enabled = true;
-                opts.adaptation.feed = true;
-                opts.adaptation.dir = cache_dir.clone();
-                if adapt_interval_ms.is_none() {
-                    opts.adaptation.min_observations = usize::MAX;
-                }
-            }
             let checkpoint_hash = store.checkpoint_hash();
             let server = Server::start(addr, store, opts)
                 .map_err(|e| CliError::io(format!("{addr}: {e}")))?;
@@ -1278,7 +1189,7 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
             println!(
                 "nrpm-serve listening on {} ({} workers)",
                 server.addr(),
-                workers
+                options.workers
             );
             use std::io::Write as _;
             std::io::stdout().flush().ok();
@@ -1347,8 +1258,6 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
             timeout_ms,
             retries,
         } => {
-            let socket = resolve_addr(addr)?;
-            let connect_timeout = Duration::from_millis(timeout_ms.unwrap_or(30_000).max(1));
             let mut sets = files
                 .iter()
                 .map(|f| load_measurements(f))
@@ -1361,7 +1270,8 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
                     max_attempts: retries.saturating_add(1),
                     ..Default::default()
                 };
-                let mut client = RetryingClient::new(socket, connect_timeout, policy);
+                let timeout = Duration::from_millis(timeout_ms.unwrap_or(TIMEOUT_MS).max(1));
+                let mut client = RetryingClient::new(resolve_addr(addr)?, timeout, policy);
                 let result = match what {
                     QueryKind::Health => client.roundtrip_line(r#"{"cmd":"health"}"#),
                     QueryKind::Stats => client
@@ -1376,8 +1286,7 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
                     code: 4, // gave up on a retryable condition
                 })?
             } else {
-                let mut client = Client::connect(socket, connect_timeout)
-                    .map_err(|e| CliError::io(format!("{addr}: {e}")))?;
+                let mut client = connect(addr, *timeout_ms, TIMEOUT_MS)?;
                 match what {
                     QueryKind::Health => client.health(),
                     QueryKind::Stats => client.stats(),
@@ -1392,82 +1301,52 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
         Invocation::Cluster {
             action,
             model,
-            shards,
-            addr,
-            workers,
-            vnodes,
-            registry_dir,
-            debug_hooks,
             shard,
             timeout_ms,
-            replication,
-            join_token,
-            lease_ms,
-            standby,
-        } => match action {
-            ClusterAction::Launch => cluster_launch(ClusterLaunchArgs {
-                model: model.as_deref().expect("parse enforces --model"),
-                shards: *shards,
-                addr,
-                workers: *workers,
-                vnodes: *vnodes,
-                registry_dir: registry_dir.as_deref(),
-                debug_hooks: *debug_hooks,
-                replication: *replication,
-                join_token: join_token.clone(),
-                lease_ms: *lease_ms,
-                standby: *standby,
-            }),
-            ClusterAction::Status => cluster_status(addr, *timeout_ms),
-            ClusterAction::Drain => cluster_signal(
-                "drain",
-                shard.expect("parse enforces <shard>"),
-                addr,
-                *timeout_ms,
-            ),
-            ClusterAction::Kill => cluster_signal(
-                "kill",
-                shard.expect("parse enforces <shard>"),
-                addr,
-                *timeout_ms,
-            ),
-            ClusterAction::Rollout => cluster_rollout(
-                model.as_deref().expect("parse enforces --model"),
-                addr,
-                *timeout_ms,
-            ),
-        },
+            options,
+        } => {
+            let addr = options.router_addr.as_str();
+            match action {
+                ClusterAction::Launch => {
+                    cluster_launch(model.as_deref().expect("parse enforces --model"), options)
+                }
+                ClusterAction::Status => cluster_status(addr, *timeout_ms),
+                ClusterAction::Drain => cluster_signal(
+                    "drain",
+                    shard.expect("parse enforces <shard>"),
+                    addr,
+                    *timeout_ms,
+                ),
+                ClusterAction::Kill => cluster_signal(
+                    "kill",
+                    shard.expect("parse enforces <shard>"),
+                    addr,
+                    *timeout_ms,
+                ),
+                ClusterAction::Rollout => cluster_rollout(
+                    model.as_deref().expect("parse enforces --model"),
+                    addr,
+                    *timeout_ms,
+                ),
+            }
+        }
         Invocation::Ingest {
             follow,
             push_addr,
-            state_dir,
-            registry_dir,
             model,
-            interval_ms,
+            options,
+            interval,
             once,
-            duration_ms,
-            window_capacity,
-            min_points,
-            fire_interval,
-            max_records,
-            allowed_lateness,
-        } => run_ingest(IngestArgs {
-            follow: follow.as_deref(),
-            push_addr: push_addr.as_deref(),
-            state_dir: state_dir.clone(),
-            registry_dir: registry_dir.clone(),
-            model: model.as_deref(),
-            interval: Duration::from_millis((*interval_ms).max(1)),
-            once: *once,
-            duration: duration_ms.map(Duration::from_millis),
-            windows: WindowOptions {
-                capacity: *window_capacity,
-                min_points: *min_points,
-                fire_interval: *fire_interval,
-                max_total_records: *max_records,
-                allowed_lateness: *allowed_lateness,
-            },
-        }),
+            duration,
+        } => run_ingest(
+            follow.as_deref(),
+            push_addr.as_deref(),
+            model.as_deref(),
+            options.clone(),
+            *interval,
+            *once,
+            *duration,
+        ),
     }
 }
 
@@ -1494,51 +1373,38 @@ fn load_switch_thresholds(path: &Path, regime: Option<&str>) -> Result<Vec<f64>,
     })
 }
 
-/// What `nrpm ingest` passes down to [`run_ingest`].
-struct IngestArgs<'a> {
-    follow: Option<&'a Path>,
-    push_addr: Option<&'a str>,
-    state_dir: Option<PathBuf>,
-    registry_dir: Option<PathBuf>,
-    model: Option<&'a Path>,
+/// `nrpm ingest`: open the engine (resuming from the journal), announce
+/// the sources, and pump them until `once` drains, `duration` elapses, or
+/// forever.
+fn run_ingest(
+    follow: Option<&Path>,
+    push_addr: Option<&str>,
+    model: Option<&Path>,
+    options: IngestOptions,
     interval: Duration,
     once: bool,
     duration: Option<Duration>,
-    windows: WindowOptions,
-}
-
-/// `nrpm ingest`: open the engine (resuming from the journal), announce
-/// the sources, and pump them until `--once` drains, `--duration-ms`
-/// elapses, or forever.
-fn run_ingest(args: IngestArgs<'_>) -> Result<String, CliError> {
-    let base = args
-        .model
+) -> Result<String, CliError> {
+    let base = model
         .map(|path| {
             Network::load(path).map_err(|e| CliError::io(format!("{}: {e}", path.display())))
         })
         .transpose()?;
-    let opts = IngestOptions {
-        windows: args.windows,
-        state_dir: args.state_dir,
-        registry_dir: args.registry_dir,
-        ..Default::default()
-    };
     let (mut engine, recovery) =
-        IngestEngine::open(opts, base).map_err(|e| CliError::io(e.to_string()))?;
+        IngestEngine::open(options, base).map_err(|e| CliError::io(e.to_string()))?;
     if let Some(resume) = &recovery.resume {
         println!(
             "nrpm-ingest resuming at line {} (offset {}), {} records accounted",
             resume.resume_line, resume.resume_offset, resume.counters.records
         );
     }
-    let push = args
-        .push_addr
+    let push = push_addr
         .map(|addr| PushSource::bind(addr).map_err(|e| CliError::io(format!("{addr}: {e}"))))
         .transpose()?;
     if let Some(push) = &push {
         println!("nrpm-ingest push source on {}", push.local_addr());
     }
-    let mut source = args.follow.map(FollowSource::open);
+    let mut source = follow.map(FollowSource::open);
     if let Some(source) = &mut source {
         println!("nrpm-ingest following {}", source.path().display());
         source.seek_to(engine.resume_offset());
@@ -1546,7 +1412,7 @@ fn run_ingest(args: IngestArgs<'_>) -> Result<String, CliError> {
     use std::io::Write as _;
     std::io::stdout().flush().ok();
 
-    let deadline = args.duration.map(|d| std::time::Instant::now() + d);
+    let deadline = duration.map(|d| std::time::Instant::now() + d);
     loop {
         let mut news = 0usize;
         if let Some(source) = &mut source {
@@ -1559,17 +1425,17 @@ fn run_ingest(args: IngestArgs<'_>) -> Result<String, CliError> {
                 .poll_push(push)
                 .map_err(|e| CliError::io(e.to_string()))?;
         }
-        if args.once && news == 0 {
+        if once && news == 0 {
             break;
         }
         if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
             break;
         }
         if news == 0 {
-            std::thread::sleep(args.interval);
+            std::thread::sleep(interval);
         }
     }
-    if args.once {
+    if once {
         // Drained to EOF: the held tail line is a complete record.
         engine.flush_tail();
     }
@@ -1605,56 +1471,13 @@ fn run_ingest(args: IngestArgs<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// What `nrpm cluster launch` passes down to [`cluster_launch`].
-struct ClusterLaunchArgs<'a> {
-    model: &'a Path,
-    shards: usize,
-    addr: &'a str,
-    workers: usize,
-    vnodes: usize,
-    registry_dir: Option<&'a Path>,
-    debug_hooks: bool,
-    replication: usize,
-    join_token: Option<String>,
-    lease_ms: Option<u64>,
-    standby: bool,
-}
-
 /// `nrpm cluster launch`: start the sharded tier, announce the router's
 /// bound address, and block until the tier is drained.
-fn cluster_launch(args: ClusterLaunchArgs<'_>) -> Result<String, CliError> {
-    let ClusterLaunchArgs {
-        model,
-        shards,
-        addr,
-        workers,
-        vnodes,
-        registry_dir,
-        debug_hooks,
-        replication,
-        join_token,
-        lease_ms,
-        standby,
-    } = args;
+fn cluster_launch(model: &Path, options: &ClusterOptions) -> Result<String, CliError> {
     let network =
         Network::load(model).map_err(|e| CliError::io(format!("{}: {e}", model.display())))?;
-    let mut opts = ClusterOptions {
-        shards,
-        vnodes,
-        workers_per_shard: workers,
-        router_addr: addr.to_string(),
-        registry_dir: registry_dir.map(Path::to_path_buf),
-        debug_hooks,
-        replication,
-        join_token,
-        standby,
-        ..ClusterOptions::default()
-    };
-    if let Some(ms) = lease_ms {
-        opts.member_lease = Duration::from_millis(ms);
-    }
-    let cluster =
-        Cluster::launch(network, opts).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
+    let cluster = Cluster::launch(network, options.clone())
+        .map_err(|e| CliError::io(format!("{}: {e}", options.router_addr)))?;
     // Announce the bound address immediately (scripts poll for it); `run`
     // only returns once the whole tier has drained.
     println!(
@@ -1673,11 +1496,7 @@ fn cluster_launch(args: ClusterLaunchArgs<'_>) -> Result<String, CliError> {
 /// `nrpm cluster status`: one `stats` roundtrip against the router,
 /// rendered as a per-shard table plus the divergence verdict.
 fn cluster_status(addr: &str, timeout_ms: Option<u64>) -> Result<String, CliError> {
-    let socket = resolve_addr(addr)?;
-    let timeout = Duration::from_millis(timeout_ms.unwrap_or(30_000).max(1));
-    let mut client =
-        Client::connect(socket, timeout).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
-    let stats = client
+    let stats = connect(addr, timeout_ms, TIMEOUT_MS)?
         .stats()
         .map_err(|e| CliError::io(format!("{addr}: {e}")))?;
     if stats.get("service").and_then(Value::as_str) != Some("nrpm-cluster-router") {
@@ -1778,11 +1597,7 @@ fn cluster_signal(
     addr: &str,
     timeout_ms: Option<u64>,
 ) -> Result<String, CliError> {
-    let socket = resolve_addr(addr)?;
-    let timeout = Duration::from_millis(timeout_ms.unwrap_or(30_000).max(1));
-    let mut client =
-        Client::connect(socket, timeout).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
-    let response = client
+    let response = connect(addr, timeout_ms, TIMEOUT_MS)?
         .roundtrip_line(&format!(r#"{{"cmd":"cluster_{action}","shard":{shard}}}"#))
         .map_err(|e| CliError::io(format!("{addr}: {e}")))?;
     response_to_output(&response)
@@ -1796,16 +1611,12 @@ fn cluster_signal(
 fn cluster_rollout(model: &Path, addr: &str, timeout_ms: Option<u64>) -> Result<String, CliError> {
     let bytes = std::fs::read_to_string(model)
         .map_err(|e| CliError::io(format!("{}: {e}", model.display())))?;
-    let socket = resolve_addr(addr)?;
-    let timeout = Duration::from_millis(timeout_ms.unwrap_or(120_000).max(1));
     let request = serde_json::to_string(&Value::Map(vec![
         ("cmd".to_string(), Value::Str("cluster_rollout".to_string())),
         ("network".to_string(), Value::Str(bytes)),
     ]))
     .map_err(|e| CliError::io(format!("{}: {e}", model.display())))?;
-    let mut client =
-        Client::connect(socket, timeout).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
-    let response = client
+    let response = connect(addr, timeout_ms, 120_000)?
         .roundtrip_line(&request)
         .map_err(|e| CliError::io(format!("{addr}: {e}")))?;
     if !nrpm_serve::client::is_ok(&response) {
@@ -2067,6 +1878,13 @@ fn registry_warm(
     ))
 }
 
+/// Connects to the server at `addr`, with the deadline `timeout_ms` asks
+/// for (`default_ms` when absent).
+fn connect(addr: &str, timeout_ms: Option<u64>, default_ms: u64) -> Result<Client, CliError> {
+    let timeout = Duration::from_millis(timeout_ms.unwrap_or(default_ms).max(1));
+    Client::connect(resolve_addr(addr)?, timeout).map_err(|e| CliError::io(format!("{addr}: {e}")))
+}
+
 /// Resolves a `HOST:PORT` string to a socket address.
 fn resolve_addr(addr: &str) -> Result<SocketAddr, CliError> {
     addr.to_socket_addrs()
@@ -2115,8 +1933,10 @@ fn response_to_output(response: &Value) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use nrpm_extrap::Aggregation;
+    use nrpm_ingest::WindowOptions;
     use nrpm_registry::rollout::RolloutJournal;
     use nrpm_registry::SwapJournal;
+    use nrpm_serve::adapt::AdaptOptions;
 
     fn parse(s: &str) -> Result<Invocation, String> {
         Invocation::parse(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
@@ -2135,8 +1955,19 @@ mod tests {
             ("cluster launch --model n.json", "shards"),
             ("cluster launch --model n.json", "vnodes"),
             ("cluster launch --model n.json", "replication"),
+            ("cluster launch --model n.json", "workers"),
             ("sweep", "functions"),
             ("sweep", "params"),
+            ("pretrain --out n.json", "samples"),
+            ("pretrain --out n.json", "epochs"),
+            ("serve --model n.json", "workers"),
+            ("serve --model n.json", "queue-depth"),
+            ("serve --model n.json", "max-conns"),
+            ("ingest --follow f.log", "window-capacity"),
+            ("ingest --follow f.log", "min-points"),
+            ("ingest --follow f.log", "fire-interval"),
+            ("ingest --follow f.log", "max-records"),
+            ("ingest --follow f.log", "interval-ms"),
         ] {
             assert_eq!(
                 parse(&format!("{command} --{flag} 0")).unwrap_err(),
@@ -2244,14 +2075,22 @@ mod tests {
         let inv =
             parse("pretrain --out n.json --samples 100 --epochs 5 --paper-net --train-threads 2")
                 .unwrap();
+        let mut options = DnnOptions::paper_fidelity();
+        options.pretrain_spec.samples_per_class = 100;
+        options.pretrain_epochs = 5;
+        options.train_threads = 2;
         assert_eq!(
             inv,
             Invocation::Pretrain {
                 out: "n.json".into(),
-                samples: 100,
-                epochs: 5,
-                paper_net: true,
-                train_threads: 2,
+                options,
+            }
+        );
+        assert_eq!(
+            parse("pretrain --out n.json").unwrap(),
+            Invocation::Pretrain {
+                out: "n.json".into(),
+                options: DnnOptions::default(),
             }
         );
     }
@@ -2453,23 +2292,20 @@ mod tests {
 
     #[test]
     fn parses_ingest_and_sweep() {
-        let defaults = WindowOptions::default();
         assert_eq!(
             parse("ingest --follow m.log --state-dir s --registry-dir r --model n.json").unwrap(),
             Invocation::Ingest {
                 follow: Some("m.log".into()),
                 push_addr: None,
-                state_dir: Some("s".into()),
-                registry_dir: Some("r".into()),
                 model: Some("n.json".into()),
-                interval_ms: 200,
+                options: IngestOptions {
+                    state_dir: Some("s".into()),
+                    registry_dir: Some("r".into()),
+                    ..IngestOptions::default()
+                },
+                interval: Duration::from_millis(200),
                 once: false,
-                duration_ms: None,
-                window_capacity: defaults.capacity,
-                min_points: defaults.min_points,
-                fire_interval: defaults.fire_interval,
-                max_records: defaults.max_total_records,
-                allowed_lateness: defaults.allowed_lateness,
+                duration: None,
             }
         );
         assert_eq!(
@@ -2481,17 +2317,20 @@ mod tests {
             Invocation::Ingest {
                 follow: None,
                 push_addr: Some("127.0.0.1:0".into()),
-                state_dir: None,
-                registry_dir: None,
                 model: None,
-                interval_ms: 200,
+                options: IngestOptions {
+                    windows: WindowOptions {
+                        capacity: 16,
+                        min_points: 3,
+                        fire_interval: 4,
+                        max_total_records: 64,
+                        allowed_lateness: 2.5,
+                    },
+                    ..IngestOptions::default()
+                },
+                interval: Duration::from_millis(200),
                 once: false,
-                duration_ms: Some(500),
-                window_capacity: 16,
-                min_points: 3,
-                fire_interval: 4,
-                max_records: 64,
-                allowed_lateness: 2.5,
+                duration: Some(Duration::from_millis(500)),
             }
         );
         assert!(matches!(
@@ -2532,10 +2371,22 @@ mod tests {
 
     #[test]
     fn parses_serve_feed_and_thresholds() {
-        assert!(matches!(
-            parse("serve --model n.json --cache-dir d --feed").unwrap(),
-            Invocation::Serve { feed: true, .. }
-        ));
+        // Without --adapt-interval the engine only watches the feed.
+        let Invocation::Serve { options, .. } =
+            parse("serve --model n.json --cache-dir d --feed").unwrap()
+        else {
+            panic!("not a serve invocation");
+        };
+        assert_eq!(
+            options.adaptation,
+            AdaptOptions {
+                enabled: true,
+                feed: true,
+                dir: Some("d".into()),
+                min_observations: usize::MAX,
+                ..AdaptOptions::default()
+            }
+        );
         assert!(matches!(
             parse("serve --model n.json --thresholds t.json --regime spike").unwrap(),
             Invocation::Serve {
@@ -2556,6 +2407,9 @@ mod tests {
 
     #[test]
     fn parses_serve_and_query() {
+        let cache_dir = Some(PathBuf::from("/var/cache/nrpm"));
+        let mut modeler = AdaptiveOptions::default();
+        modeler.dnn.quantize = true;
         assert_eq!(
             parse(
                 "serve --model net.json --addr 0.0.0.0:9000 --workers 8 --adapt --timeout-ms 500 \
@@ -2567,25 +2421,32 @@ mod tests {
             Invocation::Serve {
                 model: "net.json".into(),
                 addr: "0.0.0.0:9000".into(),
-                workers: 8,
-                adapt: true,
-                timeout_ms: Some(500),
-                queue_depth: 2,
-                max_conns: 32,
-                io_timeout_ms: Some(750),
-                work_delay_ms: Some(10),
-                cache_capacity: 9,
-                cache_dir: Some("/var/cache/nrpm".into()),
+                options: ServeOptions {
+                    workers: 8,
+                    adapt: true,
+                    default_timeout: Duration::from_millis(500),
+                    queue_depth: 2,
+                    max_conns: 32,
+                    io_timeout: Duration::from_millis(750),
+                    work_delay: Some(Duration::from_millis(10)),
+                    cache_capacity: 9,
+                    cache_dir: cache_dir.clone(),
+                    adaptation: AdaptOptions {
+                        enabled: true,
+                        interval: Duration::from_millis(5000),
+                        smape_tolerance: 0.25,
+                        dir: cache_dir,
+                        ..AdaptOptions::default()
+                    },
+                    ..ServeOptions::default()
+                },
+                modeler,
                 train_threads: 6,
-                adapt_interval_ms: Some(5000),
-                swap_smape_tolerance: Some(0.25),
+                thresholds: None,
+                regime: None,
                 join: None,
                 join_token: None,
                 advertise: None,
-                feed: false,
-                thresholds: None,
-                regime: None,
-                quantize: true,
             }
         );
         assert_eq!(
@@ -2593,25 +2454,14 @@ mod tests {
             Invocation::Serve {
                 model: "net.json".into(),
                 addr: DEFAULT_ADDR.into(),
-                workers: 4,
-                adapt: false,
-                timeout_ms: None,
-                queue_depth: 64,
-                max_conns: 256,
-                io_timeout_ms: None,
-                work_delay_ms: None,
-                cache_capacity: 1024,
-                cache_dir: None,
+                options: ServeOptions::default(),
+                modeler: AdaptiveOptions::default(),
                 train_threads: 0,
-                adapt_interval_ms: None,
-                swap_smape_tolerance: None,
+                thresholds: None,
+                regime: None,
                 join: None,
                 join_token: None,
                 advertise: None,
-                feed: false,
-                thresholds: None,
-                regime: None,
-                quantize: false,
             }
         );
         assert!(matches!(
@@ -2678,7 +2528,7 @@ mod tests {
                 model: None,
                 files: vec![],
                 ref_name: None,
-                cache_capacity: 1024,
+                cache_capacity: ServeOptions::default().cache_capacity,
                 adapt: false,
                 dry_run: false,
             }
@@ -2704,7 +2554,7 @@ mod tests {
                 model: Some("n.json".into()),
                 files: vec!["a.txt".into(), "b.json".into()],
                 ref_name: Some("best".into()),
-                cache_capacity: 1024,
+                cache_capacity: ServeOptions::default().cache_capacity,
                 adapt: true,
                 dry_run: false,
             }
@@ -2738,18 +2588,21 @@ mod tests {
             Invocation::Cluster {
                 action: ClusterAction::Launch,
                 model: Some("net.json".into()),
-                shards: 4,
-                addr: "127.0.0.1:0".into(),
-                workers: 3,
-                vnodes: 96,
-                registry_dir: Some("/var/nrpm".into()),
-                debug_hooks: true,
                 shard: None,
                 timeout_ms: None,
-                replication: 2,
-                join_token: Some("s3cret".into()),
-                lease_ms: Some(750),
-                standby: true,
+                options: ClusterOptions {
+                    shards: 4,
+                    router_addr: "127.0.0.1:0".into(),
+                    workers_per_shard: 3,
+                    vnodes: 96,
+                    registry_dir: Some("/var/nrpm".into()),
+                    debug_hooks: true,
+                    replication: 2,
+                    join_token: Some("s3cret".into()),
+                    member_lease: Duration::from_millis(750),
+                    standby: true,
+                    ..ClusterOptions::default()
+                },
             }
         );
         assert_eq!(
@@ -2757,18 +2610,12 @@ mod tests {
             Invocation::Cluster {
                 action: ClusterAction::Launch,
                 model: Some("net.json".into()),
-                shards: 3,
-                addr: DEFAULT_ADDR.into(),
-                workers: 2,
-                vnodes: nrpm_cluster::DEFAULT_VNODES,
-                registry_dir: None,
-                debug_hooks: false,
                 shard: None,
                 timeout_ms: None,
-                replication: 1,
-                join_token: None,
-                lease_ms: None,
-                standby: false,
+                options: ClusterOptions {
+                    router_addr: DEFAULT_ADDR.into(),
+                    ..ClusterOptions::default()
+                },
             }
         );
         assert!(matches!(
@@ -3001,6 +2848,37 @@ mod tests {
                 "{doc}: {} nrpm command lines, expected at least {floor}",
                 lines.len()
             );
+        }
+    }
+
+    /// The usage text and the README restate some defaults as prose; each
+    /// must read as the library `Default` it restates.
+    #[test]
+    fn restated_defaults_match_the_library() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+        let tolerance = AdaptOptions::default().smape_tolerance;
+        let lease_ms = ClusterOptions::default().member_lease.as_millis();
+        let queue_depth = ServeOptions::default().queue_depth;
+        for (doc, text, prose) in [
+            (
+                "USAGE",
+                USAGE,
+                format!("--swap-smape-tolerance FRAC (default {tolerance:.2})"),
+            ),
+            ("USAGE", USAGE, format!("(--lease-ms, default {lease_ms})")),
+            (
+                "README.md",
+                &readme,
+                format!("`--swap-smape-tolerance` (default {tolerance:.2})"),
+            ),
+            (
+                "README.md",
+                &readme,
+                format!("(`--queue-depth`, default {queue_depth})"),
+            ),
+        ] {
+            assert!(text.contains(&prose), "{doc} no longer says `{prose}`");
         }
     }
 

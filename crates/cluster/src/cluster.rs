@@ -31,7 +31,7 @@ use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::shard::{Availability, PolledStats, ShardRuntime};
 
 /// Tuning knobs of [`Cluster::launch`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterOptions {
     /// Locally-spawned backend shard count.
     pub shards: usize,

@@ -2,12 +2,10 @@
 //!
 //! Extra-P's value to practitioners is the readable formula; this module
 //! renders the adaptive modeler's full decision trail — noise analysis,
-//! which modelers ran, scores, the winning model, its growth class, and
-//! (optionally) a comparison against a theoretical expectation — as plain
-//! text suitable for terminals and logs.
+//! which modelers ran, scores, the winning model and its growth class — as
+//! plain text suitable for terminals and logs.
 
 use crate::adaptive::{AdaptiveOutcome, ModelerChoice};
-use nrpm_extrap::{lead_order_distance, ExponentPair, Model};
 use std::fmt::Write as _;
 
 /// Renders the decision trail of an adaptive modeling run.
@@ -75,108 +73,10 @@ pub fn render_outcome(outcome: &AdaptiveOutcome) -> String {
     out
 }
 
-/// One row of an expectation comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExpectationRow {
-    /// Parameter index.
-    pub param: usize,
-    /// Expected lead exponent.
-    pub expected: ExponentPair,
-    /// Found lead exponent.
-    pub found: ExponentPair,
-    /// Lead-order distance between them.
-    pub distance: f64,
-}
-
-/// Compares a fitted model's lead exponents against a theoretical
-/// expectation, one row per parameter — the Sec. VI-B analysis
-/// ("the model created by both of our approaches is very similar to this
-/// theoretical expectation").
-pub fn compare_to_expectation(model: &Model, expectation: &[ExponentPair]) -> Vec<ExpectationRow> {
-    assert_eq!(
-        model.num_params,
-        expectation.len(),
-        "one expected pair per parameter"
-    );
-    expectation
-        .iter()
-        .enumerate()
-        .map(|(param, &expected)| {
-            let found = model.lead_exponent_or_constant(param);
-            ExpectationRow {
-                param,
-                expected,
-                found,
-                distance: lead_order_distance(&found, &expected),
-            }
-        })
-        .collect()
-}
-
-/// Renders an expectation comparison as text.
-pub fn render_expectation(rows: &[ExpectationRow]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        let verdict = if row.distance <= 0.25 {
-            "ok"
-        } else {
-            "DIFFERS"
-        };
-        let _ = writeln!(
-            out,
-            "x{}: expected {}, found {} (d = {:.3}, {verdict})",
-            row.param + 1,
-            row.expected,
-            row.found,
-            row.distance,
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nrpm_extrap::{Term, TermFactor};
-
-    fn kripke_like() -> Model {
-        Model::new(
-            3,
-            8.51,
-            vec![Term::new(
-                0.11,
-                vec![
-                    TermFactor::new(0, ExponentPair::from_parts(1, 3, 0)),
-                    TermFactor::new(1, ExponentPair::from_parts(1, 1, 0)),
-                    TermFactor::new(2, ExponentPair::from_parts(4, 5, 0)),
-                ],
-            )],
-        )
-    }
-
-    #[test]
-    fn expectation_comparison_flags_matches_and_misses() {
-        let model = kripke_like();
-        let expectation = [
-            ExponentPair::from_parts(1, 3, 0),
-            ExponentPair::from_parts(1, 1, 0),
-            ExponentPair::from_parts(1, 1, 0), // wrong on purpose
-        ];
-        let rows = compare_to_expectation(&model, &expectation);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].distance, 0.0);
-        assert_eq!(rows[1].distance, 0.0);
-        assert!((rows[2].distance - 0.2).abs() < 1e-12);
-        let text = render_expectation(&rows);
-        assert!(text.contains("ok"));
-        assert!(!text.contains("DIFFERS") || rows[2].distance > 0.25);
-    }
-
-    #[test]
-    #[should_panic(expected = "one expected pair per parameter")]
-    fn expectation_arity_is_checked() {
-        let _ = compare_to_expectation(&kripke_like(), &[ExponentPair::CONSTANT]);
-    }
+    use nrpm_extrap::Model;
 
     #[test]
     fn render_outcome_includes_the_decision_trail() {

@@ -59,7 +59,7 @@ pub use nrpm_serve::adapt::INGEST_CANDIDATE_REF;
 const FIRE_LOG_CAP: usize = 32;
 
 /// Configuration of the ingestion engine.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestOptions {
     /// Window assembly policies.
     pub windows: WindowOptions,

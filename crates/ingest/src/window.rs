@@ -26,7 +26,7 @@ use nrpm_extrap::MeasurementSet;
 use std::collections::BTreeMap;
 
 /// Tuning knobs of the window assembler.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowOptions {
     /// Most records one window holds; the oldest is evicted past this.
     pub capacity: usize,

@@ -228,13 +228,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Element-wise in-place map.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Element-wise map into a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix {
@@ -257,11 +250,6 @@ impl Matrix {
     /// Element-wise product (Hadamard): `self *= other`.
     pub fn hadamard_assign(&mut self, other: &Matrix) -> Result<()> {
         self.zip_assign(other, "hadamard_assign", |a, b| a * b)
-    }
-
-    /// `self = self * alpha + other * beta`, element-wise.
-    pub fn scaled_add_assign(&mut self, alpha: f64, other: &Matrix, beta: f64) -> Result<()> {
-        self.zip_assign(other, "scaled_add_assign", |a, b| a * alpha + b * beta)
     }
 
     fn zip_assign(
@@ -304,11 +292,6 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Frobenius norm (`sqrt` of the sum of squared entries).
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry; `0.0` for an empty matrix.
@@ -517,12 +500,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn frobenius_norm_matches_hand_computation() {
-        let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! set once it exceeds a multiple of capacity, keeping disk usage
 //! proportional to the cache, not to its history.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
@@ -121,16 +121,6 @@ impl<V: Clone + Serialize + Deserialize> ResultCache<V> {
     /// Whether inserts are journaled to disk.
     pub fn is_persistent(&self) -> bool {
         self.journal.is_some()
-    }
-
-    /// The journal path, when persistent.
-    pub fn journal_path(&self) -> Option<PathBuf> {
-        self.journal.as_ref().map(|j| {
-            j.lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .path()
-                .to_path_buf()
-        })
     }
 
     /// Counters, occupancy, journal size, and what recovery found.

@@ -71,7 +71,7 @@ const OBSERVATION_BUFFER: usize = 256;
 const MIRROR_CAP: usize = 8;
 
 /// Tuning knobs of the background adaptation engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptOptions {
     /// Runs the engine at all. Off by default — adaptation is opt-in.
     pub enabled: bool,

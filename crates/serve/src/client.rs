@@ -139,7 +139,7 @@ pub fn is_retryable(response: &Value) -> bool {
 }
 
 /// Retry/backoff/breaker tuning for [`RetryingClient`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total tries per request, first attempt included.
     pub max_attempts: u32,
@@ -322,11 +322,6 @@ impl RetryingClient {
     /// was replaced in-place without burning a retry attempt.
     pub fn stale_reconnects(&self) -> u64 {
         self.stale_reconnects
-    }
-
-    /// The breaker's state as of `now` (for tests and reporting).
-    pub fn breaker_state(&self, now: Instant) -> BreakerState {
-        self.breaker.state_at(now)
     }
 
     /// Models one kernel, retrying sheds/timeouts per the policy.

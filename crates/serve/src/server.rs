@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 const CACHE_SHARDS: usize = 8;
 
 /// Tuning knobs of [`Server::start`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeOptions {
     /// Worker threads computing models.
     pub workers: usize,
@@ -254,10 +254,12 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (use port `0` for an ephemeral port), warms the worker
     /// pool from `store`, and starts serving in background threads.
-    pub fn start(addr: &str, store: ModelStore, opts: ServeOptions) -> std::io::Result<Server> {
+    pub fn start(addr: &str, store: ModelStore, mut opts: ServeOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let workers = opts.workers.max(1);
+        // Kept clamped, so `health` reports the workers that run.
+        opts.workers = opts.workers.max(1);
+        let workers = opts.workers;
         let queue_depth = opts.queue_depth.max(1);
         // `opts.adapt` is the single adaptation knob: align the store's
         // modeling options so per-worker modelers inherit it.
@@ -388,7 +390,7 @@ fn run_supervisor(
     job_rx: &Arc<Mutex<mpsc::Receiver<Job>>>,
 ) {
     // Respawned workers get fresh indices so thread names stay unique.
-    let mut next_index = shared.opts.workers.max(1);
+    let mut next_index = shared.opts.workers;
     while !shared.draining() {
         {
             let mut handles = lock_recovering(&pool.handles);

@@ -306,6 +306,16 @@ fn request_shutdown_drains_without_a_client() {
     join_within(server, Duration::from_secs(20));
 }
 
+/// A zero worker count runs one worker, and `health` says so.
+#[test]
+fn health_reports_the_workers_that_run() {
+    let server = start_server(0);
+    let health = connect(&server).health().unwrap();
+    assert_eq!(get_u64(&health, "workers"), 1, "{health:?}");
+    server.request_shutdown();
+    join_within(server, Duration::from_secs(20));
+}
+
 /// The acceptor blocks in `accept()` rather than sleeping between polls:
 /// with a 5 s poll interval, a connection made while the server idles is
 /// still answered at once.
