@@ -131,6 +131,16 @@ impl Flags {
         Ok(n)
     }
 
+    /// The value of `--name` as a number of milliseconds, at least 1: a
+    /// socket refuses a zero timeout, a zero deadline expires every
+    /// request, and a zero lease or adaptation interval never waits.
+    pub(crate) fn millis(&self, name: &str) -> Result<Option<u64>, String> {
+        match self.number(name)? {
+            Some(0) => Err(format!("--{name}: must be at least 1, got 0")),
+            ms => Ok(ms),
+        }
+    }
+
     /// The value of `--name` as a comma-separated list of numbers.
     pub(crate) fn list(&self, name: &str) -> Result<Option<Vec<f64>>, String> {
         self.value(name)?

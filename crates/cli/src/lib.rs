@@ -25,7 +25,7 @@ use nrpm_core::threshold::ThresholdTable;
 use nrpm_extrap::{parse_text_file, MeasurementSet, ModelError, RegressionModeler};
 use nrpm_ingest::{FollowSource, IngestEngine, IngestOptions, PushSource};
 use nrpm_linalg::ThreadBudget;
-use nrpm_nn::Network;
+use nrpm_nn::{Network, NetworkError};
 use nrpm_registry::cache::JOURNAL_FILE;
 use nrpm_registry::checkpoints::VerifyIssue;
 use nrpm_registry::rollout::{RolloutRecord, ROLLOUT_JOURNAL_FILE};
@@ -504,10 +504,7 @@ impl Invocation {
                 if feed && options.cache_dir.is_none() {
                     return Err("serve: --feed requires --cache-dir".to_string());
                 }
-                let adapt_interval = flags.number("adapt-interval")?;
-                if adapt_interval == Some(0) {
-                    return Err("--adapt-interval: must be at least 1 ms".to_string());
-                }
+                let adapt_interval = flags.millis("adapt-interval")?;
                 let thresholds = flags.value("thresholds")?.map(PathBuf::from);
                 let regime = flags.value("regime")?;
                 if regime.is_some() && thresholds.is_none() {
@@ -522,12 +519,12 @@ impl Invocation {
                     .unwrap_or_else(|| DEFAULT_ADDR.to_string());
                 options.workers = flags.count("workers", options.workers, 1)?;
                 options.adapt = flags.switch("adapt");
-                if let Some(ms) = flags.number("timeout-ms")? {
+                if let Some(ms) = flags.millis("timeout-ms")? {
                     options.default_timeout = Duration::from_millis(ms);
                 }
                 options.queue_depth = flags.count("queue-depth", options.queue_depth, 1)?;
                 options.max_conns = flags.count("max-conns", options.max_conns, 1)?;
-                if let Some(ms) = flags.number("io-timeout-ms")? {
+                if let Some(ms) = flags.millis("io-timeout-ms")? {
                     options.io_timeout = Duration::from_millis(ms);
                 }
                 options.work_delay = flags.number("work-delay-ms")?.map(Duration::from_millis);
@@ -767,10 +764,8 @@ impl Invocation {
                 options.shards = flags.count("shards", options.shards, 1)?;
                 options.vnodes = flags.count("vnodes", options.vnodes, 1)?;
                 options.replication = flags.count("replication", options.replication, 1)?;
-                match flags.number("lease-ms")? {
-                    Some(0) => return Err("--lease-ms: must be at least 1 ms".to_string()),
-                    Some(ms) => options.member_lease = Duration::from_millis(ms),
-                    None => {}
+                if let Some(ms) = flags.millis("lease-ms")? {
+                    options.member_lease = Duration::from_millis(ms);
                 }
                 options.router_addr = flags
                     .value("addr")?
@@ -784,7 +779,7 @@ impl Invocation {
                     action,
                     model,
                     shard,
-                    timeout_ms: flags.number("timeout-ms")?,
+                    timeout_ms: flags.millis("timeout-ms")?,
                     options,
                 })
             }
@@ -820,7 +815,7 @@ impl Invocation {
                         .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
                     files,
                     at: flags.list("at")?,
-                    timeout_ms: flags.number("timeout-ms")?,
+                    timeout_ms: flags.millis("timeout-ms")?,
                     retries: flags.number("retries")?.unwrap_or(0),
                 })
             }
@@ -1270,7 +1265,7 @@ pub fn run(invocation: &Invocation) -> Result<String, CliError> {
                     max_attempts: retries.saturating_add(1),
                     ..Default::default()
                 };
-                let timeout = Duration::from_millis(timeout_ms.unwrap_or(TIMEOUT_MS).max(1));
+                let timeout = Duration::from_millis(timeout_ms.unwrap_or(TIMEOUT_MS));
                 let mut client = RetryingClient::new(resolve_addr(addr)?, timeout, policy);
                 let result = match what {
                     QueryKind::Health => client.roundtrip_line(r#"{"cmd":"health"}"#),
@@ -1474,10 +1469,13 @@ fn run_ingest(
 /// `nrpm cluster launch`: start the sharded tier, announce the router's
 /// bound address, and block until the tier is drained.
 fn cluster_launch(model: &Path, options: &ClusterOptions) -> Result<String, CliError> {
-    let network =
-        Network::load(model).map_err(|e| CliError::io(format!("{}: {e}", model.display())))?;
-    let cluster = Cluster::launch(network, options.clone())
-        .map_err(|e| CliError::io(format!("{}: {e}", options.router_addr)))?;
+    // The file's own bytes are parsed once and name the fleet's checkpoint,
+    // as `serve --model` and `registry warm` name the same file.
+    let bytes = std::fs::read(model).map_err(|e| in_dir(model, NetworkError::Io(e.to_string())))?;
+    let cluster = Cluster::launch_bytes(bytes, options.clone()).map_err(|e| match e.kind() {
+        std::io::ErrorKind::InvalidData => in_dir(model, e),
+        _ => CliError::io(format!("{}: {e}", options.router_addr)),
+    })?;
     // Announce the bound address immediately (scripts poll for it); `run`
     // only returns once the whole tier has drained.
     println!(
@@ -1844,12 +1842,12 @@ fn registry_warm(
     cache_capacity: usize,
     adapt: bool,
 ) -> Result<String, CliError> {
-    let json = std::fs::read_to_string(model).map_err(|e| in_dir(model, e))?;
+    let bytes = std::fs::read(model).map_err(|e| in_dir(model, e))?;
     let registry = open_registry(dir, false)?;
     // The file's own bytes are stored and named, so the hash is the one
     // `nrpm serve --model` gives the same file.
-    let (network, hash) = registry.put_bytes(&json).map_err(|e| in_dir(model, e))?;
-    drop(json);
+    let (network, hash) = registry.put_bytes(&bytes).map_err(|e| in_dir(model, e))?;
+    drop(bytes);
     registry
         .set_ref(ref_name, hash)
         .map_err(|e| in_dir(dir, e))?;
@@ -1881,7 +1879,7 @@ fn registry_warm(
 /// Connects to the server at `addr`, with the deadline `timeout_ms` asks
 /// for (`default_ms` when absent).
 fn connect(addr: &str, timeout_ms: Option<u64>, default_ms: u64) -> Result<Client, CliError> {
-    let timeout = Duration::from_millis(timeout_ms.unwrap_or(default_ms).max(1));
+    let timeout = Duration::from_millis(timeout_ms.unwrap_or(default_ms));
     Client::connect(resolve_addr(addr)?, timeout).map_err(|e| CliError::io(format!("{addr}: {e}")))
 }
 
@@ -1968,6 +1966,13 @@ mod tests {
             ("ingest --follow f.log", "fire-interval"),
             ("ingest --follow f.log", "max-records"),
             ("ingest --follow f.log", "interval-ms"),
+            ("serve --model n.json", "timeout-ms"),
+            ("serve --model n.json", "io-timeout-ms"),
+            ("serve --model n.json", "adapt-interval"),
+            ("cluster launch --model n.json", "lease-ms"),
+            ("query health", "timeout-ms"),
+            ("cluster status", "timeout-ms"),
+            ("cluster rollout --model n.json", "timeout-ms"),
         ] {
             assert_eq!(
                 parse(&format!("{command} --{flag} 0")).unwrap_err(),

@@ -17,9 +17,10 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use nrpm_core::adaptive::AdaptiveOptions;
+use nrpm_core::fingerprint::bytes_hash;
 use nrpm_nn::Network;
 use nrpm_registry::rollout::RolloutJournal;
-use nrpm_registry::CheckpointRegistry;
+use nrpm_registry::{parse_checkpoint, CheckpointRegistry, RegistryError};
 use nrpm_serve::client::{is_ok, Client, RetryPolicy};
 use nrpm_serve::counters::Counters;
 use nrpm_serve::line;
@@ -364,27 +365,38 @@ pub struct Cluster {
 impl Cluster {
     /// Publishes `network` as the serving checkpoint (through the registry
     /// when one is configured), starts every shard and the router, and
-    /// begins supervising. A rollout a previous run crashed mid-walk is
+    /// begins supervising. A network that exists only in memory is named
+    /// by its canonical JSON. A rollout a previous run crashed mid-walk is
     /// completed first: the fleet launches on the rollout's *target*
     /// checkpoint, not `network`, restoring a single-epoch fleet before
     /// any request is routed.
     pub fn launch(network: Network, opts: ClusterOptions) -> std::io::Result<Cluster> {
-        let count = opts.shards.max(1) as u32;
-        let (serving_hash, network) = distribute_checkpoint(network, &opts, count)?;
+        Self::start(Launch::Network(network), opts)
+    }
 
-        // Every shard serves the same checkpoint under one name: the
-        // registry's, or — without one — the name the first shard's store
-        // gives the in-memory network. It is computed once, not per shard.
-        let mut checkpoint_hash = serving_hash;
+    /// [`Cluster::launch`] on checkpoint bytes as read from a file. They
+    /// are parsed once and the fleet serves them under their own hash, the
+    /// name `nrpm serve --model` gives the same file; with a registry they
+    /// are stored as they are. Bytes that do not parse as a network are an
+    /// [`std::io::ErrorKind::InvalidData`] error.
+    pub fn launch_bytes(bytes: Vec<u8>, opts: ClusterOptions) -> std::io::Result<Cluster> {
+        Self::start(Launch::Bytes(bytes), opts)
+    }
+
+    fn start(launch: Launch, opts: ClusterOptions) -> std::io::Result<Cluster> {
+        let count = opts.shards.max(1) as u32;
+        let (network, checkpoint_hash) = distribute_checkpoint(launch, &opts, count)?;
+        let serving_hash = opts.registry_dir.is_some().then_some(checkpoint_hash);
+
+        // Every shard serves the same checkpoint under one name.
         let mut members = Vec::with_capacity(count as usize);
         for id in 0..count {
-            let net = network.clone();
-            let store = match checkpoint_hash {
-                Some(hash) => ModelStore::from_checkpoint(net, hash, AdaptiveOptions::default()),
-                None => ModelStore::from_network(net, AdaptiveOptions::default()),
-            }
+            let store = ModelStore::from_checkpoint(
+                network.clone(),
+                checkpoint_hash,
+                AdaptiveOptions::default(),
+            )
             .map_err(io_other)?;
-            checkpoint_hash = Some(store.checkpoint_hash());
             let server = Server::start("127.0.0.1:0", store.clone(), shard_serve_opts(&opts, id))?;
             let addr = server.addr();
             members.push(Arc::new(ShardRuntime::local(id, addr, store, server)));
@@ -543,22 +555,41 @@ impl Cluster {
     }
 }
 
-/// Publishes the serving checkpoint and returns its registry hash (`None`
-/// without a registry) with the network every shard serves. With a
-/// registry, the object is synced into every shard's own registry; the
-/// sync checks the bytes against the hash, so the shards serve the network
-/// already in hand under that hash instead of parsing their copies.
+/// What a fleet launches on.
+enum Launch {
+    /// A network that exists only in memory, named by its canonical JSON.
+    Network(Network),
+    /// Checkpoint bytes as read from a file, named by their own hash.
+    Bytes(Vec<u8>),
+}
+
+/// Publishes the serving checkpoint and returns the network every shard
+/// serves with its hash: the registry's name for it when a registry is
+/// configured. With a registry, the object is synced into every shard's
+/// own registry; the sync checks the bytes against the hash, so the shards
+/// serve the network already in hand under that hash instead of parsing
+/// their copies.
 ///
 /// A rollout the previous run crashed mid-walk wins over the operator's
-/// (stale) launch network: the fleet must not come up serving a mix of
-/// epochs, and the journaled target is the newest intent on record.
+/// (stale) launch checkpoint, which is then not even parsed: the fleet
+/// must not come up serving a mix of epochs, and the journaled target is
+/// the newest intent on record.
 fn distribute_checkpoint(
-    network: Network,
+    launch: Launch,
     opts: &ClusterOptions,
     count: u32,
-) -> std::io::Result<(Option<u64>, Network)> {
+) -> std::io::Result<(Network, u64)> {
+    let invalid = |e: &dyn std::fmt::Display| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+    };
     let Some(dir) = &opts.registry_dir else {
-        return Ok((None, network));
+        return match launch {
+            Launch::Network(network) => {
+                let hash = bytes_hash(network.to_json().as_bytes());
+                Ok((network, hash))
+            }
+            Launch::Bytes(bytes) => parse_checkpoint(&bytes).map_err(|e| invalid(&e)),
+        };
     };
     let source = CheckpointRegistry::open(dir).map_err(io_other)?;
     let (mut journal, _) = RolloutJournal::open(dir)?;
@@ -578,12 +609,16 @@ fn distribute_checkpoint(
         }
         None => None,
     };
-    let (network, hash) = match recovered {
-        Some(target) => target,
-        None => {
+    let (network, hash) = match (recovered, launch) {
+        (Some(target), _) => target,
+        (None, Launch::Network(network)) => {
             let hash = source.put(&network).map_err(io_other)?;
             (network, hash)
         }
+        (None, Launch::Bytes(bytes)) => source.put_bytes(&bytes).map_err(|e| match e {
+            RegistryError::Corrupt(e) => invalid(&e),
+            e => io_other(e),
+        })?,
     };
     source.set_ref(&opts.serving_ref, hash).map_err(io_other)?;
     for i in 0..count {
@@ -591,7 +626,7 @@ fn distribute_checkpoint(
             .map_err(io_other)?;
         source.sync_to(&dest, hash).map_err(io_other)?;
     }
-    Ok((Some(hash), network))
+    Ok((network, hash))
 }
 
 /// Wire-polls every probed member's `health` and `stats` each tick,

@@ -370,6 +370,47 @@ fn without_a_registry_every_shard_serves_the_canonical_hash() {
     join_within(cluster, Duration::from_secs(20));
 }
 
+/// `cluster launch --model` reads the file once and serves it under the
+/// hash of its own bytes, as `serve --model` names the same file: here a
+/// pretty-printed one, whose canonical JSON would hash differently.
+#[test]
+fn a_model_file_is_served_under_the_hash_of_its_own_bytes() {
+    let network = test_network(7);
+    let pretty = serde_json::to_string_pretty(&network).unwrap();
+    let named = bytes_hash(pretty.as_bytes());
+    assert_ne!(named, bytes_hash(network.to_json().as_bytes()));
+    let dir = std::env::temp_dir().join(format!("nrpm-cluster-bytes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for registry_dir in [None, Some(dir.clone())] {
+        let opts = ClusterOptions {
+            registry_dir: registry_dir.clone(),
+            ..fast_options()
+        };
+        let cluster = Cluster::launch_bytes(pretty.clone().into_bytes(), opts).unwrap();
+        for shard in 0..3 {
+            assert_eq!(
+                cluster.shard_store(shard).unwrap().checkpoint_hash(),
+                named,
+                "shard {shard}, registry {registry_dir:?}"
+            );
+            assert_eq!(cluster.shard_store(shard).unwrap().network(), network);
+        }
+        assert_eq!(cluster.serving_hash(), registry_dir.as_ref().map(|_| named));
+        if registry_dir.is_some() {
+            let object = dir.join("objects").join(format!("{}.json", hex16(named)));
+            assert_eq!(std::fs::read_to_string(object).unwrap(), pretty);
+        }
+        join_within(cluster, Duration::from_secs(20));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Bytes that are not a network are refused as invalid data.
+    let err = Cluster::launch_bytes(b"{\"layers\": oops".to_vec(), fast_options())
+        .err()
+        .expect("a malformed model must not launch");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+}
+
 #[test]
 fn router_rejects_shard_local_commands_and_bad_admin() {
     let opts = ClusterOptions {

@@ -198,7 +198,12 @@ pub(crate) fn pack_b_full(b: &[f64], k: usize, n: usize, out: &mut Vec<f64>) {
 /// Packing a layer's weights once per checkpoint instead of once per call
 /// (or not at all, on the direct path) lets every later product read each
 /// `KC x NR` chunk as one contiguous 32 KiB block.
-#[derive(Clone)]
+///
+/// The panels are backed by transparent huge pages where the kernel allows
+/// it (`huge_page_vec`). A one-row product streams every panel once, and on
+/// 4 KiB pages its speed depended on which physical pages the process got
+/// for them: the same binary served a one-row workload 10 % slower when it
+/// had not freed large blocks just before packing.
 pub struct PackedGemmB {
     data: Vec<f64>,
     k: usize,
@@ -209,7 +214,7 @@ impl PackedGemmB {
     /// Packs a `k x n` row-major matrix.
     pub fn pack(b: &[f64], k: usize, n: usize) -> PackedGemmB {
         assert_eq!(b.len(), k * n, "PackedGemmB::pack: shape mismatch");
-        let mut data = Vec::new();
+        let mut data = huge_page_vec(n.div_ceil(NR) * k * NR);
         pack_b_full(b, k, n, &mut data);
         PackedGemmB { data, k, n }
     }
@@ -228,6 +233,38 @@ impl PackedGemmB {
     pub fn bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f64>()
     }
+}
+
+/// An empty vector with room for `len` values whose 2 MiB-aligned interior
+/// the kernel is asked (`madvise(MADV_HUGEPAGE)`) to back with transparent
+/// huge pages. The advice must come before the first write, so the caller
+/// fills the vector afterwards. It is a hint: where huge pages are off or
+/// the platform is not Linux, the vector is an ordinary one.
+fn huge_page_vec(len: usize) -> Vec<f64> {
+    let data = Vec::with_capacity(len);
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+        }
+        const HUGE_PAGE: usize = 2 << 20;
+        const MADV_HUGEPAGE: i32 = 14;
+        let start = data.as_ptr() as usize;
+        let end = start + len * std::mem::size_of::<f64>();
+        let (lo, hi) = (
+            start.next_multiple_of(HUGE_PAGE),
+            end / HUGE_PAGE * HUGE_PAGE,
+        );
+        if hi > lo {
+            // SAFETY: `lo..hi` lies inside `data`'s allocation, and the
+            // advice changes how its pages are backed, never their
+            // contents; a refusal (huge pages off) leaves them as they are.
+            unsafe {
+                madvise(lo as *mut std::ffi::c_void, hi - lo, MADV_HUGEPAGE);
+            }
+        }
+    }
+    data
 }
 
 impl std::fmt::Debug for PackedGemmB {

@@ -12,8 +12,9 @@
 //!   ([`Network::train_validated`]) for retraining a deployed network,
 //! * a chunk-parallel gradient engine whose result is bitwise identical at
 //!   any thread count,
-//! * serde-based model persistence so the pretrained network can be shipped
-//!   and later retrained (domain adaptation).
+//! * JSON checkpoints, read and written without an intermediate value
+//!   tree, so the pretrained network can be shipped and later retrained
+//!   (domain adaptation).
 //!
 //! # Example: learn XOR
 //!
@@ -36,6 +37,7 @@
 
 mod activation;
 mod arena;
+mod checkpoint;
 mod dataset;
 mod layer;
 mod metrics;

@@ -1,6 +1,7 @@
 //! The feed-forward network: configuration, inference, persistence.
 
 use crate::activation::{softmax_rows, Activation};
+use crate::checkpoint;
 use crate::dataset::Dataset;
 use crate::layer::DenseLayer;
 use crate::metrics;
@@ -131,6 +132,11 @@ impl Network {
         Network { layers }
     }
 
+    /// A network of layers already checked by [`check_layers`].
+    pub(crate) fn from_layers(layers: Vec<DenseLayer>) -> Self {
+        Network { layers }
+    }
+
     /// The layers (immutable).
     pub fn layers(&self) -> &[DenseLayer] {
         &self.layers
@@ -251,63 +257,34 @@ impl Network {
     /// weight storage that matches its declared shape, bias vectors of the
     /// output width, and exclusively finite parameters.
     ///
-    /// Deserialization ([`Network::from_json`], [`Network::load`]) runs this
-    /// automatically so a corrupt checkpoint is rejected with a descriptive
-    /// [`NetworkError::InvalidCheckpoint`] at load time instead of
-    /// surfacing later as a panic or silently broken inference.
+    /// Loading ([`Network::from_json`], [`Network::load`]) runs the same
+    /// checks on the parsed layers, so a corrupt checkpoint is rejected with
+    /// a descriptive [`NetworkError::InvalidCheckpoint`] at load time instead
+    /// of surfacing later as a panic or silently broken inference.
     pub fn validate(&self) -> Result<(), NetworkError> {
-        let invalid = |msg: String| Err(NetworkError::InvalidCheckpoint(msg));
-        if self.layers.is_empty() {
-            return invalid("network has no layers".to_string());
-        }
-        for (i, layer) in self.layers.iter().enumerate() {
+        check_layers(self.layers.iter().map(|layer| {
             let (rows, cols) = layer.weights.shape();
-            if rows == 0 || cols == 0 {
-                return invalid(format!("layer {i} has zero dimension ({rows}x{cols})"));
+            LayerParts {
+                rows,
+                cols,
+                weights: layer.weights.as_slice(),
+                biases: &layer.biases,
             }
-            if layer.weights.as_slice().len() != rows * cols {
-                return invalid(format!(
-                    "layer {i} weight storage holds {} values for declared shape {rows}x{cols}",
-                    layer.weights.as_slice().len()
-                ));
-            }
-            if layer.biases.len() != cols {
-                return invalid(format!(
-                    "layer {i} has {} biases for {cols} output neurons",
-                    layer.biases.len()
-                ));
-            }
-            if i > 0 {
-                let prev_out = self.layers[i - 1].out_dim();
-                if prev_out != rows {
-                    return invalid(format!(
-                        "layer {} outputs {prev_out} values but layer {i} expects {rows} inputs",
-                        i - 1
-                    ));
-                }
-            }
-            if !layer.weights.all_finite() {
-                return invalid(format!("layer {i} contains non-finite weights"));
-            }
-            if layer.biases.iter().any(|b| !b.is_finite()) {
-                return invalid(format!("layer {i} contains non-finite biases"));
-            }
-        }
-        Ok(())
+        }))
     }
 
-    /// Serializes the network (architecture + weights) to JSON.
+    /// Serializes the network (architecture + weights) to its checkpoint
+    /// JSON (see the `checkpoint` module for the format).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("Network serializes")
+        checkpoint::write(&self.layers)
     }
 
-    /// Deserializes a network from JSON, rejecting structurally broken
-    /// checkpoints (see [`Network::validate`]).
-    pub fn from_json(json: &str) -> Result<Self, NetworkError> {
-        let net: Network =
-            serde_json::from_str(json).map_err(|e| NetworkError::Io(e.to_string()))?;
-        net.validate()?;
-        Ok(net)
+    /// Parses checkpoint JSON, rejecting structurally broken checkpoints
+    /// (see [`Network::validate`]). Takes the text or the raw bytes of a
+    /// file: bytes that are not UTF-8 where the format needs text are a
+    /// parse error like any other.
+    pub fn from_json<J: AsRef<[u8]> + ?Sized>(json: &J) -> Result<Self, NetworkError> {
+        checkpoint::read(json.as_ref())
     }
 
     /// Writes the network to a file.
@@ -318,8 +295,67 @@ impl Network {
     /// Reads a network from a file, rejecting structurally broken
     /// checkpoints (see [`Network::validate`]).
     pub fn load(path: &Path) -> Result<Self, NetworkError> {
-        let json = std::fs::read_to_string(path).map_err(|e| NetworkError::Io(e.to_string()))?;
-        Network::from_json(&json)
+        let bytes = std::fs::read(path).map_err(|e| NetworkError::Io(e.to_string()))?;
+        Network::from_json(&bytes)
+    }
+}
+
+/// One layer's parameters as stored, before they are trusted.
+pub(crate) struct LayerParts<'a> {
+    pub rows: usize,
+    pub cols: usize,
+    pub weights: &'a [f64],
+    pub biases: &'a [f64],
+}
+
+/// The checks of [`Network::validate`], over layers in order.
+pub(crate) fn check_layers<'a>(
+    layers: impl IntoIterator<Item = LayerParts<'a>>,
+) -> Result<(), NetworkError> {
+    let invalid = |msg: String| Err(NetworkError::InvalidCheckpoint(msg));
+    let mut prev_out = None;
+    for (
+        i,
+        LayerParts {
+            rows,
+            cols,
+            weights,
+            biases,
+        },
+    ) in layers.into_iter().enumerate()
+    {
+        if rows == 0 || cols == 0 {
+            return invalid(format!("layer {i} has zero dimension ({rows}x{cols})"));
+        }
+        if rows.checked_mul(cols) != Some(weights.len()) {
+            return invalid(format!(
+                "layer {i} weight storage holds {} values for declared shape {rows}x{cols}",
+                weights.len()
+            ));
+        }
+        if biases.len() != cols {
+            return invalid(format!(
+                "layer {i} has {} biases for {cols} output neurons",
+                biases.len()
+            ));
+        }
+        if let Some(prev_out) = prev_out.filter(|&out| out != rows) {
+            return invalid(format!(
+                "layer {} outputs {prev_out} values but layer {i} expects {rows} inputs",
+                i - 1
+            ));
+        }
+        if weights.iter().any(|w| !w.is_finite()) {
+            return invalid(format!("layer {i} contains non-finite weights"));
+        }
+        if biases.iter().any(|b| !b.is_finite()) {
+            return invalid(format!("layer {i} contains non-finite biases"));
+        }
+        prev_out = Some(cols);
+    }
+    match prev_out {
+        Some(_) => Ok(()),
+        None => invalid("network has no layers".to_string()),
     }
 }
 

@@ -16,7 +16,6 @@ use crate::network::{Network, NetworkError};
 use nrpm_linalg::{matmul_prepacked_into, MatmulOptions, Matrix, PackedGemmB};
 use std::fmt;
 
-#[derive(Clone)]
 struct PackedLayer {
     weights: PackedGemmB,
     biases: Vec<f64>,
@@ -27,7 +26,6 @@ struct PackedLayer {
 /// weights. Its [`predict_proba`](Self::predict_proba) is bitwise equal to
 /// [`Network::predict_proba`] on the network it was built from; it does
 /// not follow later changes to that network.
-#[derive(Clone)]
 pub struct PackedNetwork {
     layers: Vec<PackedLayer>,
     input_dim: usize,

@@ -29,6 +29,7 @@ use crate::activation::{softmax_rows, Activation};
 use crate::network::{Network, NetworkError};
 use nrpm_linalg::qgemm::{self, testing::Int8Layout};
 use nrpm_linalg::{gemm_i8, Matrix, QuantizedGemmB};
+use std::cell::RefCell;
 use std::fmt;
 
 /// Acceptance thresholds for [`QuantizedNetwork::validated`].
@@ -105,6 +106,31 @@ pub struct QuantizedNetwork {
     layers: Vec<QuantLayer>,
     input_dim: usize,
     classes: usize,
+}
+
+/// The activation buffers of one int8 forward pass.
+#[derive(Default)]
+struct Scratch {
+    cur: Vec<f32>,
+    next: Vec<f32>,
+    qa: Vec<i8>,
+    scales: Vec<f32>,
+    acc: Vec<i32>,
+}
+
+/// Rows per forward pass. A larger batch runs in chunks of this many
+/// (each row is quantized and multiplied on its own, so the result is the
+/// same bits), which bounds what [`SCRATCH`] keeps per thread at what a
+/// 256-row batch needs: about 5 MB on the paper network.
+const CHUNK_ROWS: usize = 256;
+
+thread_local! {
+    /// Each thread's forward-pass buffers, kept from one batch to the
+    /// next. A batch's buffers run to megabytes (256 rows × 1500 i32
+    /// accumulators alone is 1.5 MB): allocated per batch, the allocator
+    /// maps them fresh and unmaps them after, so every batch faulted them
+    /// in again and every unmap interrupted the other worker's core.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// Branchless fast `tanh`: the [7/6] Padé approximant on a clamped
@@ -266,13 +292,32 @@ impl QuantizedNetwork {
                 expected: self.input_dim,
             });
         }
-        let m = x.rows();
-        let mut cur: Vec<f32> = x.as_slice().iter().map(|&v| v as f32).collect();
+        let mut probs = Vec::with_capacity(x.rows() * self.classes);
+        SCRATCH.with(|scratch| {
+            let scratch = &mut scratch.borrow_mut();
+            for rows in x.as_slice().chunks(CHUNK_ROWS * self.input_dim) {
+                self.forward(rows, scratch, &mut probs);
+            }
+        });
+        let mut probs = Matrix::from_vec(x.rows(), self.classes, probs);
+        softmax_rows(probs.as_mut_slice(), self.classes);
+        Ok(probs)
+    }
+
+    /// Runs the rows of `x` (row-major, `input_dim` wide) through the
+    /// layers and appends their logits to `logits`.
+    fn forward(&self, x: &[f64], scratch: &mut Scratch, logits: &mut Vec<f64>) {
+        let Scratch {
+            cur,
+            next,
+            qa,
+            scales,
+            acc,
+        } = scratch;
+        let m = x.len() / self.input_dim;
+        cur.clear();
+        cur.extend(x.iter().map(|&v| v as f32));
         let mut width = self.input_dim;
-        let mut qa: Vec<i8> = Vec::new();
-        let mut scales: Vec<f32> = Vec::new();
-        let mut acc: Vec<i32> = Vec::new();
-        let mut next: Vec<f32> = Vec::new();
         for layer in &self.layers {
             let out = layer.weights.n();
             // Per-row dynamic activation quantization.
@@ -320,12 +365,10 @@ impl QuantizedNetwork {
                     }
                 }
             }
-            std::mem::swap(&mut cur, &mut next);
+            std::mem::swap(cur, next);
             width = out;
         }
-        let mut probs = Matrix::from_vec(m, width, cur.iter().map(|&v| v as f64).collect());
-        softmax_rows(probs.as_mut_slice(), self.classes);
-        Ok(probs)
+        logits.extend(cur.iter().map(|&v| v as f64));
     }
 
     /// Input dimension the network expects.
@@ -514,6 +557,42 @@ mod tests {
                 "{layout:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_large_batch_runs_in_chunks_and_leaves_bounded_buffers() {
+        let net = Network::new(&NetworkConfig::new(&[4, 40, 30, 3]), 7);
+        let q = QuantizedNetwork::quantize(&net).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let rows = 3 * CHUNK_ROWS + 5;
+        let data: Vec<f64> = (0..rows * 4).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let x = Matrix::from_vec(rows, 4, data);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let batch = bits(&q.predict_proba(&x).unwrap());
+        // Rows are independent, so chunking changes no bit.
+        let one_by_one: Vec<u64> = (0..rows)
+            .flat_map(|r| {
+                let row = Matrix::from_vec(1, 4, x.row(r).to_vec());
+                bits(&q.predict_proba(&row).unwrap())
+            })
+            .collect();
+        assert_eq!(batch, one_by_one);
+        // What the thread keeps is what one chunk needs (allowing for the
+        // vectors' doubling growth), not what the batch needed.
+        let _ = q.predict_proba(&x).unwrap();
+        let widest = CHUNK_ROWS * 40;
+        SCRATCH.with(|scratch| {
+            let s = scratch.borrow();
+            for (name, capacity) in [
+                ("cur", s.cur.capacity()),
+                ("next", s.next.capacity()),
+                ("qa", s.qa.capacity()),
+                ("acc", s.acc.capacity()),
+                ("scales", s.scales.capacity() * 40),
+            ] {
+                assert!(capacity <= 2 * widest, "{name}: {capacity}");
+            }
+        });
     }
 
     #[test]

@@ -85,9 +85,12 @@ pub fn parse_hex16(s: &str) -> Option<u64> {
 
 /// Parses checkpoint bytes and names them by their own hash — the name the
 /// registry gives the same bytes.
-pub fn parse_checkpoint(json: &str) -> Result<(Network, u64), NetworkError> {
-    let hash = bytes_hash(json.as_bytes());
-    Network::from_json(json).map(|network| (network, hash))
+pub fn parse_checkpoint<B: AsRef<[u8]> + ?Sized>(
+    bytes: &B,
+) -> Result<(Network, u64), NetworkError> {
+    let bytes = bytes.as_ref();
+    let hash = bytes_hash(bytes);
+    Network::from_json(bytes).map(|network| (network, hash))
 }
 
 fn valid_ref_name(name: &str) -> bool {
@@ -188,26 +191,26 @@ impl CheckpointRegistry {
         self.objects.join(format!("{}.json", hex16(hash)))
     }
 
-    /// Writes `json` as the object named `hash` (temp file plus rename),
+    /// Writes `bytes` as the object named `hash` (temp file plus rename),
     /// unless that object is already stored.
-    fn write_object(&self, hash: u64, json: &str) -> Result<(), RegistryError> {
+    fn write_object(&self, hash: u64, bytes: &[u8]) -> Result<(), RegistryError> {
         let path = self.object_path(hash);
         if !path.exists() {
             let tmp = path.with_extension("json.tmp");
-            fs::write(&tmp, json)?;
+            fs::write(&tmp, bytes)?;
             fs::rename(&tmp, &path)?;
         }
         Ok(())
     }
 
     /// Reads the bytes stored under `hash`, checking they still hash to it.
-    fn read_object(&self, hash: u64) -> Result<String, RegistryError> {
+    fn read_object(&self, hash: u64) -> Result<Vec<u8>, RegistryError> {
         let path = self.object_path(hash);
         if !path.exists() {
             return Err(RegistryError::UnknownCheckpoint(hex16(hash)));
         }
-        let json = fs::read_to_string(&path)?;
-        let actual = bytes_hash(json.as_bytes());
+        let bytes = fs::read(&path)?;
+        let actual = bytes_hash(&bytes);
         if actual != hash {
             return Err(RegistryError::Corrupt(format!(
                 "object {} holds bytes hashing to {}",
@@ -215,7 +218,7 @@ impl CheckpointRegistry {
                 hex16(actual)
             )));
         }
-        Ok(json)
+        Ok(bytes)
     }
 
     /// Stores `network`, returning its content hash. Idempotent: storing
@@ -223,17 +226,21 @@ impl CheckpointRegistry {
     pub fn put(&self, network: &Network) -> Result<u64, RegistryError> {
         let json = network.to_json();
         let hash = bytes_hash(json.as_bytes());
-        self.write_object(hash, &json)?;
+        self.write_object(hash, json.as_bytes())?;
         Ok(hash)
     }
 
     /// Registers already-serialized checkpoint bytes (e.g. a file trained
     /// elsewhere) after checking they load, keeping the bytes as they are.
     /// Returns the network they hold and their content hash.
-    pub fn put_bytes(&self, json: &str) -> Result<(Network, u64), RegistryError> {
+    pub fn put_bytes<B: AsRef<[u8]> + ?Sized>(
+        &self,
+        bytes: &B,
+    ) -> Result<(Network, u64), RegistryError> {
+        let bytes = bytes.as_ref();
         let (network, hash) =
-            parse_checkpoint(json).map_err(|e| RegistryError::Corrupt(e.to_string()))?;
-        self.write_object(hash, json)?;
+            parse_checkpoint(bytes).map_err(|e| RegistryError::Corrupt(e.to_string()))?;
+        self.write_object(hash, bytes)?;
         Ok((network, hash))
     }
 
@@ -242,8 +249,8 @@ impl CheckpointRegistry {
     /// [`RegistryError::Corrupt`], so the network returned is always the
     /// one `hash` names.
     pub fn get(&self, hash: u64) -> Result<Network, RegistryError> {
-        let json = self.read_object(hash)?;
-        Network::from_json(&json)
+        let bytes = self.read_object(hash)?;
+        Network::from_json(&bytes)
             .map_err(|e| RegistryError::Corrupt(format!("checkpoint {}: {e}", hex16(hash))))
     }
 
@@ -339,8 +346,8 @@ impl CheckpointRegistry {
     pub fn verify(&self) -> Result<VerifyOutcome, RegistryError> {
         let mut outcome = VerifyOutcome::default();
         for hash in self.list()? {
-            let json = fs::read_to_string(self.object_path(hash))?;
-            let actual = bytes_hash(json.as_bytes());
+            let bytes = fs::read(self.object_path(hash))?;
+            let actual = bytes_hash(&bytes);
             if actual != hash {
                 outcome.issues.push(VerifyIssue::HashMismatch {
                     named: hash,
@@ -348,7 +355,7 @@ impl CheckpointRegistry {
                 });
                 continue;
             }
-            match Network::from_json(&json) {
+            match Network::from_json(&bytes) {
                 Ok(_) => outcome.intact += 1,
                 Err(e) => outcome.issues.push(VerifyIssue::Unloadable {
                     hash,
@@ -426,12 +433,12 @@ impl CheckpointRegistry {
     /// a half-written model behind. A shard can load the exported file
     /// directly.
     pub fn export(&self, hash: u64, path: impl AsRef<Path>) -> Result<(), RegistryError> {
-        let json = self.read_object(hash)?;
+        let bytes = self.read_object(hash)?;
         let path = path.as_ref();
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
-        fs::write(&tmp, &json)?;
+        fs::write(&tmp, &bytes)?;
         fs::rename(&tmp, path)?;
         Ok(())
     }
@@ -447,8 +454,8 @@ impl CheckpointRegistry {
         if dest.contains(hash) {
             return Ok(false);
         }
-        let json = self.read_object(hash)?;
-        dest.write_object(hash, &json)?;
+        let bytes = self.read_object(hash)?;
+        dest.write_object(hash, &bytes)?;
         Ok(true)
     }
 }

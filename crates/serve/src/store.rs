@@ -121,9 +121,9 @@ impl ModelStore {
     /// disk, as the registry names the same bytes.
     pub fn open(path: &Path, opts: AdaptiveOptions) -> Result<Self, StoreError> {
         let (network, hash) = {
-            let json = std::fs::read_to_string(path)
+            let bytes = std::fs::read(path)
                 .map_err(|e| StoreError::Load(NetworkError::Io(e.to_string())))?;
-            parse_checkpoint(&json).map_err(StoreError::Load)?
+            parse_checkpoint(&bytes).map_err(StoreError::Load)?
         };
         Self::from_checkpoint(network, hash, opts)
     }
