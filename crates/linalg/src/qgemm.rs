@@ -3,8 +3,15 @@
 //! The right operand (a layer's weight matrix) is packed **once** at
 //! quantization time into a layout picked for the CPU ([`QuantizedGemmB`])
 //! and then reused for every forward pass. The layout is chosen at pack
-//! time and fixes the kernel; nothing is re-detected per call.
+//! time and fixes the kernel; nothing is re-detected per call. Fastest
+//! first:
 //!
+//! * **`Tile16`** (AMX-INT8): `Quad16`'s panels without the column sums,
+//!   with `k` zero-padded to a multiple of 64, so 16 depth quads of a
+//!   panel — one 64-byte row each — are one full AMX `B` tile. The kernel
+//!   stages `A` into zero-padded 16-row × 64-byte tiles and runs `tdpbssd`
+//!   (signed × signed, 4 products per 32-bit lane) on 2×2 blocks of
+//!   16×16 `C` tiles.
 //! * **`Quad16`** (AVX512-VNNI): 16-column panels with 4 consecutive `k`
 //!   interleaved per column (`k` zero-padded to a multiple of 4), plus the
 //!   per-column sums `colsum[j] = Σₖ B[k,j]` computed at pack time.
@@ -17,16 +24,27 @@
 //!   8-column panels with pairs of consecutive `k` interleaved. Each `i8`
 //!   pair is sign-extended to `i16` and `madd_epi16` adds the pair product
 //!   into `i32` accumulators (the classic `pmaddwd` pattern).
-//!
-//! Without AVX2, a plain row-major copy feeds a scalar loop.
+//! * **`Raw`**: without AVX2, a plain row-major copy feeds a scalar loop.
 //!
 //! Integer arithmetic is exact, so every ISA and layout produces
 //! bit-identical results by construction.
 //!
+//! # AMX permission
+//!
+//! Linux hands out the AMX tile data state per process, on request. The
+//! first time `Tile16` support is asked about, a CPU that reports
+//! AMX-TILE and AMX-INT8 (CPUID leaf 7, EDX bits 24 and 25) triggers one
+//! `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`. It grants the
+//! state to this process only. If the request fails (an older kernel, a
+//! seccomp filter, a signal stack too small for the tile state) `Tile16`
+//! is unsupported and `Quad16` serves instead.
+//!
 //! # Overflow
 //!
 //! A `madd` lane adds at most `2 · 128 · 128 = 2^15` per pair, so the pair
-//! layouts are exact for `k < 2^17`. A `vpdpbusd` lane adds at most
+//! layouts are exact for `k < 2^17`. `tdpbssd` adds signed products of at
+//! most `128 · 128 = 2^14` each, so `Tile16` is exact for `k < 2^17` as
+//! well. A `vpdpbusd` lane adds at most
 //! `4 · 255 · 128 = 130,560` per quad (quantized weights stay within ±127:
 //! `4 · 255 · 127 = 129,540`), so the biased accumulator never wraps for
 //! `k ≤ 65,792` (`2^31 / (255 · 128)`); the paper's deepest layer, `k =
@@ -40,15 +58,60 @@
 
 use crate::kernel::{kernel_isa, KernelIsa};
 
+/// One cache line of bytes.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Line([i8; 64]);
+
+/// Bytes stored in whole, 64-byte-aligned cache lines, so a 64-byte AMX
+/// tile row or AVX-512 load at a multiple of 64 reads one line rather
+/// than straddling two. Derefs to the first `len` bytes.
+#[derive(Clone, Default)]
+struct LineBytes {
+    lines: Vec<Line>,
+    len: usize,
+}
+
+impl LineBytes {
+    /// Resizes to `len` bytes, all zero, keeping the allocation.
+    fn zero(&mut self, len: usize) {
+        self.lines.clear();
+        self.lines.resize(len.div_ceil(64), Line([0; 64]));
+        self.len = len;
+    }
+}
+
+impl std::ops::Deref for LineBytes {
+    type Target = [i8];
+    fn deref(&self) -> &[i8] {
+        // SAFETY: `lines` holds at least `len` initialized bytes.
+        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast(), self.len) }
+    }
+}
+
+impl std::ops::DerefMut for LineBytes {
+    fn deref_mut(&mut self) -> &mut [i8] {
+        // SAFETY: as for `deref`, and the borrow is unique.
+        unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr().cast(), self.len) }
+    }
+}
+
+impl std::fmt::Debug for LineBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A right-hand operand (`k x n`, row-major `i8`) packed for [`gemm_i8`].
 #[derive(Debug, Clone)]
 pub struct QuantizedGemmB {
-    data: Vec<i8>,
+    data: LineBytes,
     /// `Quad16` only: per-column sums of `B`, zero-padded to whole panels.
     colsum: Vec<i32>,
     k: usize,
     n: usize,
-    /// `k` rounded up to whole depth groups (pairs or quads).
+    /// `k` rounded up to whole depth groups (pairs, quads or, for
+    /// `Tile16`, 64-deep tiles).
     kp: usize,
     layout: Int8Layout,
 }
@@ -57,6 +120,9 @@ pub struct QuantizedGemmB {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Int8Layout {
+    /// 16-column panels, k-quads interleaved, `k` padded to whole 64-deep
+    /// tiles (AMX-INT8).
+    Tile16,
     /// 16-column panels, k-quads interleaved, column sums (AVX512-VNNI).
     Quad16,
     /// 16-column panels, k-pairs interleaved (AVX-512BW kernel).
@@ -71,6 +137,7 @@ impl Int8Layout {
     /// The fastest layout this CPU runs.
     fn native() -> Int8Layout {
         match kernel_isa() {
+            KernelIsa::Avx512 if Int8Layout::Tile16.supported() => Int8Layout::Tile16,
             KernelIsa::Avx512 if Int8Layout::Quad16.supported() => Int8Layout::Quad16,
             KernelIsa::Avx512 => Int8Layout::Panel16,
             KernelIsa::Avx2 => Int8Layout::Panel8,
@@ -79,7 +146,7 @@ impl Int8Layout {
     }
 
     /// Whether this CPU can run the layout's kernel (the standard library
-    /// caches the CPUID probe).
+    /// caches the CPUID probe, [`amx::granted`] its own answer).
     fn supported(self) -> bool {
         #[cfg(target_arch = "x86_64")]
         let (avx2, avx512bw, vnni) = (
@@ -90,6 +157,7 @@ impl Int8Layout {
         #[cfg(not(target_arch = "x86_64"))]
         let (avx2, avx512bw, vnni) = (false, false, false);
         match self {
+            Int8Layout::Tile16 => amx::granted(),
             Int8Layout::Quad16 => avx512bw && vnni,
             Int8Layout::Panel16 => avx512bw,
             Int8Layout::Panel8 => avx2,
@@ -97,13 +165,15 @@ impl Int8Layout {
         }
     }
 
-    /// Panel width and the number of consecutive `k` interleaved per column.
-    fn geometry(self) -> (usize, usize) {
+    /// Panel width, the number of consecutive `k` interleaved per column,
+    /// and the multiple `k` is zero-padded to.
+    fn geometry(self) -> (usize, usize, usize) {
         match self {
-            Int8Layout::Quad16 => (16, 4),
-            Int8Layout::Panel16 => (16, 2),
-            Int8Layout::Panel8 => (8, 2),
-            Int8Layout::Raw => (0, 1),
+            Int8Layout::Tile16 => (16, 4, 64),
+            Int8Layout::Quad16 => (16, 4, 4),
+            Int8Layout::Panel16 => (16, 2, 2),
+            Int8Layout::Panel8 => (8, 2, 2),
+            Int8Layout::Raw => (0, 1, 1),
         }
     }
 }
@@ -116,15 +186,17 @@ impl QuantizedGemmB {
 
     fn pack_as(b: &[i8], k: usize, n: usize, layout: Int8Layout) -> QuantizedGemmB {
         assert_eq!(b.len(), k * n, "QuantizedGemmB::pack: shape mismatch");
-        let (nr, kg) = layout.geometry();
-        let kp = k.div_ceil(kg) * kg;
-        let data = if layout == Int8Layout::Raw {
-            b.to_vec()
+        let (nr, kg, depth) = layout.geometry();
+        let kp = k.next_multiple_of(depth);
+        let mut data = LineBytes::default();
+        if layout == Int8Layout::Raw {
+            data.zero(b.len());
+            data.copy_from_slice(b);
         } else {
             // Panel `jp`, depth group `g`, column `j`, slot `t` holds
             // `B[g * kg + t, jp * nr + j]`.
             let np = n.div_ceil(nr);
-            let mut out = vec![0i8; np * kp * nr];
+            data.zero(np * kp * nr);
             for jp in 0..np {
                 for g in 0..kp / kg {
                     for j in 0..nr {
@@ -132,14 +204,13 @@ impl QuantizedGemmB {
                         for t in 0..kg {
                             let kk = g * kg + t;
                             if col < n && kk < k {
-                                out[(jp * kp + g * kg) * nr + j * kg + t] = b[kk * n + col];
+                                data[(jp * kp + g * kg) * nr + j * kg + t] = b[kk * n + col];
                             }
                         }
                     }
                 }
             }
-            out
-        };
+        }
         let colsum = if layout == Int8Layout::Quad16 {
             let mut sums = vec![0i32; n.div_ceil(nr) * nr];
             for row in b.chunks_exact(n.max(1)) {
@@ -193,14 +264,16 @@ pub fn gemm_i8(a: &[i8], m: usize, k: usize, b: &QuantizedGemmB, c: &mut [i32]) 
     }
     match b.layout {
         Int8Layout::Raw => gemm_i8_scalar(a, m, k, b, c),
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        Int8Layout::Tile16 => amx::gemm_i8_tile16(a, m, k, b, c),
         #[cfg(target_arch = "x86_64")]
         Int8Layout::Quad16 => x86::gemm_i8_quad16(a, m, k, b, c),
         #[cfg(target_arch = "x86_64")]
         Int8Layout::Panel16 => x86::gemm_i8_avx512(a, m, k, b, c),
         #[cfg(target_arch = "x86_64")]
         Int8Layout::Panel8 => x86::gemm_i8_avx2(a, m, k, b, c),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("SIMD layouts are only packed on x86_64"),
+        #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+        _ => unreachable!("SIMD and AMX layouts are only packed where they run"),
     }
 }
 
@@ -509,6 +582,240 @@ mod x86 {
     }
 }
 
+/// The `Tile16` kernel on Intel AMX-INT8.
+///
+/// The tile instructions are issued through `asm!`: the AMX intrinsics and
+/// `is_x86_feature_detected!("amx-int8")` are not stable Rust. Each call
+/// configures the eight tiles, all 16 rows × 64 bytes — `tmm0`/`tmm1` hold
+/// two row blocks of `A`, `tmm2`/`tmm3` two column panels of `B`, and
+/// `tmm4..tmm7` the 2×2 block of `C` — and releases them before returning.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod amx {
+    use super::{LineBytes, QuantizedGemmB};
+    use std::arch::asm;
+    use std::cell::RefCell;
+    use std::sync::OnceLock;
+
+    /// Bytes in one tile: 16 rows of 64 bytes.
+    const TILE: usize = 1024;
+
+    /// Whether this process may run AMX-INT8: the CPU reports AMX-TILE and
+    /// AMX-INT8, and the kernel granted the tile data state. Asked once per
+    /// process.
+    pub(super) fn granted() -> bool {
+        static GRANTED: OnceLock<bool> = OnceLock::new();
+        *GRANTED.get_or_init(|| {
+            use std::arch::x86_64::{__cpuid_count, __get_cpuid_max};
+            if __get_cpuid_max(0).0 < 7 {
+                return false;
+            }
+            // Leaf 7, EDX: bit 24 AMX-TILE, bit 25 AMX-INT8.
+            const AMX_TILE_INT8: u32 = 3 << 24;
+            if __cpuid_count(7, 0).edx & AMX_TILE_INT8 != AMX_TILE_INT8 {
+                return false;
+            }
+            extern "C" {
+                fn syscall(number: i64, ...) -> i64;
+            }
+            const SYS_ARCH_PRCTL: i64 = 158;
+            const ARCH_REQ_XCOMP_PERM: i64 = 0x1023;
+            const XFEATURE_XTILEDATA: i64 = 18;
+            // SAFETY: the request only extends which register state the
+            // kernel saves for this process; it touches no memory of ours.
+            unsafe { syscall(SYS_ARCH_PRCTL, ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA) == 0 }
+        })
+    }
+
+    thread_local! {
+        /// `A` cut into zero-padded tiles, reused across calls so a warm
+        /// caller does not allocate (at 256 rows of `k = 1500` it is
+        /// 384 KiB).
+        static A_TILES: RefCell<LineBytes> = RefCell::new(LineBytes::default());
+    }
+
+    /// `C = A * B` against a `Tile16` operand. `A` is staged as tiles: the
+    /// tile of row block `ib` and depth block `kb` holds rows `16 ib..` and
+    /// depths `64 kb..` at `(ib * kb_n + kb) * TILE`, row-major, 64 bytes
+    /// per row. Column panel pairs are the outer loop, so a pair of `B`
+    /// panels (48 KiB at `k = 1500`) is read from memory once and every
+    /// row block pair runs over it. Ragged `C` tiles go through a bounce
+    /// buffer; full ones are stored straight into `c`.
+    pub(super) fn gemm_i8_tile16(a: &[i8], m: usize, k: usize, b: &QuantizedGemmB, c: &mut [i32]) {
+        let n = b.n;
+        let kb_n = b.kp / 64;
+        let mb = m.div_ceil(16);
+        let np = n.div_ceil(16);
+        A_TILES.with(|stage| {
+            let mut stage = stage.borrow_mut();
+            stage.zero(mb * kb_n * TILE);
+            for (r, row) in a.chunks_exact(k).enumerate() {
+                let (ib, i) = (r / 16, r % 16);
+                for (kb, depths) in row.chunks(64).enumerate() {
+                    let at = (ib * kb_n + kb) * TILE + i * 64;
+                    stage[at..at + depths.len()].copy_from_slice(depths);
+                }
+            }
+            let mut bounce = [[0i32; 256]; 4];
+            // SAFETY: `Tile16` is only packed once `granted()` held. Every
+            // tile load reads `TILE` bytes inside `stage` (`mb * kb_n`
+            // tiles) or `b.data` (`np` panels of `kb_n` tiles); every
+            // store writes 16 rows of 16 `i32` inside `c` (a full tile
+            // whose rows and columns lie in `m x n`) or inside `bounce`.
+            unsafe {
+                configure();
+                for jp in (0..np).step_by(2) {
+                    let panels = 2.min(np - jp);
+                    let bp = b.data.as_ptr().add(jp * kb_n * TILE);
+                    for ib in (0..mb).step_by(2) {
+                        let blocks = 2.min(mb - ib);
+                        let ap = stage.as_ptr().add(ib * kb_n * TILE);
+                        // Tile `t` (row block `t / 2`, panel `t % 2`) starts
+                        // at row `row0(t)`, column `col0(t)` of `C`.
+                        let row0 = |t: usize| (ib + t / 2) * 16;
+                        let col0 = |t: usize| (jp + t % 2) * 16;
+                        let full = |t: usize| row0(t) + 16 <= m && col0(t) + 16 <= n;
+                        let mut dst = [(std::ptr::null_mut(), 0usize); 4];
+                        for (t, (d, bounce)) in dst.iter_mut().zip(&mut bounce).enumerate() {
+                            *d = if full(t) {
+                                (c.as_mut_ptr().add(row0(t) * n + col0(t)), n * 4)
+                            } else {
+                                (bounce.as_mut_ptr(), 64)
+                            };
+                        }
+                        match (blocks, panels) {
+                            (2, 2) => block::<2, 2>(ap, bp, kb_n, &dst),
+                            (2, _) => block::<2, 1>(ap, bp, kb_n, &dst),
+                            (_, 2) => block::<1, 2>(ap, bp, kb_n, &dst),
+                            _ => block::<1, 1>(ap, bp, kb_n, &dst),
+                        }
+                        for (t, bounce) in bounce.iter().enumerate() {
+                            if t / 2 >= blocks || t % 2 >= panels || full(t) {
+                                continue;
+                            }
+                            let cols = 16.min(n - col0(t));
+                            for i in 0..16.min(m - row0(t)) {
+                                let at = (row0(t) + i) * n + col0(t);
+                                c[at..at + cols].copy_from_slice(&bounce[i * 16..i * 16 + cols]);
+                            }
+                        }
+                    }
+                }
+                asm!("tilerelease", options(nomem, nostack));
+            }
+        });
+    }
+
+    /// Loads the tile configuration: palette 1, all eight tiles 16 rows of
+    /// 64 bytes.
+    ///
+    /// # Safety
+    /// The process was granted AMX (`granted()`).
+    unsafe fn configure() {
+        #[repr(C, align(64))]
+        struct TileConfig([u8; 64]);
+        let mut cfg = TileConfig([0; 64]);
+        cfg.0[0] = 1;
+        for t in 0..8 {
+            cfg.0[16 + 2 * t] = 64;
+            cfg.0[48 + t] = 16;
+        }
+        asm!("ldtilecfg [{}]", in(reg) cfg.0.as_ptr(), options(nostack, readonly));
+    }
+
+    macro_rules! tile_load {
+        ($tmm:literal, $ptr:expr) => {
+            asm!(
+                concat!("tileloadd tmm", $tmm, ", [{p} + {s}*1]"),
+                p = in(reg) $ptr,
+                s = in(reg) 64usize,
+                options(nostack, readonly),
+            )
+        };
+    }
+
+    macro_rules! tile_dot {
+        ($c:literal, $a:literal, $b:literal) => {
+            asm!(
+                concat!("tdpbssd tmm", $c, ", tmm", $a, ", tmm", $b),
+                options(nomem, nostack),
+            )
+        };
+    }
+
+    macro_rules! tile_store {
+        ($tmm:literal, $dst:expr) => {
+            asm!(
+                concat!("tilestored [{p} + {s}*1], tmm", $tmm),
+                p = in(reg) $dst.0,
+                s = in(reg) $dst.1,
+                options(nostack),
+            )
+        };
+    }
+
+    /// `R` row blocks × `P` column panels of `C` over `kb_n` depth tiles:
+    /// `C` tile `t` (row block `t / 2`, panel `t % 2`) accumulates in
+    /// `tmm4 + t` and is stored to `dst[t]` (pointer, row stride in bytes).
+    ///
+    /// # Safety
+    /// The tiles are configured; `ap` holds `R` row blocks of `kb_n` tiles
+    /// (`kb_n * TILE` bytes apart), `bp` `P` panels of `kb_n` tiles, and
+    /// each `dst[t]` of a computed tile 16 writable rows of 16 `i32`.
+    #[inline(always)]
+    unsafe fn block<const R: usize, const P: usize>(
+        ap: *const i8,
+        bp: *const i8,
+        kb_n: usize,
+        dst: &[(*mut i32, usize); 4],
+    ) {
+        asm!("tilezero tmm4", options(nomem, nostack));
+        if P == 2 {
+            asm!("tilezero tmm5", options(nomem, nostack));
+        }
+        if R == 2 {
+            asm!("tilezero tmm6", options(nomem, nostack));
+            if P == 2 {
+                asm!("tilezero tmm7", options(nomem, nostack));
+            }
+        }
+        for kb in 0..kb_n {
+            let (a0, b0) = (ap.add(kb * TILE), bp.add(kb * TILE));
+            tile_load!(0, a0);
+            tile_load!(2, b0);
+            tile_dot!(4, 0, 2);
+            if P == 2 {
+                tile_load!(3, b0.add(kb_n * TILE));
+                tile_dot!(5, 0, 3);
+            }
+            if R == 2 {
+                tile_load!(1, a0.add(kb_n * TILE));
+                tile_dot!(6, 1, 2);
+                if P == 2 {
+                    tile_dot!(7, 1, 3);
+                }
+            }
+        }
+        tile_store!(4, dst[0]);
+        if P == 2 {
+            tile_store!(5, dst[1]);
+        }
+        if R == 2 {
+            tile_store!(6, dst[2]);
+            if P == 2 {
+                tile_store!(7, dst[3]);
+            }
+        }
+    }
+}
+
+/// Off Linux x86-64 no process is granted AMX.
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+mod amx {
+    pub(super) fn granted() -> bool {
+        false
+    }
+}
+
 /// Test/bench hooks: pack for an explicit layout, independent of the CPU's
 /// native choice.
 #[doc(hidden)]
@@ -519,6 +826,7 @@ pub mod testing {
     /// Every layout whose kernel this CPU can run, fastest first.
     pub fn supported_layouts() -> Vec<Int8Layout> {
         [
+            Int8Layout::Tile16,
             Int8Layout::Quad16,
             Int8Layout::Panel16,
             Int8Layout::Panel8,
@@ -582,6 +890,7 @@ mod tests {
 
     /// Ragged `m` (not a multiple of 8), every `k mod 4` (quad padding),
     /// `n` off the 8/16-column panel widths, and the paper's deepest `k`.
+    /// [`TILE_EDGES`] adds the 16-row, 64-deep and 16-column tile edges.
     const SHAPES: &[(usize, usize, usize)] = &[
         (1, 1, 1),
         (1, 11, 43),
@@ -596,6 +905,13 @@ mod tests {
         (17, 1500, 47),
     ];
 
+    /// `m`, `k` and `n` on both sides of the AMX tile edges, crossed.
+    const TILE_EDGES: (&[usize], &[usize], &[usize]) = (
+        &[15, 16, 17, 31, 33],
+        &[11, 63, 64, 65],
+        &[15, 16, 17, 33, 43],
+    );
+
     #[test]
     fn native_layout_is_the_fastest_supported() {
         let layouts = supported_layouts();
@@ -609,7 +925,12 @@ mod tests {
 
     #[test]
     fn every_layout_matches_naive_across_ragged_shapes() {
-        for &(m, k, n) in SHAPES {
+        let (ms, ks, ns) = TILE_EDGES;
+        let edges = ms.iter().flat_map(|&m| {
+            ks.iter()
+                .flat_map(move |&k| ns.iter().map(move |&n| (m, k, n)))
+        });
+        for (m, k, n) in SHAPES.iter().copied().chain(edges) {
             let a = fill_i8(m * k, 7);
             let b = fill_i8(k * n, 11);
             let want = naive_i8(&a, &b, m, k, n);

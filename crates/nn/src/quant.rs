@@ -28,7 +28,7 @@
 use crate::activation::{softmax_rows, Activation};
 use crate::network::{Network, NetworkError};
 use nrpm_linalg::qgemm::{self, testing::Int8Layout};
-use nrpm_linalg::{gemm_i8, Matrix, QuantizedGemmB};
+use nrpm_linalg::{gemm_i8, kernel_isa, KernelIsa, Matrix, QuantizedGemmB};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -118,11 +118,12 @@ struct Scratch {
     acc: Vec<i32>,
 }
 
-/// Rows per forward pass. A larger batch runs in chunks of this many
-/// (each row is quantized and multiplied on its own, so the result is the
-/// same bits), which bounds what [`SCRATCH`] keeps per thread at what a
-/// 256-row batch needs: about 5 MB on the paper network.
-const CHUNK_ROWS: usize = 256;
+/// Rows per forward pass, here and in [`crate::PackedNetwork`]. A larger
+/// batch runs in chunks of this many (each row is quantized and
+/// multiplied on its own, so the result is the same bits), which bounds
+/// what [`SCRATCH`] keeps per thread at what a 256-row batch needs: about
+/// 5 MB on the paper network.
+pub(crate) const CHUNK_ROWS: usize = 256;
 
 thread_local! {
     /// Each thread's forward-pass buffers, kept from one batch to the
@@ -137,9 +138,10 @@ thread_local! {
 /// argument. Max absolute error vs. the true tanh is < 1e-4 over all of
 /// ℝ — two orders of magnitude below typical int8 quantization drift, so
 /// it cannot meaningfully move the accuracy gate. Being call-free and
-/// branch-free it autovectorizes, unlike the libm `tanhf` the f64
-/// reference path uses; element-independent IEEE ops keep the result
-/// bitwise deterministic at any vector width.
+/// branch-free it autovectorizes (4 lanes on the SSE2 baseline, 16 in
+/// the AVX-512 build of [`QuantizedNetwork::forward`]), unlike the libm
+/// `tanhf` the f64 reference path uses; element-independent IEEE ops
+/// keep the result bitwise deterministic at any vector width.
 #[inline]
 fn tanh_fast(v: f32) -> f32 {
     let x = v.clamp(-4.97, 4.97);
@@ -166,6 +168,17 @@ fn round_away(v: f32) -> i8 {
     // SAFETY: `t` is finite and within [-127.5, 127.5], so its truncation
     // is representable in `i32`.
     unsafe { t.to_int_unchecked::<i32>() as i8 }
+}
+
+/// Whether [`QuantizedNetwork::predict_proba`] runs the AVX-512 build of
+/// the forward pass: the kernels run AVX-512 (see [`kernel_isa`]) and the
+/// CPU has the VL extension the build is compiled with.
+fn wide_epilogue() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let vl = is_x86_feature_detected!("avx512vl");
+    #[cfg(not(target_arch = "x86_64"))]
+    let vl = false;
+    kernel_isa() == KernelIsa::Avx512 && vl
 }
 
 fn argmax(row: &[f64]) -> usize {
@@ -286,6 +299,19 @@ impl QuantizedNetwork {
     /// Class-probability rows for a batch, computed on the int8 path.
     /// Mirrors [`Network::predict_proba`].
     pub fn predict_proba(&self, x: &Matrix) -> Result<Matrix, NetworkError> {
+        self.predict_with(x, wide_epilogue())
+    }
+
+    /// Test hook: [`QuantizedNetwork::predict_proba`] with the forward
+    /// pass compiled for baseline x86-64, whatever the CPU supports.
+    #[doc(hidden)]
+    pub fn predict_proba_baseline(&self, x: &Matrix) -> Result<Matrix, NetworkError> {
+        self.predict_with(x, false)
+    }
+
+    /// [`QuantizedNetwork::predict_proba`], running the AVX-512 build of
+    /// the forward pass when `wide` is set.
+    fn predict_with(&self, x: &Matrix, wide: bool) -> Result<Matrix, NetworkError> {
         if x.cols() != self.input_dim {
             return Err(NetworkError::InputDimension {
                 got: x.cols(),
@@ -296,6 +322,13 @@ impl QuantizedNetwork {
         SCRATCH.with(|scratch| {
             let scratch = &mut scratch.borrow_mut();
             for rows in x.as_slice().chunks(CHUNK_ROWS * self.input_dim) {
+                #[cfg(target_arch = "x86_64")]
+                if wide {
+                    // SAFETY: `wide` is only set where `wide_epilogue()`
+                    // found AVX-512F, BW and VL.
+                    unsafe { self.forward_avx512(rows, scratch, &mut probs) };
+                    continue;
+                }
                 self.forward(rows, scratch, &mut probs);
             }
         });
@@ -304,8 +337,24 @@ impl QuantizedNetwork {
         Ok(probs)
     }
 
+    /// [`QuantizedNetwork::forward`] compiled for AVX-512: the same IEEE
+    /// operations in the same order (Rust does not contract them into
+    /// FMAs), so the same bits, on 16 lanes instead of SSE2's 4.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512F, AVX-512BW and AVX-512VL.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    unsafe fn forward_avx512(&self, x: &[f64], scratch: &mut Scratch, logits: &mut Vec<f64>) {
+        self.forward(x, scratch, logits);
+    }
+
     /// Runs the rows of `x` (row-major, `input_dim` wide) through the
-    /// layers and appends their logits to `logits`.
+    /// layers and appends their logits to `logits`. Inlined into
+    /// [`QuantizedNetwork::predict_with`] and
+    /// [`QuantizedNetwork::forward_avx512`], so its loops are compiled
+    /// for the baseline target and for AVX-512 from this one source.
+    #[inline(always)]
     fn forward(&self, x: &[f64], scratch: &mut Scratch, logits: &mut Vec<f64>) {
         let Scratch {
             cur,
@@ -534,28 +583,101 @@ mod tests {
         assert_eq!(round_away(127.5), 127);
     }
 
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `rows` inputs, 11 wide, drawn from `[-1, 1)`, except row 1 (all
+    /// zero), row 2 (±1e6) and, when `specials` is given, every third row
+    /// from row 3 on, which cycles through `specials`.
+    fn paper_inputs(rows: usize, specials: &[f64], seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Matrix::from_fn(rows, 11, |r, c| match r {
+            1 => 0.0,
+            2 => [1e6, -1e6][c % 2],
+            3.. if !specials.is_empty() && r % 3 == 0 => specials[(r + c) % specials.len()],
+            _ => rng.gen_range(-1.0..1.0),
+        })
+    }
+
+    /// Batch sizes on both sides of the kernels' 8- and 16-row blocks and
+    /// the served 64.
+    const PAPER_ROWS: [usize; 6] = [1, 9, 16, 17, 33, 64];
+
+    /// The paper network at [`PAPER_ROWS`], and one row past a 256-row
+    /// chunk on a network of the paper's input and output widths whose
+    /// hidden layers are narrow enough for an unoptimized build.
+    fn networks_and_batches(seed: u64) -> [(Network, Vec<usize>); 2] {
+        [
+            (
+                Network::new(&NetworkConfig::paper(), seed),
+                PAPER_ROWS.to_vec(),
+            ),
+            (
+                Network::new(&NetworkConfig::new(&[11, 40, 70, 43]), seed),
+                vec![CHUNK_ROWS + 1],
+            ),
+        ]
+    }
+
     #[test]
     fn every_int8_layout_gives_bit_equal_paper_network_outputs() {
-        let net = Network::new(&NetworkConfig::paper(), 3);
-        let mut rng = StdRng::seed_from_u64(5);
-        let rows: Vec<Vec<f64>> = (0..9)
-            .map(|_| (0..11).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        let x = Matrix::from_row_vecs(&rows, 11).unwrap();
-        let raw = QuantizedNetwork::quantize_forced(&net, Int8Layout::Raw)
-            .unwrap()
-            .predict_proba(&x)
-            .unwrap();
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let native = QuantizedNetwork::quantize(&net).unwrap();
-        assert_eq!(bits(&native.predict_proba(&x).unwrap()), bits(&raw));
-        for layout in qgemm::testing::supported_layouts() {
-            let q = QuantizedNetwork::quantize_forced(&net, layout).unwrap();
-            assert_eq!(
-                bits(&q.predict_proba(&x).unwrap()),
-                bits(&raw),
-                "{layout:?}"
+        for (net, batches) in networks_and_batches(3) {
+            // Rows are quantized and multiplied independently, so `Raw` on
+            // the largest batch is the reference for each smaller batch, a
+            // prefix of the same rows.
+            let rows = *batches.iter().max().unwrap();
+            let x = paper_inputs(rows, &[], 5);
+            let raw = QuantizedNetwork::quantize_forced(&net, Int8Layout::Raw).unwrap();
+            let want = bits(&raw.predict_proba(&x).unwrap());
+            // `Raw` is the reference; every other supported layout, and the
+            // native one, must reproduce it.
+            let native = QuantizedNetwork::quantize(&net).unwrap();
+            let layouts = qgemm::testing::supported_layouts();
+            let candidates = std::iter::once((None, native)).chain(
+                layouts
+                    .into_iter()
+                    .filter(|&l| l != Int8Layout::Raw)
+                    .map(|l| (Some(l), QuantizedNetwork::quantize_forced(&net, l).unwrap())),
             );
+            for (layout, q) in candidates {
+                for &r in &batches {
+                    let prefix = Matrix::from_vec(r, 11, x.as_slice()[..r * 11].to_vec());
+                    assert_eq!(
+                        bits(&q.predict_proba(&prefix).unwrap()),
+                        want[..r * 43],
+                        "{layout:?} (None: native) at {r} rows"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_avx512_forward_pass_equals_the_baseline_build() {
+        if !wide_epilogue() {
+            return;
+        }
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-300,
+        ];
+        for seed in [3, 4] {
+            for (net, batches) in networks_and_batches(seed) {
+                let q = QuantizedNetwork::quantize(&net).unwrap();
+                for rows in batches {
+                    let x = paper_inputs(rows, &specials, seed + rows as u64);
+                    assert_eq!(
+                        bits(&q.predict_proba(&x).unwrap()),
+                        bits(&q.predict_proba_baseline(&x).unwrap()),
+                        "network {seed} at {rows} rows"
+                    );
+                }
+            }
         }
     }
 

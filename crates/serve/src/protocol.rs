@@ -24,10 +24,11 @@ use serde::{Deserialize, Serialize, Value};
 /// is closed.
 pub const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
-/// Hard cap on JSON nesting depth. The vendored `serde_json` parser is
-/// recursive, so a hostile `[[[[…` line would otherwise exhaust the stack;
-/// a cheap bracket scan rejects such lines before any parsing happens.
-pub const MAX_JSON_DEPTH: usize = 64;
+/// Hard cap on JSON nesting depth: the vendored `serde_json` reader's own
+/// limit. A cheap bracket scan still rejects deeper lines before parsing,
+/// so every too-deep line is answered with a message about nesting; the
+/// reader alone would refuse `{{{…` earlier, as a missing key.
+pub use serde_json::MAX_DEPTH as MAX_JSON_DEPTH;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,7 +212,7 @@ fn nesting_exceeds(line: &str, max: usize) -> bool {
 }
 
 /// Parses one request line into JSON, refusing nesting deeper than
-/// [`MAX_JSON_DEPTH`] before the (recursive) parser sees it. Front ends
+/// [`MAX_JSON_DEPTH`] before the parser sees it. Front ends
 /// with a vocabulary of their own (the cluster router) inspect the value,
 /// then hand it to [`Request::from_value`].
 pub fn parse_json(line: &str) -> Result<Value, (ErrorKind, String)> {
